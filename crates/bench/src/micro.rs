@@ -9,9 +9,8 @@
 //! `BENCH_<name>.json` at the repository root for cross-run comparison
 //! (see `scripts/bench.sh`).
 
-// The one sanctioned wall-clock module (patu-lint `wall-clock`, clippy.toml
-// disallowed-methods): everything else times through `timed` or the harness.
-#![allow(clippy::disallowed_methods)]
+// The one sanctioned wall-clock module (patu-lint `wall-clock`): everything
+// else times through `timed` or the harness.
 
 use patu_obs::json::num_fixed;
 use std::hint::black_box;

@@ -125,8 +125,6 @@ impl FrameTimer {
 
 #[cfg(test)]
 mod tests {
-    // Tests may hash: iteration order is never observed in assertions.
-    #![allow(clippy::disallowed_types)]
     use super::*;
 
     fn timer() -> FrameTimer {

@@ -24,6 +24,7 @@
 
 use crate::dataflow::FileFacts;
 use crate::diag::Diagnostic;
+use crate::rules;
 use crate::scope::{self, Strictness};
 use std::collections::BTreeMap;
 
@@ -31,22 +32,17 @@ use std::collections::BTreeMap;
 /// `knob-at-construction` reachability.
 pub const ENTRY_POINTS: &[&str] = &["render_frame", "run_session"];
 
-/// Files exempt from `parallel-float-fold` summaries and call-site checks:
-/// they *are* the ordered-merge implementations.
-pub const FOLD_EXEMPT: &[&str] = &["crates/sim/src/parallel.rs", "crates/quality/src/par.rs"];
-
 struct Node<'a> {
     path: &'a str,
     facts: &'a crate::dataflow::FnFacts,
 }
 
 /// Runs every interprocedural rule over the per-file facts. `files` maps
-/// repo-relative path → that file's [`FileFacts`] (owned or borrowed, so a
-/// warm incremental run can feed cached facts without cloning them).
-pub fn check<F: std::borrow::Borrow<FileFacts>>(files: &BTreeMap<String, F>) -> Vec<Diagnostic> {
+/// repo-relative path → that file's [`FileFacts`].
+pub fn check(files: &BTreeMap<String, FileFacts>) -> Vec<Diagnostic> {
     let mut nodes: Vec<Node<'_>> = Vec::new();
     for (path, facts) in files {
-        for f in &facts.borrow().fns {
+        for f in &facts.fns {
             if !f.in_test {
                 nodes.push(Node { path, facts: f });
             }
@@ -169,6 +165,7 @@ fn call_site_rules(
     resolve: &dyn Fn(&str) -> Vec<usize>,
     diags: &mut Vec<Diagnostic>,
 ) {
+    let fold_exempt = rules::allowed_files("parallel-float-fold");
     for n in nodes {
         if scope::classify(n.path) != Strictness::Strict {
             continue;
@@ -201,7 +198,7 @@ fn call_site_rules(
                         });
                     }
                 }
-                if is_partition || FOLD_EXEMPT.contains(&callee.path) {
+                if is_partition || fold_exempt.contains(&callee.path) {
                     continue;
                 }
                 for arg in &call.thread_args {
@@ -231,12 +228,10 @@ fn call_site_rules(
 /// The float-fmt chain closure across calls: a binding whose initializer
 /// calls a function returning a float-formatted string, later used in a
 /// JSON-keyed macro in the same caller.
-pub fn float_chain<F: std::borrow::Borrow<FileFacts>>(
-    files: &BTreeMap<String, F>,
-) -> Vec<Diagnostic> {
+pub fn float_chain(files: &BTreeMap<String, FileFacts>) -> Vec<Diagnostic> {
     let mut float_fns: Vec<&str> = Vec::new();
     for facts in files.values() {
-        for f in &facts.borrow().fns {
+        for f in &facts.fns {
             if f.returns_float_string && !f.in_test {
                 float_fns.push(f.name.as_str());
             }
@@ -250,7 +245,7 @@ pub fn float_chain<F: std::borrow::Borrow<FileFacts>>(
         if scope::classify(path) != Strictness::Strict {
             continue;
         }
-        for f in &facts.borrow().fns {
+        for f in &facts.fns {
             // Bindings in this function whose value came from a
             // float-string-returning call.
             let mut tainted_binds: Vec<&str> = Vec::new();
@@ -298,7 +293,6 @@ mod tests {
     use super::*;
     use crate::lexer;
     use crate::resolve;
-    use crate::rules;
 
     fn facts_for(path: &str, src: &str) -> (String, FileFacts) {
         let lexed = lexer::lex(src);

@@ -32,7 +32,7 @@
 //! workspace actually uses, and it keeps a full-workspace run linear.
 
 use crate::diag::Diagnostic;
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{ident, is_path_sep, punct, Tok, TokKind};
 use crate::resolve::{FileIndex, FnItem};
 use std::collections::BTreeMap;
 
@@ -214,19 +214,15 @@ pub struct CallFact {
     pub thread_args: Vec<usize>,
     /// The `let` binding receiving the call's result, when there is one.
     pub binds: String,
-    /// Whether the call site sits inside a partition region.
-    pub in_partition: bool,
 }
 
-/// Facts about one function, serialized into the incremental cache.
+/// Facts about one function, as the global pass consumes them.
 #[derive(Debug, Clone, Default)]
 pub struct FnFacts {
     /// Fully qualified name.
     pub qual: String,
     /// Bare name (for method-call matching).
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Call sites in body order.
     pub calls: Vec<CallFact>,
     /// `std::env::var` reads: (variable name or `?`, line).
@@ -244,8 +240,7 @@ pub struct FnFacts {
     pub in_test: bool,
 }
 
-/// Everything the global pass needs from one file, serialized into the
-/// incremental cache alongside the file's raw diagnostics.
+/// Everything the global pass needs from one file.
 #[derive(Debug, Clone, Default)]
 pub struct FileFacts {
     /// Per-function facts in declaration order.
@@ -269,6 +264,9 @@ pub fn float_spec(text: &str) -> bool {
             }
             if let Some(off) = bytes[i + 1..].iter().position(|&b| b == b'}') {
                 let inner = &text[i + 1..i + 1 + off];
+                // A literal `{` inside a JSON *data* string (as opposed to a
+                // format placeholder) drags quotes, spaces or commas into
+                // `inner` — a real format spec never contains those.
                 if !inner.contains(['"', '\\', ' ', ',', '{']) {
                     if let Some((_, spec)) = inner.split_once(':') {
                         if spec.contains('.') || spec.ends_with('e') || spec.ends_with('E') {
@@ -283,22 +281,6 @@ pub fn float_spec(text: &str) -> bool {
         i += 1;
     }
     false
-}
-
-fn punct(toks: &[Tok], i: usize, ch: char) -> bool {
-    toks.get(i)
-        .is_some_and(|t| t.kind == TokKind::Punct && t.text.starts_with(ch))
-}
-
-fn ident(toks: &[Tok], i: usize) -> Option<&str> {
-    match toks.get(i) {
-        Some(t) if t.kind == TokKind::Ident => Some(&t.text),
-        _ => None,
-    }
-}
-
-fn is_path_sep(toks: &[Tok], i: usize) -> bool {
-    punct(toks, i, ':') && punct(toks, i + 1, ':')
 }
 
 /// If the identifier at `i` heads a call (possibly through a `::<..>`
@@ -540,7 +522,6 @@ pub fn analyze_fn(
     let mut facts = FnFacts {
         qual: item.qual.clone(),
         name: item.name.clone(),
-        line: item.line,
         ..FnFacts::default()
     };
     let Some(body) = item.body else {
@@ -755,7 +736,6 @@ pub fn analyze_fn(
                             rng_args,
                             thread_args,
                             binds,
-                            in_partition: region.is_some(),
                         });
                     } else if in_region(&regions, i).is_some() {
                         // Still police rng args through unresolved calls.

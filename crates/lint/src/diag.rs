@@ -1,4 +1,4 @@
-//! Lint diagnostics and their human/JSON renderings.
+//! Lint diagnostics and their one-line rendering.
 
 /// One lint finding, anchored to a repo-relative `file:line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,45 +23,6 @@ impl Diagnostic {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            ch if (ch as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", ch as u32));
-            }
-            ch => out.push(ch),
-        }
-    }
-    out
-}
-
-/// Serializes diagnostics as a JSON document (hand-rolled; the linter is
-/// zero-dependency by design). Integers and escaped strings only, so the
-/// output needs no float handling.
-pub fn to_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"tool\": \"patu-lint\",\n");
-    out.push_str(&format!("  \"violations\": {},\n", diags.len()));
-    out.push_str("  \"diagnostics\": [\n");
-    for (i, d) in diags.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{}\n",
-            escape(d.rule),
-            escape(&d.path),
-            d.line,
-            escape(&d.message),
-            if i + 1 < diags.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,25 +39,5 @@ mod tests {
             d.human(),
             "crates/gpu/src/cache.rs:129: [panic-path] `.expect()` in library code"
         );
-    }
-
-    #[test]
-    fn json_escapes_and_counts() {
-        let d = Diagnostic {
-            rule: "float-fmt",
-            path: "a/b.rs".to_string(),
-            line: 7,
-            message: "raw \"{:.1}\" in JSON".to_string(),
-        };
-        let json = to_json(&[d]);
-        assert!(json.contains("\"violations\": 1"));
-        assert!(json.contains("raw \\\"{:.1}\\\" in JSON"));
-    }
-
-    #[test]
-    fn empty_report_is_valid() {
-        let json = to_json(&[]);
-        assert!(json.contains("\"violations\": 0"));
-        assert!(json.contains("\"diagnostics\": [\n  ]"));
     }
 }

@@ -36,9 +36,26 @@ pub struct Tok {
     pub text: String,
     /// 1-based line of the token's first character.
     pub line: u32,
-    /// Byte offset of the token's first character in the source, so the
-    /// `--fix` engine can splice rewrites without re-scanning.
-    pub pos: usize,
+}
+
+/// Whether `toks[i]` is the punctuation character `ch`. Every `Punct`
+/// token is a single character, so this is an exact match.
+pub(crate) fn punct(toks: &[Tok], i: usize, ch: char) -> bool {
+    toks.get(i)
+        .is_some_and(|t| t.kind == TokKind::Punct && t.text.starts_with(ch))
+}
+
+/// The identifier at `toks[i]`, if that token is one.
+pub(crate) fn ident(toks: &[Tok], i: usize) -> Option<&str> {
+    match toks.get(i) {
+        Some(t) if t.kind == TokKind::Ident => Some(&t.text),
+        _ => None,
+    }
+}
+
+/// Whether `toks[i..i + 2]` is a `::` path separator.
+pub(crate) fn is_path_sep(toks: &[Tok], i: usize) -> bool {
+    punct(toks, i, ':') && punct(toks, i + 1, ':')
 }
 
 /// A `// patu-lint: ...` suppression pragma found in a line comment.
@@ -250,7 +267,6 @@ pub fn lex(src: &str) -> Lexed {
                         kind: TokKind::Str,
                         text: src[start..c.pos].to_string(),
                         line,
-                        pos: start,
                     });
                     continue;
                 }
@@ -270,7 +286,6 @@ pub fn lex(src: &str) -> Lexed {
                             kind: TokKind::Str,
                             text: src[start..c.pos].to_string(),
                             line,
-                            pos: start,
                         });
                         continue;
                     }
@@ -284,7 +299,6 @@ pub fn lex(src: &str) -> Lexed {
                             kind: TokKind::Ident,
                             text: src[start + 2..c.pos].to_string(),
                             line,
-                            pos: start,
                         });
                         continue;
                     }
@@ -298,7 +312,6 @@ pub fn lex(src: &str) -> Lexed {
                 kind: TokKind::Ident,
                 text: src[start..c.pos].to_string(),
                 line,
-                pos: start,
             });
             continue;
         }
@@ -311,7 +324,6 @@ pub fn lex(src: &str) -> Lexed {
                 kind: TokKind::Str,
                 text: src[start..c.pos].to_string(),
                 line,
-                pos: start,
             });
             continue;
         }
@@ -332,7 +344,6 @@ pub fn lex(src: &str) -> Lexed {
                         kind: TokKind::Lifetime,
                         text: src[start..c.pos].to_string(),
                         line,
-                        pos: start,
                     });
                     continue;
                 }
@@ -369,7 +380,6 @@ pub fn lex(src: &str) -> Lexed {
                 kind: TokKind::Char,
                 text: src[start..c.pos].to_string(),
                 line,
-                pos: start,
             });
             continue;
         }
@@ -389,7 +399,6 @@ pub fn lex(src: &str) -> Lexed {
                 kind: TokKind::Num,
                 text: src[start..c.pos].to_string(),
                 line,
-                pos: start,
             });
             continue;
         }
@@ -400,7 +409,6 @@ pub fn lex(src: &str) -> Lexed {
             kind: TokKind::Punct,
             text: src[start..c.pos].to_string(),
             line,
-            pos: start,
         });
     }
 

@@ -22,10 +22,10 @@
 //! | `unsafe-code`  | `unsafe` forbidden workspace-wide; every lib root carries the forbid |
 //! | `extern-dep`   | every `Cargo.toml` dependency is a `path` dependency (offline/0-dep) |
 //!
-//! Since v2 the linter is *interprocedural*: an item parser ([`resolve`])
-//! feeds per-function taint summaries ([`dataflow`]) into a workspace call
-//! graph ([`callgraph`]), adding four rules a single-file scan cannot
-//! check, plus a debt finding:
+//! The linter is also *interprocedural*: an item parser ([`resolve`]) feeds
+//! per-function taint summaries ([`dataflow`]) into a workspace call graph
+//! ([`callgraph`]), adding four rules a single-file scan cannot check, plus
+//! a debt finding:
 //!
 //! | id                     | invariant                                                      |
 //! |------------------------|----------------------------------------------------------------|
@@ -33,14 +33,7 @@
 //! | `parallel-float-fold`  | no float reduction grouped/ordered by the thread count, even via a helper |
 //! | `knob-at-construction` | no `env::var` on any call path reachable from `render_frame`/`run_session` |
 //! | `schema-sync`          | emitted JSONL `"type"` tags ↔ `LINE_TYPES` registry, both directions |
-//! | `unused-pragma`        | (`--debt`) every reasoned `allow(...)` still suppresses something |
-//!
-//! Supporting machinery: `--incremental` caches each file's full analysis
-//! by content hash under `target/patu-lint/` ([`cache`]; the global pass
-//! always recomputes from cached facts, so invalidation is by
-//! construction), `--fix` applies the mechanical rewrites and `--fix
-//! --check` is the CI dry-run gate ([`fix`]), and `--format sarif` /
-//! `--check-sarif` emit and validate SARIF 2.1.0 ([`sarif`]).
+//! | `unused-pragma`        | every reasoned `allow(...)` still suppresses something          |
 //!
 //! Scoping: library-crate sources are checked strictly; `crates/bench`,
 //! `crates/lint` test fixtures, `tests/`, `benches/`, `examples/` and
@@ -56,29 +49,27 @@
 //! A pragma without a reason, or naming an unknown rule, is itself a
 //! diagnostic (`bad-pragma`).
 //!
-//! Run it as `cargo run -p patu-lint --release -- --format json`; exit code
-//! 0 means the workspace is clean, 1 means violations, 2 means I/O failure.
+//! Run it as `cargo run -p patu-lint --release`; exit code 0 means the
+//! workspace is clean, 1 means violations, 2 means usage or I/O failure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod callgraph;
 pub mod dataflow;
 pub mod diag;
-pub mod fix;
 pub mod lexer;
 pub mod manifest;
 pub mod resolve;
 pub mod rules;
-pub mod sarif;
 pub mod schema_sync;
 pub mod scope;
 pub mod walk;
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
-pub use diag::{to_json, Diagnostic};
+pub use diag::Diagnostic;
 
 /// A failure of the linter itself (not a lint finding): unreadable file,
 /// missing root, and the like.
@@ -102,50 +93,15 @@ impl std::error::Error for LintError {
     }
 }
 
-/// How a lint run should behave beyond the defaults.
-#[derive(Debug, Default, Clone)]
-pub struct Options {
-    /// Reuse (and refresh) the per-file analysis cache under
-    /// `target/patu-lint/`. The global interprocedural pass always reruns.
-    pub incremental: bool,
-    /// Report `unused-pragma` findings: reasoned suppressions that no
-    /// longer suppress anything.
-    pub debt: bool,
-}
-
-/// What a full lint run produced.
-#[derive(Debug, Default)]
-pub struct Outcome {
-    /// All unsuppressed diagnostics, in path-then-line order.
-    pub diags: Vec<Diagnostic>,
-    /// How many workspace files were considered.
-    pub files: usize,
-    /// How many `.rs` analyses came from the incremental cache.
-    pub reused: usize,
-}
-
 /// Lints every `.rs` and `Cargo.toml` under `root` (skipping `target/`,
 /// `out/`, `.git/` and lint-fixture directories), returning all diagnostics
-/// in deterministic path-then-line order. Equivalent to [`run_with`] with
-/// default [`Options`].
+/// in deterministic path-then-line order.
 ///
 /// # Errors
 ///
 /// Returns [`LintError`] when the tree cannot be walked or a file cannot be
 /// read — never for lint findings, which are data, not errors.
 pub fn run(root: &Path) -> Result<Vec<Diagnostic>, LintError> {
-    run_with(root, &Options::default()).map(|o| o.diags)
-}
-
-/// The full v2 pipeline: per-file token + dataflow analysis (cached when
-/// `incremental`), then the global interprocedural pass (call graph, knob
-/// reachability, float-fmt chains, schema sync), then pragma suppression.
-///
-/// # Errors
-///
-/// Returns [`LintError`] when the tree cannot be walked or a file cannot be
-/// read. A cache that cannot be *written* is ignored (next run is cold).
-pub fn run_with(root: &Path, opts: &Options) -> Result<Outcome, LintError> {
     let files = walk::workspace_files(root)?;
     let read = |rel: &str| -> Result<String, LintError> {
         let full = root.join(rel);
@@ -158,8 +114,8 @@ pub fn run_with(root: &Path, opts: &Options) -> Result<Outcome, LintError> {
     // Manifests first: they both lint and name the crates, and module-path
     // resolution for every `.rs` file needs the crate names.
     let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut crates: std::collections::BTreeMap<String, String> = std::collections::BTreeMap::new();
-    let mut rs_files: Vec<String> = Vec::new();
+    let mut crates: BTreeMap<String, String> = BTreeMap::new();
+    let mut rs_files: Vec<&String> = Vec::new();
     for rel in &files {
         if rel.ends_with("Cargo.toml") {
             let src = read(rel)?;
@@ -168,40 +124,31 @@ pub fn run_with(root: &Path, opts: &Options) -> Result<Outcome, LintError> {
                 crates.insert(dir.to_string(), name.replace('-', "_"));
             }
         } else {
-            rs_files.push(rel.clone());
+            rs_files.push(rel);
         }
     }
 
-    let fingerprint = cache::workspace_fingerprint(&rs_files);
-    let mut file_cache = if opts.incremental {
-        cache::Cache::load(root, fingerprint)
-    } else {
-        cache::Cache::default()
-    };
-
-    let mut hashes: Vec<(String, u64)> = Vec::with_capacity(rs_files.len());
-    let mut reused = 0usize;
-    for rel in &rs_files {
+    let mut analyses = BTreeMap::new();
+    for rel in rs_files {
         let src = read(rel)?;
-        let hash = cache::fnv1a(src.as_bytes());
-        if file_cache.get(rel, hash).is_some() {
-            reused += 1;
-        } else {
-            file_cache.put(rel, hash, rules::analyze_source(rel, &src, &crates));
-        }
-        hashes.push((rel.clone(), hash));
+        analyses.insert(rel.clone(), rules::analyze_source(rel, &src, &crates));
     }
+    diags.extend(check_analyses(analyses));
+    diags.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    Ok(diags)
+}
 
-    // The global pass always recomputes from the (possibly cached) facts:
-    // any edit can change interprocedural conclusions for its whole
-    // dependency closure, so invalidation is by construction. The facts
-    // are borrowed in place — a warm run clones nothing.
-    let mut facts: std::collections::BTreeMap<String, &dataflow::FileFacts> =
-        std::collections::BTreeMap::new();
-    for (rel, hash) in &hashes {
-        if let Some(a) = file_cache.get(rel, *hash) {
-            facts.insert(rel.clone(), &a.facts);
-        }
+/// Finishes a run over per-file analyses (repo-relative path → analysis):
+/// the global interprocedural pass (call graph, knob reachability,
+/// float-fmt chains, schema sync), then pragma suppression, then an
+/// `unused-pragma` finding for every pragma that suppressed nothing.
+#[must_use]
+pub fn check_analyses(files: BTreeMap<String, rules::FileAnalysis>) -> Vec<Diagnostic> {
+    let mut facts = BTreeMap::new();
+    let mut local = Vec::new();
+    for (path, analysis) in files {
+        facts.insert(path.clone(), analysis.facts);
+        local.push((path, analysis.raw, analysis.suppressions));
     }
     let mut global = callgraph::check(&facts);
     global.extend(callgraph::float_chain(&facts));
@@ -211,50 +158,26 @@ pub fn run_with(root: &Path, opts: &Options) -> Result<Outcome, LintError> {
         .collect();
     global.extend(schema_sync::check(&schema_files));
 
-    // Suppression: each file's pragmas cover its own per-file *and* global
-    // diagnostics; unused pragmas become debt findings on request.
-    for (rel, hash) in &hashes {
-        let Some(analysis) = file_cache.get(rel, *hash) else {
-            continue;
-        };
-        let mut raw = analysis.raw.clone();
-        raw.extend(global.iter().filter(|d| &d.path == rel).cloned());
-        let mut used = vec![false; analysis.suppressions.len()];
-        diags.extend(rules::apply_suppressions(
-            raw,
-            &analysis.suppressions,
-            &mut used,
-        ));
-        if opts.debt {
-            for (sup, fired) in analysis.suppressions.iter().zip(&used) {
-                if !fired {
-                    diags.push(Diagnostic {
-                        rule: "unused-pragma",
-                        path: rel.clone(),
-                        line: sup.pragma_line,
-                        message: format!(
-                            "`allow({})` no longer suppresses anything — the violation \
-                             it covered is gone; remove the pragma",
-                            sup.rule
-                        ),
-                    });
-                }
-            }
+    // Each file's pragmas cover its own per-file *and* global diagnostics.
+    let mut diags = Vec::new();
+    for (path, mut raw, suppressions) in local {
+        raw.extend(global.iter().filter(|d| d.path == path).cloned());
+        let mut used = vec![false; suppressions.len()];
+        diags.extend(rules::apply_suppressions(raw, &suppressions, &mut used));
+        for (sup, _) in suppressions.iter().zip(&used).filter(|(_, fired)| !**fired) {
+            diags.push(Diagnostic {
+                rule: "unused-pragma",
+                path: path.clone(),
+                line: sup.pragma_line,
+                message: format!(
+                    "`allow({})` no longer suppresses anything — the violation \
+                     it covered is gone; remove the pragma",
+                    sup.rule
+                ),
+            });
         }
     }
-
-    if opts.incremental {
-        file_cache.retain_paths(&rs_files);
-        // Best-effort: a cache that cannot persist only costs the next run.
-        let _ = file_cache.store(root, fingerprint);
-    }
-
-    diags.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    Ok(Outcome {
-        diags,
-        files: files.len(),
-        reused,
-    })
+    diags
 }
 
 /// Pulls `name = "..."` out of a manifest's `[package]` section.

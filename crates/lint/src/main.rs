@@ -2,40 +2,25 @@
 //! nonzero when invariants are violated.
 //!
 //! ```text
-//! cargo run -p patu-lint --release -- [--format human|json|sarif]
-//!     [--root <dir>] [--incremental] [--debt] [--fix [--check] [--scaffold]]
-//!     [--check-sarif <file>] [--rules]
+//! cargo run -p patu-lint --release -- [--root <dir>] [--rules]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 violations (or `--fix --check` pending changes),
-//! 2 usage or I/O failure.
+//! Exit codes: 0 clean, 1 violations, 2 usage or I/O failure.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: patu-lint [--format human|json|sarif] [--root <dir>] [--rules]\n\
-                     \x20                [--incremental] [--debt] [--fix] [--check] [--scaffold]\n\
-                     \x20                [--check-sarif <file>]\n\
+const USAGE: &str = "usage: patu-lint [--root <dir>] [--rules]\n\
                      \n\
                      Statically checks the PATU workspace invariants:\n\
                      determinism (wall-clock, thread-spawn, hash-order, env-var,\n\
                      det-rng-discipline, parallel-float-fold, knob-at-construction),\n\
                      error hygiene (panic-path), telemetry/JSON hygiene (float-fmt,\n\
-                     schema-sync), memory safety (unsafe-code) and the offline\n\
-                     guarantee (extern-dep).\n\
+                     schema-sync), memory safety (unsafe-code), the offline\n\
+                     guarantee (extern-dep) and pragma debt (unused-pragma).\n\
                      \n\
-                     --incremental   reuse the per-file cache under target/patu-lint/\n\
-                     --debt          also report unused allow(...) pragmas\n\
-                     --fix           apply mechanical rewrites (hash-order, float-fmt)\n\
-                     --check         with --fix: dry-run, exit 1 if changes pending\n\
-                     --scaffold      with --fix: insert TODO pragmas for the rest\n\
-                     --check-sarif   validate a SARIF file's structure and exit";
-
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
+                     --root <dir>   lint this tree instead of the enclosing workspace\n\
+                     --rules        list every rule id and its invariant";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("patu-lint: {msg}");
@@ -43,38 +28,14 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-#[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
-    let mut format = Format::Human;
     let mut root: Option<PathBuf> = None;
-    let mut opts = patu_lint::Options::default();
-    let mut fix = false;
-    let mut check = false;
-    let mut scaffold = false;
-    let mut check_sarif: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--format" => match args.next().as_deref() {
-                Some("human") => format = Format::Human,
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                other => {
-                    return fail(&format!("--format expects human|json|sarif, got {other:?}"));
-                }
-            },
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return fail("--root expects a directory"),
-            },
-            "--incremental" => opts.incremental = true,
-            "--debt" => opts.debt = true,
-            "--fix" => fix = true,
-            "--check" => check = true,
-            "--scaffold" => scaffold = true,
-            "--check-sarif" => match args.next() {
-                Some(file) => check_sarif = Some(PathBuf::from(file)),
-                None => return fail("--check-sarif expects a file"),
             },
             "--rules" => {
                 for rule in patu_lint::rules::RULES {
@@ -89,106 +50,27 @@ fn main() -> ExitCode {
             other => return fail(&format!("unknown argument {other:?}")),
         }
     }
-    if check && !fix {
-        return fail("--check only applies together with --fix");
-    }
-    if scaffold && !fix {
-        return fail("--scaffold only applies together with --fix");
-    }
-    if let Some(file) = check_sarif {
-        return match std::fs::read_to_string(&file) {
-            Ok(text) => match patu_lint::sarif::validate(&text) {
-                Ok(()) => {
-                    println!(
-                        "patu-lint: {} is structurally valid SARIF 2.1.0",
-                        file.display()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("patu-lint: {}: invalid SARIF: {e}", file.display());
-                    ExitCode::from(2)
-                }
-            },
-            Err(e) => {
-                eprintln!("patu-lint: reading {}: {e}", file.display());
-                ExitCode::from(2)
-            }
-        };
-    }
     let root = root.unwrap_or_else(|| {
         PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("..")
             .join("..")
     });
 
-    let outcome = match patu_lint::run_with(&root, &opts) {
-        Ok(outcome) => outcome,
+    let diags = match patu_lint::run(&root) {
+        Ok(diags) => diags,
         Err(e) => {
             eprintln!("patu-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    let mut diags = outcome.diags;
-
-    if fix {
-        let report = match patu_lint::fix::run_fix(&root, &diags, scaffold, check) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("patu-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if check {
-            if report.changed_anything() {
-                for (path, edits) in &report.changed {
-                    eprintln!("patu-lint: --fix would change {path} ({edits} edit(s))");
-                }
-                return ExitCode::FAILURE;
-            }
-            println!("patu-lint: --fix has nothing to change");
-            return ExitCode::SUCCESS;
-        }
-        for (path, edits) in &report.changed {
-            println!("patu-lint: fixed {path} ({edits} edit(s))");
-        }
-        for d in &report.skipped {
-            eprintln!("patu-lint: not auto-fixable: {}", d.human());
-        }
-        // Re-lint so the exit code and output reflect the fixed tree.
-        diags = match patu_lint::run_with(&root, &opts) {
-            Ok(outcome) => outcome.diags,
-            Err(e) => {
-                eprintln!("patu-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-    }
-
-    match format {
-        Format::Json => print!("{}", patu_lint::to_json(&diags)),
-        Format::Sarif => print!("{}", patu_lint::sarif::to_sarif(&diags)),
-        Format::Human => {
-            for d in &diags {
-                println!("{}", d.human());
-            }
-            if diags.is_empty() {
-                if opts.incremental {
-                    println!(
-                        "patu-lint: workspace clean ({} files, {} cached)",
-                        outcome.files, outcome.reused
-                    );
-                } else {
-                    println!("patu-lint: workspace clean");
-                }
-            } else {
-                println!("patu-lint: {} violation(s)", diags.len());
-            }
-        }
+    for d in &diags {
+        println!("{}", d.human());
     }
     if diags.is_empty() {
+        println!("patu-lint: workspace clean");
         ExitCode::SUCCESS
     } else {
+        println!("patu-lint: {} violation(s)", diags.len());
         ExitCode::FAILURE
     }
 }

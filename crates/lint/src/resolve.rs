@@ -8,7 +8,7 @@
 //! parameter list and body token range, plus an alias→absolute-path map
 //! for resolving calls, all with zero external dependencies.
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{ident, is_path_sep, punct, Tok, TokKind};
 use std::collections::BTreeMap;
 
 /// One function parameter: the binding name (empty for tuple/struct
@@ -53,22 +53,6 @@ pub struct FileIndex {
     pub globs: Vec<String>,
     /// Every function item in the file.
     pub fns: Vec<FnItem>,
-}
-
-fn punct(toks: &[Tok], i: usize, ch: char) -> bool {
-    toks.get(i)
-        .is_some_and(|t| t.kind == TokKind::Punct && t.text.starts_with(ch))
-}
-
-fn ident(toks: &[Tok], i: usize) -> Option<&str> {
-    match toks.get(i) {
-        Some(t) if t.kind == TokKind::Ident => Some(&t.text),
-        _ => None,
-    }
-}
-
-fn is_path_sep(toks: &[Tok], i: usize) -> bool {
-    punct(toks, i, ':') && punct(toks, i + 1, ':')
 }
 
 /// Computes the module path for a repo-relative file given the

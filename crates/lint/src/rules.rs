@@ -2,8 +2,9 @@
 //! `#[cfg(test)]`-region detection, and suppression-pragma application.
 
 use crate::diag::Diagnostic;
-use crate::lexer::{self, Lexed, Tok, TokKind};
+use crate::lexer::{self, ident, punct, Lexed, Tok, TokKind};
 use crate::scope::{self, Strictness};
+use std::collections::BTreeMap;
 
 /// One row of the rule table (also rendered in DESIGN.md §10).
 #[derive(Debug, Clone, Copy)]
@@ -12,8 +13,6 @@ pub struct RuleInfo {
     pub id: &'static str,
     /// The invariant the rule enforces.
     pub invariant: &'static str,
-    /// Whether the rule only applies to strict (library) non-test code.
-    pub strict_only: bool,
 }
 
 /// Every rule `patu-lint` knows, in diagnostic order.
@@ -22,50 +21,42 @@ pub const RULES: &[RuleInfo] = &[
         id: "wall-clock",
         invariant: "no Instant/SystemTime outside patu_bench::micro — simulated \
                     cycles are the only clock, so reruns are bit-identical",
-        strict_only: false,
     },
     RuleInfo {
         id: "thread-spawn",
         invariant: "no std::thread::{spawn,scope} outside patu_sim::parallel — \
                     all concurrency goes through the deterministic task runner",
-        strict_only: false,
     },
     RuleInfo {
         id: "panic-path",
         invariant: "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! in \
                     non-test library code — errors are typed end-to-end",
-        strict_only: true,
     },
     RuleInfo {
         id: "hash-order",
         invariant: "no HashMap/HashSet in non-test library code — iteration \
                     order must be deterministic (BTreeMap, or sort + allow)",
-        strict_only: true,
     },
     RuleInfo {
         id: "env-var",
         invariant: "no std::env::var outside the readers registered in \
                     ENV_KNOBS — every ambient knob is declared in one table \
                     and read exactly once",
-        strict_only: true,
     },
     RuleInfo {
         id: "float-fmt",
         invariant: "floats enter JSON through patu_obs::json::{num,num_fixed} \
                     (null-safe), never a raw {:.N} format spec",
-        strict_only: false,
     },
     RuleInfo {
         id: "unsafe-code",
         invariant: "unsafe is forbidden workspace-wide, and every library \
                     crate root carries #![forbid(unsafe_code)]",
-        strict_only: false,
     },
     RuleInfo {
         id: "extern-dep",
         invariant: "every Cargo.toml dependency is a path dependency — the \
                     workspace builds offline with zero external crates",
-        strict_only: false,
     },
     RuleInfo {
         id: "det-rng-discipline",
@@ -73,34 +64,29 @@ pub const RULES: &[RuleInfo] = &[
                     fresh fork(tag) children may be drawn — a stream captured \
                     or cloned across the boundary makes draws race with the \
                     schedule",
-        strict_only: true,
     },
     RuleInfo {
         id: "parallel-float-fold",
         invariant: "no float reduction grouped by PATU_THREADS-derived values — \
                     reassociation across thread counts breaks bit-identity; \
                     reduce through the ordered partition APIs",
-        strict_only: true,
     },
     RuleInfo {
         id: "knob-at-construction",
         invariant: "no env read reachable from render_frame/run_session — \
                     knobs resolve once at config construction and flow down \
                     as values",
-        strict_only: true,
     },
     RuleInfo {
         id: "schema-sync",
         invariant: "every emitted JSONL \"type\" is registered in \
                     patu_obs::schema::LINE_TYPES and every registered type \
                     has a live emitter",
-        strict_only: true,
     },
     RuleInfo {
         id: "unused-pragma",
         invariant: "every allow(...) pragma still suppresses something — \
-                    stale suppressions are debt (reported under --debt)",
-        strict_only: false,
+                    stale suppressions are debt",
     },
 ];
 
@@ -159,7 +145,8 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
 ];
 
 /// Files exempt from a rule because they *are* the sanctioned entry point.
-fn allowed_files(rule: &str) -> &'static [&'static str] {
+/// The call-graph half of `parallel-float-fold` reads the same list.
+pub(crate) fn allowed_files(rule: &str) -> &'static [&'static str] {
     match rule {
         "wall-clock" => &["crates/bench/src/micro.rs"],
         "thread-spawn" => &["crates/sim/src/parallel.rs"],
@@ -183,32 +170,19 @@ pub fn is_known_rule(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id)
 }
 
-fn punct_at(toks: &[Tok], i: usize, ch: char) -> bool {
-    toks.get(i).is_some_and(|t| {
-        t.kind == TokKind::Punct && t.text.len() == ch.len_utf8() && t.text.starts_with(ch)
-    })
-}
-
-fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
-    match toks.get(i) {
-        Some(t) if t.kind == TokKind::Ident => Some(&t.text),
-        _ => None,
-    }
-}
-
 /// Marks every token inside a `#[cfg(test)]`-gated item (or after an inner
 /// `#![cfg(test)]`) as test code, where the strict-only rules do not apply.
 pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut i = 0;
     while i < toks.len() {
-        if !punct_at(toks, i, '#') {
+        if !punct(toks, i, '#') {
             i += 1;
             continue;
         }
-        let inner = punct_at(toks, i + 1, '!');
+        let inner = punct(toks, i + 1, '!');
         let open = i + 1 + usize::from(inner);
-        if !punct_at(toks, open, '[') {
+        if !punct(toks, open, '[') {
             i += 1;
             continue;
         }
@@ -218,11 +192,11 @@ pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
         let mut saw_cfg = false;
         let mut saw_test = false;
         while j < toks.len() && depth > 0 {
-            if punct_at(toks, j, '[') {
+            if punct(toks, j, '[') {
                 depth += 1;
-            } else if punct_at(toks, j, ']') {
+            } else if punct(toks, j, ']') {
                 depth -= 1;
-            } else if let Some(id) = ident_at(toks, j) {
+            } else if let Some(id) = ident(toks, j) {
                 if id == "cfg" {
                     saw_cfg = true;
                 } else if id == "test" {
@@ -244,13 +218,13 @@ pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
         }
         // Skip any further attributes on the same item.
         let mut k = j;
-        while punct_at(toks, k, '#') && punct_at(toks, k + 1, '[') {
+        while punct(toks, k, '#') && punct(toks, k + 1, '[') {
             let mut d = 1usize;
             k += 2;
             while k < toks.len() && d > 0 {
-                if punct_at(toks, k, '[') {
+                if punct(toks, k, '[') {
                     d += 1;
-                } else if punct_at(toks, k, ']') {
+                } else if punct(toks, k, ']') {
                     d -= 1;
                 }
                 k += 1;
@@ -258,16 +232,16 @@ pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
         }
         // The gated item runs to its matching `}` (or a terminating `;`).
         let mut m = k;
-        while m < toks.len() && !punct_at(toks, m, '{') && !punct_at(toks, m, ';') {
+        while m < toks.len() && !punct(toks, m, '{') && !punct(toks, m, ';') {
             m += 1;
         }
-        let end = if punct_at(toks, m, '{') {
+        let end = if punct(toks, m, '{') {
             let mut bd = 1usize;
             let mut n = m + 1;
             while n < toks.len() && bd > 0 {
-                if punct_at(toks, n, '{') {
+                if punct(toks, n, '{') {
                     bd += 1;
-                } else if punct_at(toks, n, '}') {
+                } else if punct(toks, n, '}') {
                     bd -= 1;
                 }
                 n += 1;
@@ -287,38 +261,7 @@ pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
 /// Whether a format-string literal (raw source text, quotes included) pairs
 /// a JSON key (`":`) with a float-style placeholder (`{..:..[.e]..}`).
 fn json_float_spec(text: &str) -> bool {
-    if !text.contains("\":") {
-        return false;
-    }
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'{' {
-            if i + 1 < bytes.len() && bytes[i + 1] == b'{' {
-                i += 2; // escaped `{{`
-                continue;
-            }
-            let close = bytes[i + 1..].iter().position(|&b| b == b'}');
-            if let Some(off) = close {
-                let inner = &text[i + 1..i + 1 + off];
-                // A literal `{` inside a JSON *data* string (as opposed to a
-                // format placeholder) drags quotes, spaces or commas into
-                // `inner` — a real format spec never contains those.
-                let speclike = !inner.contains(['"', '\\', ' ', ',', '{']);
-                if speclike {
-                    if let Some(spec) = inner.split_once(':').map(|(_, s)| s) {
-                        if spec.contains('.') || spec.ends_with('e') || spec.ends_with('E') {
-                            return true;
-                        }
-                    }
-                    i += off + 2;
-                    continue;
-                }
-            }
-        }
-        i += 1;
-    }
-    false
+    text.contains("\":") && crate::dataflow::float_spec(text)
 }
 
 fn applies(rule: &str, rel_path: &str) -> bool {
@@ -328,23 +271,10 @@ fn applies(rule: &str, rel_path: &str) -> bool {
     !allowed_files(rule).contains(&rel_path)
 }
 
-/// Lints one Rust source file, returning all unsuppressed diagnostics.
-/// This is the token-level (v1) path; the interprocedural pipeline goes
-/// through [`analyze_source`] + the global pass in [`crate::run_with`].
-pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
-    let lexed = lexer::lex(src);
-    let strict = scope::classify(rel_path) == Strictness::Strict;
-    let in_test = test_mask(&lexed.toks);
-    let raw = token_diags(rel_path, &lexed.toks, &in_test, strict);
-    let (mut out, sups) = pragma_table(rel_path, &lexed);
-    let mut used = vec![false; sups.len()];
-    out.extend(apply_suppressions(raw, &sups, &mut used));
-    out
-}
-
-/// Everything the v2 pipeline derives from one source file: the raw
+/// Everything the pipeline derives from one source file: the raw
 /// (pre-suppression) per-file diagnostics, the pragma suppression table,
-/// and the facts the global interprocedural pass consumes.
+/// and the facts the global interprocedural pass
+/// ([`crate::check_analyses`]) consumes.
 #[derive(Debug, Default, Clone)]
 pub struct FileAnalysis {
     /// Per-file diagnostics before pragma suppression (`bad-pragma`
@@ -363,7 +293,7 @@ pub struct FileAnalysis {
 pub fn analyze_source(
     rel_path: &str,
     src: &str,
-    crates: &std::collections::BTreeMap<String, String>,
+    crates: &BTreeMap<String, String>,
 ) -> FileAnalysis {
     let lexed = lexer::lex(src);
     let strict = scope::classify(rel_path) == Strictness::Strict;
@@ -430,12 +360,12 @@ fn token_diags(rel_path: &str, toks: &[Tok], in_test: &[bool], strict: bool) -> 
                     );
                 }
                 "thread"
-                    if punct_at(toks, i + 1, ':')
-                        && punct_at(toks, i + 2, ':')
-                        && matches!(ident_at(toks, i + 3), Some("spawn" | "scope"))
+                    if punct(toks, i + 1, ':')
+                        && punct(toks, i + 2, ':')
+                        && matches!(ident(toks, i + 3), Some("spawn" | "scope"))
                         && applies("thread-spawn", rel_path) =>
                 {
-                    let what = ident_at(toks, i + 3).unwrap_or("spawn");
+                    let what = ident(toks, i + 3).unwrap_or("spawn");
                     push(
                         "thread-spawn",
                         t.line,
@@ -448,9 +378,9 @@ fn token_diags(rel_path: &str, toks: &[Tok], in_test: &[bool], strict: bool) -> 
                 }
                 "env"
                     if strict_here
-                        && punct_at(toks, i + 1, ':')
-                        && punct_at(toks, i + 2, ':')
-                        && matches!(ident_at(toks, i + 3), Some("var" | "var_os" | "vars"))
+                        && punct(toks, i + 1, ':')
+                        && punct(toks, i + 2, ':')
+                        && matches!(ident(toks, i + 3), Some("var" | "var_os" | "vars"))
                         && applies("env-var", rel_path) =>
                 {
                     push(
@@ -479,8 +409,8 @@ fn token_diags(rel_path: &str, toks: &[Tok], in_test: &[bool], strict: bool) -> 
                 }
                 name @ ("unwrap" | "expect")
                     if strict_here
-                        && punct_at(toks, i.wrapping_sub(1), '.')
-                        && punct_at(toks, i + 1, '(') =>
+                        && punct(toks, i.wrapping_sub(1), '.')
+                        && punct(toks, i + 1, '(') =>
                 {
                     push(
                         "panic-path",
@@ -494,7 +424,7 @@ fn token_diags(rel_path: &str, toks: &[Tok], in_test: &[bool], strict: bool) -> 
                     );
                 }
                 name @ ("panic" | "unreachable" | "todo" | "unimplemented")
-                    if strict_here && punct_at(toks, i + 1, '!') =>
+                    if strict_here && punct(toks, i + 1, '!') =>
                 {
                     push(
                         "panic-path",
@@ -548,9 +478,9 @@ fn token_diags(rel_path: &str, toks: &[Tok], in_test: &[bool], strict: bool) -> 
 
 fn has_forbid_unsafe(toks: &[Tok]) -> bool {
     (0..toks.len()).any(|i| {
-        ident_at(toks, i) == Some("forbid")
-            && punct_at(toks, i + 1, '(')
-            && ident_at(toks, i + 2) == Some("unsafe_code")
+        ident(toks, i) == Some("forbid")
+            && punct(toks, i + 1, '(')
+            && ident(toks, i + 2) == Some("unsafe_code")
     })
 }
 
@@ -665,7 +595,8 @@ mod tests {
     const BIN: &str = "crates/bench/src/bin/fake.rs";
 
     fn rules_hit(path: &str, src: &str) -> Vec<(&'static str, u32)> {
-        lint_source(path, src)
+        let analysis = analyze_source(path, src, &BTreeMap::new());
+        crate::check_analyses(BTreeMap::from([(path.to_string(), analysis)]))
             .into_iter()
             .map(|d| (d.rule, d.line))
             .collect()

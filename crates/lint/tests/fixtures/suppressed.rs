@@ -28,5 +28,6 @@ pub fn unknown_rule(x: Option<u32>) -> u32 {
 
 pub fn wrong_rule(x: Option<u32>) -> u32 {
     // patu-lint: allow(hash-order) — fixture: suppresses the wrong rule
+    //~^ unused-pragma
     x.unwrap() //~ panic-path
 }

@@ -9,7 +9,7 @@
 //! repeat a rule when the line yields several diagnostics.
 
 use patu_lint::manifest::lint_manifest;
-use patu_lint::rules::lint_source;
+use patu_lint::Diagnostic;
 use std::collections::BTreeMap;
 
 /// Parses the expected `(rule, line)` set out of a fixture's markers.
@@ -34,9 +34,19 @@ fn expected(src: &str, comment: &str) -> Vec<(String, u32)> {
     out
 }
 
+/// Lints `src` as the single file `path` through the whole pipeline: the
+/// per-file analysis, the interprocedural pass (call graph, knob
+/// reachability, float-fmt chains, schema sync) over that file's facts,
+/// then pragma suppression and `unused-pragma` debt.
+fn lint(path: &str, src: &str) -> Vec<Diagnostic> {
+    let crates = BTreeMap::from([("crates/fixture".to_string(), "patu_fixture".to_string())]);
+    let analysis = patu_lint::rules::analyze_source(path, src, &crates);
+    patu_lint::check_analyses(BTreeMap::from([(path.to_string(), analysis)]))
+}
+
 /// Lints `src` as `path` and asserts the diagnostics match the markers.
 fn check_source(path: &str, src: &str) {
-    let diags = lint_source(path, src);
+    let diags = lint(path, src);
     for d in &diags {
         assert_eq!(d.path, path, "diagnostic carries the linted path");
         assert!(!d.message.is_empty(), "diagnostic has a message");
@@ -50,45 +60,6 @@ fn check_source(path: &str, src: &str) {
         actual,
         expected(src, "//"),
         "diagnostics mismatch for {path}"
-    );
-}
-
-/// Runs the full v2 pipeline over a single file — per-file analysis plus
-/// the interprocedural pass (call graph, knob reachability, float-fmt
-/// chains, schema sync) restricted to that file's facts — and asserts the
-/// suppressed diagnostics match the markers. Every pragma in a v2 fixture
-/// must fire (the debt check).
-fn check_source_v2(path: &str, src: &str) {
-    let mut crates = BTreeMap::new();
-    crates.insert("crates/fixture".to_string(), "patu_fixture".to_string());
-    let analysis = patu_lint::rules::analyze_source(path, src, &crates);
-    let mut facts = BTreeMap::new();
-    facts.insert(path.to_string(), analysis.facts.clone());
-
-    let mut raw = analysis.raw.clone();
-    raw.extend(patu_lint::callgraph::check(&facts));
-    raw.extend(patu_lint::callgraph::float_chain(&facts));
-    let schema: Vec<_> = facts
-        .iter()
-        .map(|(p, f)| (p.clone(), f.emits.clone(), f.registry.clone()))
-        .collect();
-    raw.extend(patu_lint::schema_sync::check(&schema));
-
-    let mut used = vec![false; analysis.suppressions.len()];
-    let diags = patu_lint::rules::apply_suppressions(raw, &analysis.suppressions, &mut used);
-    assert!(
-        used.iter().all(|u| *u),
-        "every pragma in a v2 fixture must suppress something ({path})"
-    );
-    let mut actual: Vec<(String, u32)> = diags
-        .into_iter()
-        .map(|d| (d.rule.to_string(), d.line))
-        .collect();
-    actual.sort();
-    assert_eq!(
-        actual,
-        expected(src, "//"),
-        "v2 diagnostics mismatch for {path}"
     );
 }
 
@@ -188,7 +159,7 @@ fn extern_dep_fixture() {
 
 #[test]
 fn det_rng_fixture() {
-    check_source_v2(
+    check_source(
         "crates/fixture/src/det_rng.rs",
         include_str!("fixtures/det_rng.rs"),
     );
@@ -196,7 +167,7 @@ fn det_rng_fixture() {
 
 #[test]
 fn float_fold_fixture() {
-    check_source_v2(
+    check_source(
         "crates/fixture/src/float_fold.rs",
         include_str!("fixtures/float_fold.rs"),
     );
@@ -204,7 +175,7 @@ fn float_fold_fixture() {
 
 #[test]
 fn float_fmt_chain_fixture() {
-    check_source_v2(
+    check_source(
         "crates/fixture/src/float_fmt_chain.rs",
         include_str!("fixtures/float_fmt_chain.rs"),
     );
@@ -212,7 +183,7 @@ fn float_fmt_chain_fixture() {
 
 #[test]
 fn knob_at_construction_fixture() {
-    check_source_v2(
+    check_source(
         "crates/fixture/src/knob_at_construction.rs",
         include_str!("fixtures/knob_at_construction.rs"),
     );
@@ -220,7 +191,7 @@ fn knob_at_construction_fixture() {
 
 #[test]
 fn schema_sync_fixture() {
-    check_source_v2(
+    check_source(
         "crates/fixture/src/schema_sync.rs",
         include_str!("fixtures/schema_sync.rs"),
     );
@@ -229,40 +200,37 @@ fn schema_sync_fixture() {
 #[test]
 fn relaxed_scope_silences_strict_only_rules() {
     let panics = include_str!("fixtures/panic_path.rs");
-    assert!(lint_source("crates/bench/src/bin/fixture.rs", panics).is_empty());
-    assert!(lint_source("crates/gpu/tests/fixture.rs", panics).is_empty());
+    assert!(lint("crates/bench/src/bin/fixture.rs", panics).is_empty());
+    assert!(lint("crates/gpu/tests/fixture.rs", panics).is_empty());
     let hashes = include_str!("fixtures/hash_order.rs");
-    assert!(lint_source("tests/fixture.rs", hashes).is_empty());
+    assert!(lint("tests/fixture.rs", hashes).is_empty());
     let envs = include_str!("fixtures/env_var.rs");
-    assert!(lint_source("crates/quality/benches/fixture.rs", envs).is_empty());
+    assert!(lint("crates/quality/benches/fixture.rs", envs).is_empty());
 }
 
 #[test]
 fn determinism_rules_apply_even_in_relaxed_scope() {
     let clocks = include_str!("fixtures/wall_clock.rs");
-    assert_eq!(
-        lint_source("crates/bench/src/bin/fixture.rs", clocks).len(),
-        4
-    );
+    assert_eq!(lint("crates/bench/src/bin/fixture.rs", clocks).len(), 4);
     let spawns = include_str!("fixtures/thread_spawn.rs");
-    assert_eq!(lint_source("crates/gpu/tests/fixture.rs", spawns).len(), 2);
+    assert_eq!(lint("crates/gpu/tests/fixture.rs", spawns).len(), 2);
     let unsafes = include_str!("fixtures/unsafe_code.rs");
-    assert_eq!(lint_source("tests/fixture.rs", unsafes).len(), 1);
+    assert_eq!(lint("tests/fixture.rs", unsafes).len(), 1);
 }
 
 #[test]
 fn sanctioned_entry_points_are_exempt() {
     let clocks = include_str!("fixtures/wall_clock.rs");
-    assert!(lint_source("crates/bench/src/micro.rs", clocks).is_empty());
+    assert!(lint("crates/bench/src/micro.rs", clocks).is_empty());
     let spawns = include_str!("fixtures/thread_spawn.rs");
-    assert!(lint_source("crates/sim/src/parallel.rs", spawns).is_empty());
+    assert!(lint("crates/sim/src/parallel.rs", spawns).is_empty());
     // Every reader registered in ENV_KNOBS is exempt from env-var — the
     // fixture that fires everywhere else stays silent there.
     let envs = include_str!("fixtures/env_var.rs");
     for knob in patu_lint::rules::ENV_KNOBS {
         for reader in knob.readers {
             assert!(
-                lint_source(reader, envs).is_empty(),
+                lint(reader, envs).is_empty(),
                 "{reader} reads {}",
                 knob.name
             );

@@ -1,9 +1,7 @@
-//! Integration tests of the v2 interprocedural pipeline on temp-tree
-//! workspaces: cross-crate taint, knob reachability, schema sync, autofix
-//! idempotence, the incremental cache, and SARIF output — all through the
-//! public [`patu_lint::run_with`] entry point.
+//! Integration tests of the interprocedural pipeline on temp-tree
+//! workspaces: cross-crate taint, knob reachability and schema sync, all
+//! through the public [`patu_lint::run`] entry point.
 
-use patu_lint::Options;
 use std::path::{Path, PathBuf};
 
 /// Builds a throwaway workspace under `CARGO_TARGET_TMPDIR` from
@@ -157,114 +155,4 @@ fn schema_sync_checks_both_directions_across_crates() {
         "dead registry entry flagged at the registry, rogue tag at the \
          emission — the registered-and-emitted tag stays silent"
     );
-}
-
-#[test]
-fn fix_converges_through_the_public_pipeline() {
-    let dir = tree(
-        "patu_lint_v2_fix",
-        &[
-            ("Cargo.toml", WORKSPACE_TOML),
-            ("crates/demo/Cargo.toml", &package_toml("patu-demo", "")),
-            (
-                "crates/demo/src/lib.rs",
-                // patu-lint: allow(float-fmt) — deliberately-dirty fixture source, embedded as a string
-                "#![forbid(unsafe_code)]\n\
-                 use std::collections::HashMap;\n\
-                 pub fn emit(mean: f64) -> String {\n\
-                 \x20   let _m: HashMap<u32, u32> = HashMap::new();\n\
-                 \x20   format!(\"{{\\\"mean\\\": {mean:.2}}}\")\n\
-                 }\n",
-            ),
-        ],
-    );
-    let before = patu_lint::run(&dir).expect("lint temp tree");
-    assert!(before.iter().any(|d| d.rule == "hash-order"));
-    assert!(before.iter().any(|d| d.rule == "float-fmt"));
-
-    let report = patu_lint::fix::run_fix(&dir, &before, false, false).expect("apply fixes");
-    assert!(report.changed_anything(), "the rewrites must apply");
-
-    let after = patu_lint::run(&dir).expect("re-lint fixed tree");
-    assert!(
-        after
-            .iter()
-            .all(|d| d.rule != "hash-order" && d.rule != "float-fmt"),
-        "fixed tree still reports: {after:?}"
-    );
-    // `--fix --check` contract: a fixed tree has nothing pending.
-    let dry = patu_lint::fix::run_fix(&dir, &after, false, true).expect("dry run");
-    assert!(!dry.changed_anything(), "{dry:?}");
-}
-
-#[test]
-fn incremental_cache_reuses_clean_files_and_invalidates_edits() {
-    let dir = tree(
-        "patu_lint_v2_cache",
-        &[
-            ("Cargo.toml", WORKSPACE_TOML),
-            ("crates/alpha/Cargo.toml", &package_toml("patu-alpha", "")),
-            (
-                "crates/alpha/src/lib.rs",
-                "#![forbid(unsafe_code)]\npub fn a() -> u32 {\n    1\n}\n",
-            ),
-            ("crates/beta/Cargo.toml", &package_toml("patu-beta", "")),
-            (
-                "crates/beta/src/lib.rs",
-                "#![forbid(unsafe_code)]\npub fn b() -> u32 {\n    2\n}\n",
-            ),
-        ],
-    );
-    let opts = Options {
-        incremental: true,
-        debt: false,
-    };
-    let cold = patu_lint::run_with(&dir, &opts).expect("cold run");
-    assert!(cold.diags.is_empty(), "{:?}", cold.diags);
-    assert_eq!(cold.reused, 0, "nothing to reuse on a cold cache");
-
-    let warm = patu_lint::run_with(&dir, &opts).expect("warm run");
-    assert!(warm.diags.is_empty(), "{:?}", warm.diags);
-    assert_eq!(warm.reused, 2, "both .rs analyses must come from the cache");
-
-    // Edit one file: only that file re-analyzes, and its new violation
-    // surfaces even though the interprocedural pass ran on cached facts.
-    std::fs::write(
-        dir.join("crates/beta/src/lib.rs"),
-        "#![forbid(unsafe_code)]\n\
-         use std::collections::HashMap;\n\
-         pub fn b() -> HashMap<u32, u32> {\n\
-             HashMap::new()\n\
-         }\n",
-    )
-    .expect("edit beta");
-    let edited = patu_lint::run_with(&dir, &opts).expect("post-edit run");
-    assert_eq!(edited.reused, 1, "the untouched file stays cached");
-    assert!(
-        edited.diags.iter().any(|d| d.rule == "hash-order"),
-        "{:?}",
-        edited.diags
-    );
-}
-
-#[test]
-fn sarif_output_of_a_real_run_validates() {
-    let dir = tree(
-        "patu_lint_v2_sarif",
-        &[
-            ("Cargo.toml", WORKSPACE_TOML),
-            ("crates/demo/Cargo.toml", &package_toml("patu-demo", "")),
-            (
-                "crates/demo/src/lib.rs",
-                "#![forbid(unsafe_code)]\n\
-                 pub fn bad(x: Option<u32>) -> u32 {\n\
-                 \x20   x.unwrap()\n\
-                 }\n",
-            ),
-        ],
-    );
-    let diags = patu_lint::run(&dir).expect("lint temp tree");
-    assert!(!diags.is_empty(), "the fixture must produce findings");
-    let sarif = patu_lint::sarif::to_sarif(&diags);
-    patu_lint::sarif::validate(&sarif).expect("generated SARIF must validate");
 }

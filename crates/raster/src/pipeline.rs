@@ -404,8 +404,6 @@ fn linear_gradient(pos: &[Vec2; 3], f: &[f32; 3]) -> Vec2 {
 
 #[cfg(test)]
 mod tests {
-    // Tests may hash: iteration order is never observed in assertions.
-    #![allow(clippy::disallowed_types)]
     use super::*;
     use patu_gmath::Vec3;
 

@@ -699,8 +699,6 @@ fn rbench_frame(t: f32, aspect: f32) -> FrameScene {
 
 #[cfg(test)]
 mod tests {
-    // Tests may hash: iteration order is never observed in assertions.
-    #![allow(clippy::disallowed_types)]
     use super::*;
     use patu_raster::Pipeline;
 

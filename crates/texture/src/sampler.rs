@@ -244,8 +244,6 @@ pub fn sample_anisotropic(
 
 #[cfg(test)]
 mod tests {
-    // Tests may hash: iteration order is never observed in assertions.
-    #![allow(clippy::disallowed_types)]
     use super::*;
     use crate::procedural;
 

@@ -248,8 +248,6 @@ impl Texture {
 
 #[cfg(test)]
 mod tests {
-    // Tests may hash: iteration order is never observed in assertions.
-    #![allow(clippy::disallowed_types)]
     use super::*;
 
     fn flat(width: u32, height: u32, c: Rgba8) -> (u32, u32, Vec<Rgba8>) {

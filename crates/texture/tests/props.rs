@@ -183,7 +183,6 @@ fn aniso_color_bounded_by_tap_colors() {
 }
 
 #[test]
-#[allow(clippy::disallowed_types)] // HashSet is a uniqueness oracle; order unused
 fn mip_chain_addresses_never_overlap() {
     for seed in 0..16u64 {
         let tex = Texture::with_mips(procedural::checkerboard(16, 16, 2, seed), 0x4000);

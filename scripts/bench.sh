@@ -33,8 +33,5 @@ cargo run --release -p patu-bench --bin temporal_bench
 echo "==> perf gate: cargo run --release -p patu-bench --bin bench_smoke"
 cargo run --release -p patu-bench --bin bench_smoke
 
-echo "==> lint cache gate: cargo run --release -p patu-bench --bin lint_bench"
-cargo run --release -p patu-bench --bin lint_bench
-
 echo "==> bench artifacts:"
 ls -1 BENCH_*.json

@@ -30,14 +30,12 @@
 #      session must fire SLO burn alerts at deterministic cycles with a
 #      schema-clean trace tree per job, and the trace/SLO artifacts must
 #      be byte-identical across thread counts.
-#   7. Lint: patu-lint v2 (the workspace invariant checker — token rules
+#   7. Lint: patu-lint (the workspace invariant checker — token rules
 #      plus the interprocedural determinism pass: call-graph knob
 #      reachability, RNG/float-fold taint, schema-sync; hard fail on any
-#      violation or stale pragma), run incrementally with a SARIF artifact
-#      that must pass the structural validator and a `--fix --check` gate
-#      proving no mechanical rewrite is pending; then clippy over every
-#      target (libs, bins, tests, benches, examples) with warnings promoted
-#      to errors, and cargo fmt --check.
+#      violation or stale pragma); then clippy over every target (libs,
+#      bins, tests, benches, examples) with warnings promoted to errors,
+#      and cargo fmt --check.
 #
 # Usage: scripts/ci.sh [--skip-lint]
 
@@ -80,17 +78,8 @@ echo "==> report smoke: attribution conservation + trace/SLO determinism gate"
 cargo run -q --release -p patu-bench --bin patu_report -- --check
 
 if [[ "${1:-}" != "--skip-lint" ]]; then
-    echo "==> lint: patu-lint (workspace invariants, incremental + pragma debt)"
-    cargo run -q --release -p patu-lint -- --incremental --debt
-
-    echo "==> lint: SARIF artifact + structural validation"
-    mkdir -p target/patu-lint
-    cargo run -q --release -p patu-lint -- --incremental --format sarif \
-        > target/patu-lint/lint.sarif
-    cargo run -q --release -p patu-lint -- --check-sarif target/patu-lint/lint.sarif
-
-    echo "==> lint: patu-lint --fix --check (no mechanical rewrites pending)"
-    cargo run -q --release -p patu-lint -- --fix --check
+    echo "==> lint: patu-lint (workspace invariants + pragma debt)"
+    cargo run -q --release -p patu-lint
 
     echo "==> lint: cargo clippy --all-targets -- -D warnings"
     cargo clippy --all-targets -- -D warnings
