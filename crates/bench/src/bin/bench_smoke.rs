@@ -16,6 +16,7 @@
 use patu_bench::micro;
 use patu_core::{FilterPolicy, PerceptionAwareTextureUnit, SoaBatch};
 use patu_gmath::Vec2;
+use patu_obs::json::{self, Json};
 use patu_quality::{GrayImage, SampledSsimConfig, SsimConfig};
 use patu_texture::{procedural, AddressMode, Footprint, Texture};
 use std::hint::black_box;
@@ -40,14 +41,16 @@ fn gradient(size: u32, phase: u32) -> GrayImage {
     GrayImage::new(size, size, data)
 }
 
-/// Extracts `median_ns` of `label` from a recorded `BENCH_*.json` artifact.
-fn recorded_median(json: &str, label: &str) -> Option<f64> {
-    let pos = json.find(&format!("\"label\": \"{label}\""))?;
-    let rest = &json[pos..];
-    let key = "\"median_ns\": ";
-    let tail = &rest[rest.find(key)? + key.len()..];
-    let end = tail.find([',', '}'])?;
-    tail[..end].trim().parse().ok()
+/// The `median_ns` of `label` in a recorded `BENCH_*.json` artifact.
+fn recorded_median(text: &str, label: &str) -> Option<f64> {
+    json::parse(text)
+        .ok()?
+        .get("results")?
+        .as_arr()?
+        .iter()
+        .find(|row| row.get("label").and_then(Json::as_str) == Some(label))?
+        .get("median_ns")?
+        .as_num()
 }
 
 /// One fresh fast/slow measurement of the filtering pair (ns medians).

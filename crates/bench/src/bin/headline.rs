@@ -3,17 +3,16 @@
 //! θ = 0.4 tuning point, averaged over the Table II games.
 //!
 //! The sweep runs twice — `threads = 1` (serial) and `threads = 4` — to
-//! measure the deterministic parallel runtime's wall-clock speedup and to
-//! verify the two runs agree bit-for-bit. Both timings, the host core
-//! count, and the headline metrics land in `BENCH_headline.json` at the
-//! repository root.
+//! verify the two runs agree bit-for-bit. That flag and the headline
+//! metrics land in `BENCH_headline.json` at the repository root. Host
+//! time is not recorded here: the `benchmark` binary measures it as
+//! medians.
 
 use patu_bench::{micro, paper_note, pct, pct_delta, RunOptions};
 use patu_obs::json::num_fixed;
-use patu_obs::{Log2Histogram, TelemetryConfig, TraceLevel};
+use patu_obs::Log2Histogram;
 use patu_scenes::{default_specs, Workload};
 use patu_sim::experiment::{design_points, run_policies, AggregateResult};
-use patu_sim::render::{render_frame, RenderConfig};
 
 struct Headline {
     speedup: f64,
@@ -74,30 +73,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         opts.profile_banner()
     );
 
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let (serial_run, serial_ms) = micro::timed(|| sweep(&opts, 1));
-    let (headline, serial_results) = serial_run?;
-
-    let (parallel_run, parallel_ms) = micro::timed(|| sweep(&opts, 4));
-    let (_, parallel_results) = parallel_run?;
+    let (headline, serial_results) = sweep(&opts, 1)?;
+    let (_, parallel_results) = sweep(&opts, 4)?;
     let same = identical(&serial_results, &parallel_results);
-
-    // Reference render_frame wall time: one doom3 frame at the fast profile,
-    // once with telemetry off and once at full span tracing, so the JSON
-    // records the observation overhead of this build.
-    let spec = default_specs()
-        .into_iter()
-        .find(|s| s.name == "doom3")
-        .expect("doom3 spec");
-    let workload = Workload::build(spec.name, opts.resolution(&spec))?;
-    let rc = RenderConfig::new(patu_core::FilterPolicy::Patu { threshold: 0.4 });
-    let (reference_run, reference_ms) = micro::timed(|| render_frame(&workload, 0, &rc));
-    reference_run?;
-    let traced_rc = rc.with_telemetry(TelemetryConfig::with_level(TraceLevel::Spans));
-    let (traced_run, trace_spans_ms) = micro::timed(|| render_frame(&workload, 0, &traced_rc));
-    traced_run?;
 
     println!("\n{:<38} {:>10} {:>10}", "metric", "paper", "measured");
     println!(
@@ -148,30 +126,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!(
-        "\nparallel runtime: serial {serial_ms:.0} ms, 4 threads {parallel_ms:.0} ms \
-         ({:.2}x on {host_cores} host core(s)), outputs bit-identical: {same}",
-        serial_ms / parallel_ms
-    );
+    println!("\nthreads 1 vs 4: outputs bit-identical: {same}");
 
     // Every float routes through `num_fixed`, which emits `null` instead of
     // the unparseable `inf`/`NaN` tokens (e.g. a zero-cycle frame's fps).
     let json = format!(
-        "{{\n  \"bench\": \"headline\",\n  \"host_cores\": {host_cores},\n  \
-         \"serial_ms\": {},\n  \"parallel_ms_4_threads\": {},\n  \
-         \"speedup\": {},\n  \"outputs_bit_identical\": {same},\n  \
-         \"reference_render_frame_ms\": {},\n  \
-         \"trace_off_ms\": {},\n  \"trace_spans_ms\": {},\n  \
+        "{{\n  \"bench\": \"headline\",\n  \"outputs_bit_identical\": {same},\n  \
          \"rendering_speedup_vs_baseline\": {},\n  \"energy_ratio\": {},\n  \
          \"filter_latency_ratio\": {},\n  \"mssim\": {},\n  \
          \"patu_filter_latency_p50\": {},\n  \"patu_filter_latency_p95\": {},\n  \
          \"patu_filter_latency_p99\": {}\n}}\n",
-        num_fixed(serial_ms, 1),
-        num_fixed(parallel_ms, 1),
-        num_fixed(serial_ms / parallel_ms, 3),
-        num_fixed(reference_ms, 1),
-        num_fixed(reference_ms, 1),
-        num_fixed(trace_spans_ms, 1),
         num_fixed(headline.speedup, 4),
         num_fixed(headline.energy, 4),
         num_fixed(headline.latency, 4),

@@ -1,29 +1,27 @@
 //! patu_report: renders patu JSONL telemetry artifacts into a
-//! self-contained Markdown (or HTML) dashboard, and doubles as the
-//! observability CI gate.
+//! self-contained Markdown (or HTML) dashboard, and gates per-frame cycle
+//! attribution against its recorded baseline.
 //!
 //! Modes:
 //!
-//! * `patu_report <artifact.jsonl> [--html] [-o <path>]` — summarize a
-//!   JSONL stream (serve lines, causal trace trees, SLO alerts, cycle
-//!   attribution) into one document. With `--html` the same tables render
-//!   as a standalone HTML page; `-o` writes to a file instead of stdout.
-//! * `patu_report --check` — the CI smoke stage: renders every bundled
-//!   scene and hard-fails unless per-frame cycle attribution conserves
-//!   (stage sums equal total frame cycles), runs a half-pool-outage chaos
-//!   session with traces + SLO tracking on and checks every artifact is
-//!   schema-clean, bit-identical across `threads ∈ {1, 4}`, and that
-//!   burn-rate alerts fire at deterministic cycles — then diffs each
-//!   scene's top-k attribution shares against `BENCH_attribution.json`.
+//! * `patu_report <artifact.jsonl> [--html] [-o <path>]` — validate a
+//!   JSONL stream line by line against the in-repo schema
+//!   (`patu_obs::schema`; the first bad line fails the run, named by its
+//!   number), then summarize it (serve lines, causal trace trees, SLO
+//!   alerts, cycle attribution) into one document. With `--html` the same
+//!   tables render as a standalone HTML page; `-o` writes to a file
+//!   instead of stdout.
+//! * `patu_report --check` — the CI attribution gate: renders every
+//!   bundled scene and hard-fails unless per-frame cycle attribution
+//!   conserves (stage sums equal total frame cycles) and each scene's
+//!   top-k stage shares hold against `BENCH_attribution.json`.
 //! * `patu_report --record` — (re)records `BENCH_attribution.json`.
 
 use patu_bench::micro;
 use patu_core::FilterPolicy;
-use patu_obs::{schema, Attribution, SloOptions, Stage, TelemetryConfig, TraceLevel};
+use patu_obs::json::{self, Json};
+use patu_obs::{schema, Attribution, Stage, TelemetryConfig, TraceLevel};
 use patu_scenes::{game_names, Workload};
-use patu_serve::{
-    run_session, Scenario, ServeConfig, ServeReport, SimFrameService, SyntheticService,
-};
 use patu_sim::render::{render_frame, RenderConfig};
 
 /// Resolution for the attribution baseline renders — small enough for CI,
@@ -38,38 +36,14 @@ const TOP_K: usize = 4;
 const SHARE_TOLERANCE_X10000: u64 = 500;
 
 // ---------------------------------------------------------------------------
-// Tiny JSONL field extraction (the artifacts are flat, machine-written
-// lines; no general JSON parser needed).
+// Field access on parsed JSON values.
 
-/// Extracts the raw text of `"key":` up to the next comma/brace at this
-/// nesting level — good enough for the flat numeric/string fields the
-/// sinks emit.
-fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let mut end = rest.len();
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '{' | '[' => depth += 1,
-            '}' | ']' if depth > 0 => depth -= 1,
-            ',' | '}' | ']' if depth == 0 => {
-                end = i;
-                break;
-            }
-            _ => {}
-        }
-    }
-    Some(rest[..end].trim())
+fn field_u64(value: &Json, key: &str) -> Option<u64> {
+    value.get(key)?.as_num().map(|n| n as u64)
 }
 
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field_raw(line, key)?.parse().ok()
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    field_raw(line, key)?.strip_prefix('"')?.strip_suffix('"')
+fn field_str<'a>(value: &'a Json, key: &str) -> Option<&'a str> {
+    value.get(key)?.as_str()
 }
 
 // ---------------------------------------------------------------------------
@@ -150,11 +124,17 @@ fn bar(share_x10000: u64) -> String {
 
 /// Builds the dashboard sections from one JSONL stream.
 fn dashboard(stream: &str) -> Vec<Section> {
+    let lines: Vec<Json> = stream.lines().filter_map(|l| json::parse(l).ok()).collect();
+    let of_type = |kind: &'static str| {
+        lines
+            .iter()
+            .filter(move |l| field_str(l, "type") == Some(kind))
+    };
     let mut sections = Vec::new();
 
     // Line inventory.
     let mut kinds: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-    for line in stream.lines() {
+    for line in &lines {
         let kind = field_str(line, "type").unwrap_or("?");
         *kinds.entry(kind).or_insert(0) += 1;
     }
@@ -169,10 +149,7 @@ fn dashboard(stream: &str) -> Vec<Section> {
     });
 
     // Serve outcomes.
-    let serve: Vec<&str> = stream
-        .lines()
-        .filter(|l| field_str(l, "type") == Some("serve"))
-        .collect();
+    let serve: Vec<&Json> = of_type("serve").collect();
     if !serve.is_empty() {
         let count = |o: &str| {
             serve
@@ -206,19 +183,14 @@ fn dashboard(stream: &str) -> Vec<Section> {
     let mut span_names: std::collections::BTreeMap<String, (u64, u64)> =
         std::collections::BTreeMap::new();
     let mut traces = 0u64;
-    for line in stream.lines() {
-        if field_str(line, "type") != Some("trace") {
-            continue;
-        }
+    for line in of_type("trace") {
         traces += 1;
-        // Spans are objects inside the "spans" array; each carries
-        // name/start/end.
-        for chunk in line.split("{\"id\":").skip(1) {
-            let obj = format!("{{\"id\":{chunk}");
+        let spans = line.get("spans").and_then(Json::as_arr).unwrap_or(&[]);
+        for span in spans {
             if let (Some(name), Some(start), Some(end)) = (
-                field_str(&obj, "name"),
-                field_u64(&obj, "start"),
-                field_u64(&obj, "end"),
+                field_str(span, "name"),
+                field_u64(span, "start"),
+                field_u64(span, "end"),
             ) {
                 let e = span_names.entry(name.to_string()).or_insert((0, 0));
                 e.0 += 1;
@@ -239,9 +211,7 @@ fn dashboard(stream: &str) -> Vec<Section> {
     }
 
     // SLO burn-rate alerts.
-    let slo_rows: Vec<Vec<String>> = stream
-        .lines()
-        .filter(|l| field_str(l, "type") == Some("slo"))
+    let slo_rows: Vec<Vec<String>> = of_type("slo")
         .map(|l| {
             vec![
                 field_str(l, "slo").unwrap_or("?").to_string(),
@@ -276,13 +246,10 @@ fn dashboard(stream: &str) -> Vec<Section> {
     // Cycle attribution, accumulated over every attrib line.
     let mut attrib = Attribution::new();
     let mut frames = 0u64;
-    for line in stream.lines() {
-        if field_str(line, "type") != Some("attrib") {
-            continue;
-        }
+    for line in of_type("attrib") {
         frames += 1;
         for stage in Stage::ALL {
-            if let Some(cycles) = field_u64(line, stage.name()) {
+            if let Some(cycles) = line.get("stages").and_then(|s| field_u64(s, stage.name())) {
                 attrib.add(stage, cycles);
             }
         }
@@ -377,11 +344,14 @@ fn record_baseline() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Extracts `"<stage>": <n>` for `scene` from the recorded baseline.
-fn recorded_share(json: &str, scene: &str, stage: &str) -> Option<u64> {
-    let pos = json.find(&format!("\"scene\": \"{scene}\""))?;
-    let obj_end = json[pos..].find('}')? + pos + 1;
-    field_u64(&json[pos..obj_end].replace(": ", ":"), stage)
+/// The recorded share of `stage` in `scene` from the parsed baseline.
+fn recorded_share(baseline: &Json, scene: &str, stage: &str) -> Option<u64> {
+    let row = baseline
+        .get("scenes")?
+        .as_arr()?
+        .iter()
+        .find(|row| field_str(row, "scene") == Some(scene))?;
+    field_u64(row.get("shares_x10000")?, stage)
 }
 
 /// Diffs each scene's top-k attribution shares against the recorded
@@ -389,16 +359,17 @@ fn recorded_share(json: &str, scene: &str, stage: &str) -> Option<u64> {
 /// regeneration hint.
 fn check_against_baseline() -> Result<(), Box<dyn std::error::Error>> {
     let path = micro::repo_root().join("BENCH_attribution.json");
-    let json = std::fs::read_to_string(&path).map_err(|_| {
+    let text = std::fs::read_to_string(&path).map_err(|_| {
         "BENCH_attribution.json missing; record it with \
          `cargo run --release -p patu-bench --bin patu_report -- --record`"
     })?;
+    let baseline = json::parse(&text).map_err(|e| format!("BENCH_attribution.json: {e}"))?;
     for scene in game_names() {
         let (attrib, _) = scene_attribution(scene)?;
         let mut shares = attrib.shares_x10000();
         shares.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         for (stage, measured) in shares.into_iter().take(TOP_K) {
-            let recorded = recorded_share(&json, scene, stage).ok_or_else(|| {
+            let recorded = recorded_share(&baseline, scene, stage).ok_or_else(|| {
                 format!("BENCH_attribution.json lacks {scene}/{stage}; re-record it")
             })?;
             let drift = measured.abs_diff(recorded);
@@ -421,132 +392,25 @@ fn check_against_baseline() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 // ---------------------------------------------------------------------------
-// CI check mode.
 
-fn chaos_cfg() -> ServeConfig {
-    ServeConfig {
-        seed: 1207,
-        scenario: Scenario::HalfPoolOutage,
-        load: 1.5,
-        gpus: 2,
-        queue_capacity: 8,
-        trace: TraceLevel::Spans,
-        slo: SloOptions::default(),
-        pressure_gain: 0.4,
-        ..ServeConfig::default()
-    }
+/// Validates `stream` against the JSONL schema, then renders its dashboard
+/// as Markdown (or HTML). A schema violation names its 1-based line.
+fn report(stream: &str, title: &str, html: bool) -> Result<String, String> {
+    schema::check_stream(stream).map_err(|(line, err)| format!("line {line}: {err}"))?;
+    let sections = dashboard(stream);
+    Ok(if html {
+        render_html(title, &sections)
+    } else {
+        render_markdown(title, &sections)
+    })
 }
-
-fn check_report(report: &ServeReport, label: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let checked = schema::check_stream(&report.log)
-        .map_err(|(line, err)| format!("{label}: log line {line}: {err}"))?;
-    let traces = report
-        .log
-        .lines()
-        .filter(|l| field_str(l, "type") == Some("trace"))
-        .count();
-    if traces as u64 != report.stats.submitted {
-        return Err(format!(
-            "{label}: {traces} trace trees for {} submitted jobs",
-            report.stats.submitted
-        )
-        .into());
-    }
-    let expected = report.stats.submitted * 2 + report.stats.slo_alerts;
-    if checked as u64 != expected {
-        return Err(format!("{label}: schema checked {checked} lines, expected {expected}").into());
-    }
-    Ok(())
-}
-
-fn run_check() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Per-frame attribution conserves on every bundled scene, and the
-    //    recorded stage mix has not drifted.
-    println!("== attribution conservation + baseline diff ==");
-    check_against_baseline()?;
-
-    // 2. A half-pool-outage session at 1.5x load with traces and SLOs on:
-    //    schema-clean, and burn-rate alerts fire at deterministic cycles.
-    println!("== chaos traces + SLO burn alerts (synthetic plant) ==");
-    let burn_cfg = ServeConfig {
-        clients: 4,
-        jobs_per_client: 48,
-        ..chaos_cfg()
-    };
-    let mut plant = SyntheticService::new(1_000_000, burn_cfg.governor_steps);
-    let a = run_session(&burn_cfg, &mut plant)?;
-    let mut plant = SyntheticService::new(1_000_000, burn_cfg.governor_steps);
-    let b = run_session(&burn_cfg, &mut plant)?;
-    check_report(&a, "burn session")?;
-    if a.alerts.is_empty() {
-        return Err("half-pool outage at 1.5x load fired no burn-rate alerts".into());
-    }
-    if a.alerts != b.alerts || a.log != b.log {
-        return Err("burn session replays diverge".into());
-    }
-    println!(
-        "   {} alerts, first `{}` at cycle {}",
-        a.alerts.len(),
-        a.alerts[0].slo,
-        a.alerts[0].cycle
-    );
-
-    // 3. The same chaos scenario on real renders, threads 1 vs 4: every
-    //    artifact byte-identical.
-    println!("== thread invariance on real renders ==");
-    let sim_cfg = ServeConfig {
-        clients: 3,
-        jobs_per_client: 4,
-        resolution: (96, 64),
-        frame_span: 2,
-        ..chaos_cfg()
-    };
-    let narrow_cfg = ServeConfig {
-        threads: Some(1),
-        ..sim_cfg.clone()
-    };
-    let wide_cfg = ServeConfig {
-        threads: Some(4),
-        ..sim_cfg
-    };
-    let mut svc = SimFrameService::new(&narrow_cfg)?;
-    let narrow = run_session(&narrow_cfg, &mut svc)?;
-    let baseline_cycles = svc.baseline_cycles();
-    let mut svc = SimFrameService::new(&wide_cfg)?;
-    let wide = run_session(&wide_cfg, &mut svc)?;
-    check_report(&narrow, "sim session")?;
-    if narrow.log != wide.log || narrow.chrome_trace() != wide.chrome_trace() {
-        return Err("serve artifacts diverge between threads 1 and 4".into());
-    }
-    if baseline_cycles != svc.baseline_cycles() {
-        return Err("ssim-baseline cycle accounting diverges between thread counts".into());
-    }
-    println!(
-        "   log + chrome trace byte-identical; {} analysis-track baseline cycles",
-        baseline_cycles
-    );
-
-    // 4. The dashboard renders from the artifact it just produced.
-    let sections = dashboard(&narrow.log);
-    let md = render_markdown("patu serve session", &sections);
-    let html = render_html("patu serve session", &sections);
-    for needle in ["Line inventory", "Causal traces", "serve::lifecycle"] {
-        if !md.contains(needle) || !html.contains(needle) {
-            return Err(format!("dashboard is missing `{needle}`").into());
-        }
-    }
-    println!("== dashboard renders ({} sections) ==", sections.len());
-
-    println!("patu_report --check: all gates green");
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--check") {
-        return run_check();
+        check_against_baseline()?;
+        println!("patu_report --check: attribution conserves and holds against the baseline");
+        return Ok(());
     }
     if args.iter().any(|a| a == "--record") {
         return record_baseline();
@@ -561,13 +425,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .find(|a| !a.starts_with('-') && Some(a.as_str()) != out_path.as_deref())
         .ok_or("usage: patu_report <artifact.jsonl> [--html] [-o out] | --check | --record")?;
     let stream = std::fs::read_to_string(input)?;
-    let sections = dashboard(&stream);
-    let title = format!("patu report: {input}");
-    let doc = if html {
-        render_html(&title, &sections)
-    } else {
-        render_markdown(&title, &sections)
-    };
+    let doc = report(&stream, &format!("patu report: {input}"), html)
+        .map_err(|e| format!("{input}: {e}"))?;
     match out_path {
         Some(path) => {
             std::fs::write(&path, doc)?;
@@ -576,4 +435,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => print!("{doc}"),
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use patu_obs::SloOptions;
+    use patu_serve::{run_session, Scenario, ServeConfig, SyntheticService};
+
+    #[test]
+    fn dashboard_renders_a_chaos_session_as_markdown_and_html() {
+        let cfg = ServeConfig {
+            seed: 1207,
+            clients: 4,
+            jobs_per_client: 48,
+            scenario: Scenario::HalfPoolOutage,
+            load: 1.5,
+            gpus: 2,
+            queue_capacity: 8,
+            trace: TraceLevel::Spans,
+            slo: SloOptions::default(),
+            pressure_gain: 0.4,
+            ..ServeConfig::default()
+        };
+        let mut plant = SyntheticService::new(1_000_000, cfg.governor_steps);
+        let session = run_session(&cfg, &mut plant).expect("session runs");
+        for html in [false, true] {
+            let doc = report(&session.log, "patu serve session", html).expect("schema-clean log");
+            for needle in ["Line inventory", "Causal traces", "serve::lifecycle"] {
+                assert!(
+                    doc.contains(needle),
+                    "html={html}: dashboard lacks `{needle}`"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn schema_invalid_lines_are_rejected_by_number() {
+        let stream = "{\"type\":\"slo\",\"slo\":\"slo::shed\"}\n";
+        let err = report(stream, "bad", false).expect_err("missing slo fields");
+        assert!(err.starts_with("line 1: "), "{err}");
+    }
 }

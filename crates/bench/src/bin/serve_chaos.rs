@@ -8,10 +8,6 @@
 //! SSIM at or above 0.9 — and every scenario replays bit-identically
 //! between `threads = 1` and `threads = 4`. Results land in
 //! `BENCH_chaos.json` at the repository root.
-//!
-//! `--smoke` runs a miniature grid (96×64, fewer jobs) that checks
-//! determinism, conservation and schema-cleanliness only, writing no
-//! JSON — the CI gate.
 
 use patu_bench::micro;
 use patu_obs::json::num_fixed;
@@ -19,9 +15,11 @@ use patu_serve::{
     run_session, ResilienceConfig, Scenario, ServeConfig, ServeReport, SimFrameService,
 };
 
-fn cfg(scenario: Scenario, resilient: bool, threads: usize, smoke: bool) -> ServeConfig {
-    let mut cfg = ServeConfig {
+fn cfg(scenario: Scenario, resilient: bool, threads: usize) -> ServeConfig {
+    ServeConfig {
         seed: 1207,
+        clients: 6,
+        jobs_per_client: 6,
         scenario,
         load: 1.5,
         threads: Some(threads),
@@ -36,17 +34,7 @@ fn cfg(scenario: Scenario, resilient: bool, threads: usize, smoke: bool) -> Serv
             ResilienceConfig::disabled()
         },
         ..ServeConfig::default()
-    };
-    if smoke {
-        cfg.clients = 3;
-        cfg.jobs_per_client = 4;
-        cfg.resolution = (96, 64);
-        cfg.frame_span = 2;
-    } else {
-        cfg.clients = 6;
-        cfg.jobs_per_client = 6;
     }
-    cfg
 }
 
 fn run(cfg: &ServeConfig) -> Result<(ServeReport, f64), Box<dyn std::error::Error>> {
@@ -111,17 +99,13 @@ fn stats_json(report: &ServeReport) -> String {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    println!(
-        "CHAOS: every scenario at 1.5x load, resilience on vs off{}",
-        if smoke { " (smoke)" } else { "" }
-    );
+    println!("CHAOS: every scenario at 1.5x load, resilience on vs off");
 
     let mut arms = Vec::new();
     for scenario in Scenario::ALL {
-        let (on, on_ms) = run(&cfg(scenario, true, 1, smoke))?;
-        let (wide, _) = run(&cfg(scenario, true, 4, smoke))?;
-        let (off, _) = run(&cfg(scenario, false, 1, smoke))?;
+        let (on, on_ms) = run(&cfg(scenario, true, 1))?;
+        let (wide, _) = run(&cfg(scenario, true, 4))?;
+        let (off, _) = run(&cfg(scenario, false, 1))?;
         check_session(&on, scenario.label())?;
         check_session(&off, &format!("{} (control)", scenario.label()))?;
         let bit_identical = on.log == wide.log
@@ -166,16 +150,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          mean SSIM >= 0.9: {quality_holds}; \
          threads 1 vs 4 bit-identical everywhere: {all_bit_identical}"
     );
-
-    if smoke {
-        // The smoke bar: deterministic, conserved, schema-clean sessions.
-        // The statistical claims are judged at the full benchmark size.
-        if !all_bit_identical {
-            return Err("chaos smoke: sessions diverge across thread counts".into());
-        }
-        println!("chaos smoke: all scenarios deterministic and schema-clean");
-        return Ok(());
-    }
 
     let mut rows = String::new();
     for (i, a) in arms.iter().enumerate() {

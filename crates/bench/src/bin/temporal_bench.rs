@@ -1,17 +1,12 @@
 //! Cross-frame tile-reuse benchmark (`patu-temporal` + `render_sequence`).
 //!
-//! Full mode sweeps both slow-camera sequence presets (`orbit`, `dolly`)
-//! at their catalog resolution through temporal modes `off`/`on`/
-//! `aggressive`, measuring simulated-cycle sequence throughput against the
+//! Sweeps both slow-camera sequence presets (`orbit`, `dolly`) at their
+//! catalog resolution through temporal modes `off`/`on`/`aggressive`,
+//! measuring simulated-cycle sequence throughput against the
 //! reuse-disabled run and per-frame MSSIM against its exact pixels, and
 //! writes `BENCH_temporal.json` at the repo root. The acceptance gate:
 //! each preset must reach ≥2× sequence throughput in some reuse mode while
 //! that mode's mean MSSIM stays at or above 0.93.
-//!
-//! `--smoke` is the CI stage: a miniature orbit sequence asserting reuse
-//! actually fires, the MSSIM floor holds, `threads = 1` and `threads = 4`
-//! sequences are byte-identical, and every emitted `"temporal"` JSONL line
-//! validates against the in-repo schema. Exits non-zero on any violation.
 //!
 //! All throughput numbers are simulated GPU cycles — this bench never
 //! reads a wall clock, so its artifact is bit-reproducible on any host.
@@ -32,12 +27,8 @@ fn run_sequence(
     workload: &Workload,
     frames: &[u32],
     mode: TemporalMode,
-    threads: Option<usize>,
 ) -> Result<Vec<FrameResult>, Box<dyn std::error::Error>> {
-    let mut cfg = RenderConfig::new(FilterPolicy::Patu { threshold: 0.4 });
-    if let Some(n) = threads {
-        cfg = cfg.with_threads(n);
-    }
+    let cfg = RenderConfig::new(FilterPolicy::Patu { threshold: 0.4 });
     let mut store = TileStore::new(TemporalConfig::for_mode(mode));
     Ok(render_sequence(workload, frames, &cfg, &mut store)?)
 }
@@ -76,47 +67,7 @@ fn measure_mode(reference: &[FrameResult], results: &[FrameResult], mode: Tempor
     }
 }
 
-fn smoke() -> Result<(), Box<dyn std::error::Error>> {
-    let frames: Vec<u32> = (0..6).collect();
-    let workload = Workload::build("orbit", (192, 144))?;
-    let off = run_sequence(&workload, &frames, TemporalMode::Off, Some(1))?;
-    let on = run_sequence(&workload, &frames, TemporalMode::On, Some(1))?;
-    let wide = run_sequence(&workload, &frames, TemporalMode::On, Some(4))?;
-
-    for (i, (a, b)) in on.iter().zip(&wide).enumerate() {
-        if a.image.pixels() != b.image.pixels() || a.stats != b.stats {
-            return Err(format!("frame {i} diverges between threads=1 and threads=4").into());
-        }
-    }
-    let row = measure_mode(&off, &on, TemporalMode::On);
-    if row.reused_fraction <= 0.0 {
-        return Err("slow orbit reused no tiles".into());
-    }
-    if row.mean_mssim < GATE_MSSIM {
-        return Err(format!(
-            "smoke MSSIM {:.4} under the {GATE_MSSIM} floor",
-            row.mean_mssim
-        )
-        .into());
-    }
-    let mut checked = 0usize;
-    for (frame, f) in frames.iter().zip(&on) {
-        let line = f.stats.temporal.jsonl_line(*frame);
-        patu_obs::schema::check_line(&line)
-            .map_err(|e| format!("temporal line for frame {frame}: {e}"))?;
-        checked += 1;
-    }
-    println!(
-        "temporal smoke: reuse {:.0}% of tiles, {:.2}x cycles, MSSIM {:.4}, \
-         {checked} schema-clean temporal lines, threads 1 == 4",
-        row.reused_fraction * 100.0,
-        row.speedup,
-        row.mean_mssim
-    );
-    Ok(())
-}
-
-fn full() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("BENCH: temporal tile reuse (simulated cycles, sequence presets)");
     let frames: Vec<u32> = (0..12).collect();
     let mut scene_blocks = Vec::new();
@@ -124,7 +75,7 @@ fn full() -> Result<(), Box<dyn std::error::Error>> {
 
     for spec in sequence_specs() {
         let workload = Workload::build(spec.name, spec.resolution)?;
-        let off = run_sequence(&workload, &frames, TemporalMode::Off, None)?;
+        let off = run_sequence(&workload, &frames, TemporalMode::Off)?;
         let off_cycles: u64 = off.iter().map(|f| f.stats.cycles).sum();
         println!(
             "\n{} ({}x{}, {} frames): off = {off_cycles} cycles",
@@ -139,7 +90,7 @@ fn full() -> Result<(), Box<dyn std::error::Error>> {
         );
         let mut rows = Vec::new();
         for mode in [TemporalMode::On, TemporalMode::Aggressive] {
-            let results = run_sequence(&workload, &frames, mode, None)?;
+            let results = run_sequence(&workload, &frames, mode)?;
             let row = measure_mode(&off, &results, mode);
             println!(
                 "{:<12} {:>14} {:>8.2}x {:>11.4} {:>10.4} {:>7.0}%",
@@ -205,12 +156,4 @@ fn full() -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
     Ok(())
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke()
-    } else {
-        full()
-    }
 }

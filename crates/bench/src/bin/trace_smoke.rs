@@ -1,7 +1,8 @@
 //! Telemetry smoke run: renders a few PATU frames at the level given by
 //! `PATU_TRACE`, folds the SSIM analysis onto each frame's analysis track,
 //! prints the per-frame report, and (when `PATU_TRACE_OUT` is set) writes
-//! the JSONL + Chrome-trace artifacts that `trace_check` validates. With
+//! the JSONL + Chrome-trace artifacts that `patu_report` validates and
+//! renders. With
 //! `PATU_OBS_DUMP=<dir>` it additionally writes per-frame PPM maps: an
 //! SSIM-error heatmap (per-tile mean |baseline − approx| luma) and a
 //! demotion-decision map (per-tile share of fragments the predictor

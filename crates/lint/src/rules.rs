@@ -131,10 +131,6 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         readers: &["crates/obs/src/dump.rs"],
     },
     EnvKnob {
-        name: "PATU_SLO",
-        readers: &["crates/obs/src/slo.rs"],
-    },
-    EnvKnob {
         name: "PATU_TRACE_OUT",
         readers: &["crates/obs/src/config.rs"],
     },
@@ -749,19 +745,12 @@ mod tests {
 
     #[test]
     fn observability_knobs_read_only_from_their_obs_modules() {
-        // `PATU_OBS_DUMP` resolves in the dump sink and `PATU_SLO` in the
-        // SLO options; every other library file takes the parsed values
-        // (dump dir, SloOptions) as arguments.
+        // `PATU_OBS_DUMP` resolves in the dump sink; every other library
+        // file takes the parsed dump dir as an argument.
         let dump = "fn dir() -> Option<String> { std::env::var(\"PATU_OBS_DUMP\").ok() }\n";
         assert!(rules_hit("crates/obs/src/dump.rs", dump).is_empty());
         assert_eq!(
             rules_hit("crates/obs/src/sink.rs", dump),
-            vec![("env-var", 1)]
-        );
-        let slo = "fn raw() -> Option<String> { std::env::var(\"PATU_SLO\").ok() }\n";
-        assert!(rules_hit("crates/obs/src/slo.rs", slo).is_empty());
-        assert_eq!(
-            rules_hit("crates/serve/src/server.rs", slo),
             vec![("env-var", 1)]
         );
     }

@@ -2,8 +2,7 @@
 //! and a minimal recursive-descent parser for validating emitted lines.
 //!
 //! The workspace carries no serde; every sink writes JSON by hand, and the
-//! schema checker (`patu-bench`'s `trace_check`) parses it back with
-//! [`parse`]. Keeping writer and reader in one module makes "everything we
+//! schema checker ([`crate::schema`]) parses it back with [`parse`]. Keeping writer and reader in one module makes "everything we
 //! emit must re-parse" a single-crate invariant.
 
 use std::collections::BTreeMap;

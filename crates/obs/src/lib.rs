@@ -29,7 +29,7 @@
 //! * [`attrib`] — per-frame cycle attribution by stage with an exact
 //!   conservation invariant against the frame's critical path.
 //! * [`slo`] — declarative SLOs with deterministic multi-window burn-rate
-//!   alerting on the virtual clock (the `PATU_SLO` knob).
+//!   alerting on the virtual clock.
 //! * [`dump`] — `PATU_OBS_DUMP` perceptual debug artifacts (PPM heatmaps
 //!   and per-tile decision maps).
 //!

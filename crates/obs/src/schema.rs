@@ -2,10 +2,10 @@
 //!
 //! Every line the sink emits is a self-contained JSON object with a
 //! `"type"` discriminator; [`check_line`] validates the required keys and
-//! key types for each line kind. CI runs this over a smoke render's output
-//! (the `trace_check` bench binary), and the determinism test runs it over
-//! everything it emits — so the writer in [`crate::sink`] cannot drift from
-//! the documented format unnoticed.
+//! key types for each line kind. The determinism tests run it over
+//! everything the sinks and the serve layer emit, and `patu_report`
+//! refuses an artifact with a bad line — so the writer in [`crate::sink`]
+//! cannot drift from the documented format unnoticed.
 
 use crate::json::{self, Json};
 

@@ -15,12 +15,6 @@
 //! are bit-identical across `PATU_THREADS` and host platforms. Alerts are
 //! edge-triggered: once fired, a tracker re-arms only after the fast-window
 //! burn drops back below its threshold.
-//!
-//! The `PATU_SLO` environment knob is read here and nowhere else (see
-//! patu-lint's `ENV_KNOBS`): `PATU_SLO=off` disables tracking, and a
-//! comma-separated `key=value` list overrides budgets —
-//! `miss=<per-mille>`, `ssim_floor=<per-mille>`, `shed=<per-mille>`,
-//! `horizon=<cycles>`. Unknown keys and malformed values are ignored.
 
 use std::collections::VecDeque;
 
@@ -183,10 +177,10 @@ impl SloTracker {
     }
 }
 
-/// Parsed `PATU_SLO` configuration with sanitized defaults.
+/// SLO budgets for a serve session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SloOptions {
-    /// Whether SLO tracking is on (`PATU_SLO=off` disables it).
+    /// Whether SLO tracking is on ([`SloOptions::disabled`] turns it off).
     pub enabled: bool,
     /// Deadline-miss budget per tier, ×1000. Default 50 (5%).
     pub miss_budget_x1000: u64,
@@ -197,8 +191,6 @@ pub struct SloOptions {
     pub ssim_budget_x1000: u64,
     /// Queue-shed budget, ×1000. Default 50 (5%).
     pub shed_budget_x1000: u64,
-    /// Burn-window horizon override in cycles; 0 means "caller decides".
-    pub horizon: u64,
 }
 
 impl Default for SloOptions {
@@ -209,7 +201,6 @@ impl Default for SloOptions {
             ssim_floor_x1000: 900,
             ssim_budget_x1000: 50,
             shed_budget_x1000: 50,
-            horizon: 0,
         }
     }
 }
@@ -223,55 +214,12 @@ impl SloOptions {
         }
     }
 
-    /// Reads `PATU_SLO` (the only reader of that knob). Malformed entries
-    /// fall back to the defaults, mirroring the other knob readers.
-    pub fn from_env() -> SloOptions {
-        // patu-lint: allow(knob-at-construction) — read once at session setup to
-        // build SloOptions; the burn-rate engine holds the parsed value
-        match std::env::var("PATU_SLO") {
-            Ok(raw) => SloOptions::parse(&raw),
-            Err(_) => SloOptions::default(),
-        }
-    }
-
-    /// Parses a `PATU_SLO` value (`off`, or `key=value` pairs separated by
-    /// commas).
-    pub fn parse(raw: &str) -> SloOptions {
-        let trimmed = raw.trim();
-        if trimmed.eq_ignore_ascii_case("off") {
-            return SloOptions::disabled();
-        }
-        let mut opts = SloOptions::default();
-        for pair in trimmed.split(',') {
-            let Some((key, value)) = pair.split_once('=') else {
-                continue;
-            };
-            let Ok(parsed) = value.trim().parse::<u64>() else {
-                continue;
-            };
-            match key.trim() {
-                "miss" => opts.miss_budget_x1000 = parsed.clamp(1, 1000),
-                "ssim_floor" => opts.ssim_floor_x1000 = parsed.clamp(1, 1000),
-                "ssim" => opts.ssim_budget_x1000 = parsed.clamp(1, 1000),
-                "shed" => opts.shed_budget_x1000 = parsed.clamp(1, 1000),
-                "horizon" => opts.horizon = parsed,
-                _ => {}
-            }
-        }
-        opts
-    }
-
     /// The standard serve-layer SLO suite over a burn horizon of `horizon`
-    /// cycles (overridden by the knob's `horizon=` if set): one deadline-miss
-    /// objective per tier, a delivered-SSIM floor, and a queue-shed rate.
-    /// Fast window = horizon/64, slow window = horizon/8.
+    /// cycles: one deadline-miss objective per tier, a delivered-SSIM
+    /// floor, and a queue-shed rate. Fast window = horizon/64, slow
+    /// window = horizon/8.
     pub fn standard_specs(&self, horizon: u64) -> Vec<SloSpec> {
-        let horizon = if self.horizon > 0 {
-            self.horizon
-        } else {
-            horizon
-        }
-        .max(64);
+        let horizon = horizon.max(64);
         let fast = (horizon / 64).max(1);
         let slow = (horizon / 8).max(1);
         let spec = |name, budget_x1000| SloSpec {
@@ -377,24 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_handles_off_overrides_and_garbage() {
-        assert!(!SloOptions::parse("off").enabled);
-        assert!(!SloOptions::parse(" OFF ").enabled);
-        let opts = SloOptions::parse("miss=100,ssim_floor=950,shed=25,horizon=5000");
-        assert_eq!(opts.miss_budget_x1000, 100);
-        assert_eq!(opts.ssim_floor_x1000, 950);
-        assert_eq!(opts.shed_budget_x1000, 25);
-        assert_eq!(opts.horizon, 5000);
-        // Garbage entries fall back to defaults.
-        let junk = SloOptions::parse("miss=lots,bogus,=,shed=30");
-        assert_eq!(junk.miss_budget_x1000, 50);
-        assert_eq!(junk.shed_budget_x1000, 30);
-        // Budgets clamp into (0, 1000].
-        assert_eq!(SloOptions::parse("miss=0").miss_budget_x1000, 1);
-        assert_eq!(SloOptions::parse("miss=9999").miss_budget_x1000, 1000);
-    }
-
-    #[test]
     fn standard_specs_scale_windows_from_horizon() {
         let specs = SloOptions::default().standard_specs(64_000);
         assert_eq!(specs.len(), 5);
@@ -406,8 +336,5 @@ mod tests {
         assert!(names.contains(&"slo::miss::interactive"));
         assert!(names.contains(&"slo::ssim_floor"));
         assert!(names.contains(&"slo::shed"));
-        // Knob horizon override wins.
-        let opts = SloOptions::parse("horizon=6400");
-        assert_eq!(opts.standard_specs(64_000)[0].fast_window, 100);
     }
 }

@@ -169,8 +169,6 @@ impl Scenario {
 /// assignments always win — this only seeds `Default`, mirroring
 /// `PATU_SERVE_CLIENTS`.
 pub fn default_scenario() -> Scenario {
-    // patu-lint: allow(knob-at-construction) — Default seed read once while the
-    // session's ServeConfig is built; the scenario value flows down from there
     std::env::var("PATU_SERVE_SCENARIO")
         .ok()
         .and_then(|v| Scenario::parse(&v))

@@ -1317,28 +1317,34 @@ mod tests {
 
     #[test]
     fn every_scenario_conserves_jobs_and_passes_the_schema() {
-        for scenario in Scenario::ALL {
-            let report = run(&ServeConfig {
-                scenario,
-                load: 1.5,
-                ..cfg()
-            });
-            assert!(
-                conserved(&report.stats),
-                "{}: delivered {} + shed {} + failed {} != submitted {}",
-                scenario.label(),
-                report.stats.delivered,
-                report.stats.shed,
-                report.stats.failed,
-                report.stats.submitted
-            );
-            let checked = patu_obs::schema::check_stream(&report.log).expect("valid lines");
-            assert_eq!(
-                checked as u64,
-                report.stats.submitted,
-                "{}",
-                scenario.label()
-            );
+        for (arm, resilience) in [
+            ("resilience on", ResilienceConfig::default()),
+            ("resilience off", ResilienceConfig::disabled()),
+        ] {
+            for scenario in Scenario::ALL {
+                let report = run(&ServeConfig {
+                    scenario,
+                    load: 1.5,
+                    resilience,
+                    ..cfg()
+                });
+                assert!(
+                    conserved(&report.stats),
+                    "{} ({arm}): delivered {} + shed {} + failed {} != submitted {}",
+                    scenario.label(),
+                    report.stats.delivered,
+                    report.stats.shed,
+                    report.stats.failed,
+                    report.stats.submitted
+                );
+                let checked = patu_obs::schema::check_stream(&report.log).expect("valid lines");
+                assert_eq!(
+                    checked as u64,
+                    report.stats.submitted,
+                    "{} ({arm})",
+                    scenario.label()
+                );
+            }
         }
     }
 

@@ -29,8 +29,6 @@ const DEFAULT_CLIENTS: usize = 8;
 /// Explicit [`ServeConfig::clients`] assignments always win — this is only
 /// the `Default` seed, mirroring how `PATU_THREADS` resolves.
 pub fn default_clients() -> usize {
-    // patu-lint: allow(knob-at-construction) — Default seed read once while the
-    // session's ServeConfig is built; the client count flows down from there
     std::env::var("PATU_SERVE_CLIENTS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
@@ -107,8 +105,7 @@ pub struct ServeConfig {
     /// line per terminated job — its full causal lifecycle tree.
     pub trace: TraceLevel,
     /// SLO burn-rate tracking (see [`patu_obs::slo`]). Off by default so
-    /// the serve log stays minimal; binaries that want the `PATU_SLO` knob
-    /// resolve it via [`SloOptions::from_env`].
+    /// the serve log stays minimal; [`SloOptions::default`] turns it on.
     pub slo: SloOptions,
 }
 

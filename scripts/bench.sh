@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
 # Benchmark sweep: runs every micro-benchmark target plus the headline
 # paper-metrics binary. Each group writes BENCH_<name>.json at the repo
-# root (micro benches: median/p10/p90 ns per iteration; headline: serial
-# vs 4-thread sweep wall time, speedup, host core count, and the
-# paper-abstract metrics). BENCH_headline.json also records the telemetry
-# overhead of this build: `trace_off_ms` vs `trace_spans_ms` is the wall
-# time of one reference render_frame with tracing off vs full span tracing
-# (the off path must stay within the noise of an untraced build).
+# root (micro benches: median/p10/p90 ns per iteration; headline: the
+# paper-abstract metrics plus whether the 1- and 4-thread sweeps agree
+# bit-for-bit). Host time end to end and per layer, as medians, is the
+# `benchmark` binary's job (BENCHMARK.json), not this script's.
 #
 # Usage: scripts/bench.sh [headline args, e.g. --full --frames N]
 

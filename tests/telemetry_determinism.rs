@@ -249,7 +249,11 @@ mod serve_observability {
                 let report = run_session(&cfg, &mut svc).unwrap();
                 schema::check_stream(&report.log)
                     .unwrap_or_else(|(line, err)| panic!("{scenario:?}: line {line}: {err}"));
-                artifacts.push((report.log.clone(), report.chrome_trace()));
+                artifacts.push((
+                    report.log.clone(),
+                    report.chrome_trace(),
+                    svc.baseline_cycles(),
+                ));
             }
             assert_eq!(
                 artifacts[0].0, artifacts[1].0,
@@ -258,6 +262,10 @@ mod serve_observability {
             assert_eq!(
                 artifacts[0].1, artifacts[1].1,
                 "{scenario:?}: chrome trace must not depend on the thread count"
+            );
+            assert_eq!(
+                artifacts[0].2, artifacts[1].2,
+                "{scenario:?}: ssim-baseline cycle accounting must not depend on the thread count"
             );
         }
     }

@@ -6,6 +6,8 @@
 
 use patu_core::FilterPolicy;
 use patu_gpu::FaultConfig;
+use patu_obs::schema;
+use patu_quality::SsimConfig;
 use patu_scenes::Workload;
 use patu_sim::render::{render_sequence, RenderConfig};
 use patu_sim::FrameResult;
@@ -89,8 +91,10 @@ fn forced_invalidation_matches_off_exactly() {
     }
 }
 
-/// Reuse must actually fire on the slow-camera presets, and reused tiles
-/// must make sequences cheaper than rendering every tile of every frame.
+/// Reuse must actually fire on the slow-camera presets, reused tiles must
+/// make sequences cheaper than rendering every tile of every frame, the
+/// reused frames must hold the 0.93 MSSIM floor against the reuse-disabled
+/// ones, and every frame's `"temporal"` JSONL line must pass the schema.
 #[test]
 fn slow_sequences_reuse_tiles_and_save_cycles() {
     let cfg = RenderConfig::new(FilterPolicy::Patu { threshold: 0.4 });
@@ -111,6 +115,21 @@ fn slow_sequences_reuse_tiles_and_save_cycles() {
         // First frame renders cold either way.
         assert_eq!(on[0].stats.temporal.tiles_reused, 0);
         assert_eq!(on[0].image.pixels(), off[0].image.pixels());
+        let ssim = SsimConfig::default();
+        let mean_mssim = off
+            .iter()
+            .zip(&on)
+            .map(|(a, b)| f64::from(ssim.mssim(&a.luma(), &b.luma())))
+            .sum::<f64>()
+            / on.len() as f64;
+        assert!(
+            mean_mssim >= 0.93,
+            "{scene}: reuse MSSIM {mean_mssim:.4} under the 0.93 floor"
+        );
+        for (frame, f) in FRAMES.iter().zip(&on) {
+            schema::check_line(&f.stats.temporal.jsonl_line(*frame))
+                .unwrap_or_else(|e| panic!("{scene}: temporal line of frame {frame}: {e}"));
+        }
     }
 }
 
