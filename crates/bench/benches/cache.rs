@@ -1,9 +1,28 @@
-//! Texture cache model throughput under streaming and reuse patterns.
+//! Texture cache model throughput under streaming and reuse patterns, and
+//! under the address stream real trilinear taps produce.
 
 use patu_bench::micro;
+use patu_gmath::Vec2;
 use patu_gpu::{Cache, GpuConfig};
-use patu_texture::TexelAddress;
+use patu_texture::sampler::sample_trilinear_into;
+use patu_texture::{procedural, AddressMode, TexelAddress, Texture};
 use std::hint::black_box;
+
+/// The 4096 texel addresses `sample_trilinear_into` emits for 512 taps
+/// walking a 64×8-pixel block at one texel per pixel (LOD 0.5): each
+/// bilinear quad's texel pairs share cache lines, neighboring pixels share
+/// quads, and rows revisit the lines of the row above — the mix of
+/// same-line repeats and reuse the simulator's fetch stream has.
+fn trilinear_walk() -> Vec<TexelAddress> {
+    let tex = Texture::with_mips(procedural::composite(256, 256, 0xCA), 0);
+    let mut addresses = Vec::with_capacity(4096);
+    for i in 0..512u32 {
+        let (x, y) = (i % 64, i / 64);
+        let uv = Vec2::new((x as f32 + 40.3) / 256.0, (y as f32 + 90.6) / 256.0);
+        sample_trilinear_into(&tex, uv, 0.5, AddressMode::Wrap, &mut addresses);
+    }
+    addresses
+}
 
 fn main() {
     let cfg = GpuConfig::default();
@@ -28,6 +47,19 @@ fn main() {
         |mut cache| {
             for i in 0..4096u64 {
                 cache.access(black_box(TexelAddress::new((i % 128) * 64)));
+            }
+            cache.stats().hits
+        },
+    );
+
+    // Trilinear taps: about half the fetches repeat the previous line.
+    let walk = trilinear_walk();
+    group.bench_batched(
+        "l1_trilinear_taps",
+        || Cache::new(cfg.tex_l1_bytes, cfg.tex_l1_ways, cfg.cache_line_bytes),
+        |mut cache| {
+            for &a in &walk {
+                cache.access(black_box(a));
             }
             cache.stats().hits
         },

@@ -60,10 +60,13 @@ pub fn try_af_ssim_n(n: u32) -> Result<f64, crate::PatuError> {
 /// assert!((entropy(&[0.5, 0.5]) - 1.0).abs() < 1e-12);
 /// ```
 pub fn entropy(p: &[f64]) -> f64 {
-    p.iter()
-        .filter(|&&pi| pi > 0.0)
-        .map(|&pi| -pi * pi.log2())
-        .sum()
+    entropy_of(p.iter().copied())
+}
+
+/// [`entropy`] over probabilities streamed in order, for callers that hold
+/// counts rather than a probability vector.
+pub(crate) fn entropy_of(p: impl Iterator<Item = f64>) -> f64 {
+    p.filter(|&pi| pi > 0.0).map(|pi| -pi * pi.log2()).sum()
 }
 
 /// Eq. (9): texel distribution similarity,
@@ -78,12 +81,21 @@ pub fn entropy(p: &[f64]) -> f64 {
 ///
 /// Panics if `n == 0`.
 pub fn txds(p: &[f64], n: u32) -> f64 {
+    txds_from_entropy(entropy(p), n)
+}
+
+/// [`txds`] of a distribution whose [`entropy`] is already known.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub(crate) fn txds_from_entropy(entropy: f64, n: u32) -> f64 {
     assert!(n >= 1, "sample size must be at least 1");
     if n == 1 {
         return 1.0;
     }
     let norm = f64::from(n).log2();
-    (1.0 - entropy(p) / norm).clamp(0.0, 1.0)
+    (1.0 - entropy / norm).clamp(0.0, 1.0)
 }
 
 /// Eq. (10): distribution based prediction —

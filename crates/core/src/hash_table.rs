@@ -19,11 +19,13 @@ pub const TABLE_ENTRIES: usize = 16;
 /// Saturation value of the 4-bit count tag.
 const COUNT_TAG_MAX: u8 = 15;
 
-/// One table entry: a tap's texel address set and its occurrence count.
+/// One table entry: where its tap's texel address set sits in the table's
+/// key arena, and the set's occurrence count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Entry {
-    /// The tap's texel addresses, sorted for order-independent comparison.
-    addresses: Vec<TexelAddress>,
+    /// The key is `keys[start..start + len]`.
+    start: usize,
+    len: usize,
     /// Saturating 4-bit occurrence count.
     count: u8,
 }
@@ -42,30 +44,19 @@ struct Entry {
 /// table.insert(&set_b);
 /// assert_eq!(table.counts(), vec![2, 1]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TexelAddressTable {
     entries: Vec<Entry>,
+    /// Every entry's key (its tap's addresses, sorted and deduplicated),
+    /// back to back in insertion order. [`TexelAddressTable::reset`] clears
+    /// it but keeps its capacity, so steady-state per-pixel operation does
+    /// not allocate.
+    keys: Vec<TexelAddress>,
     capacity: usize,
     accesses: u64,
     overflowed: bool,
     parity_error: bool,
-    /// Key vectors retired by [`TexelAddressTable::reset`] and recycled by
-    /// the next misses, so steady-state per-pixel operation stops allocating.
-    /// Pure scratch: never observable, excluded from equality.
-    spare: Vec<Vec<TexelAddress>>,
 }
-
-impl PartialEq for TexelAddressTable {
-    fn eq(&self, other: &TexelAddressTable) -> bool {
-        self.entries == other.entries
-            && self.capacity == other.capacity
-            && self.accesses == other.accesses
-            && self.overflowed == other.overflowed
-            && self.parity_error == other.parity_error
-    }
-}
-
-impl Eq for TexelAddressTable {}
 
 impl Default for TexelAddressTable {
     fn default() -> TexelAddressTable {
@@ -90,11 +81,11 @@ impl TexelAddressTable {
         assert!(capacity > 0, "hash table needs at least one entry");
         TexelAddressTable {
             entries: Vec::new(),
+            keys: Vec::new(),
             capacity,
             accesses: 0,
             overflowed: false,
             parity_error: false,
-            spare: Vec::new(),
         }
     }
 
@@ -149,18 +140,22 @@ impl TexelAddressTable {
 
     /// Inserts an already-normalized (sorted, deduplicated) key.
     fn insert_key(&mut self, key: &[TexelAddress]) -> bool {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.addresses == key) {
+        let keys = &self.keys;
+        if let Some(e) = self
+            .entries
+            .iter_mut()
+            .find(|e| keys[e.start..e.start + e.len] == *key)
+        {
             e.count = (e.count + 1).min(COUNT_TAG_MAX);
             return true;
         }
         if self.entries.len() < self.capacity {
-            let mut addresses = self.spare.pop().unwrap_or_default();
-            addresses.clear();
-            addresses.extend_from_slice(key);
             self.entries.push(Entry {
-                addresses,
+                start: self.keys.len(),
+                len: key.len(),
                 count: 1,
             });
+            self.keys.extend_from_slice(key);
         } else {
             self.overflowed = true;
         }
@@ -183,6 +178,23 @@ impl TexelAddressTable {
             .iter()
             .map(|e| f64::from(e.count) / total as f64)
             .collect()
+    }
+
+    /// Shannon entropy (bits) of [`TexelAddressTable::probability_vector`],
+    /// computed from the count tags without materializing the vector: the
+    /// same terms summed in the same order, so the result is identical to
+    /// `entropy(&table.probability_vector())`.
+    pub(crate) fn entropy(&self) -> f64 {
+        let total: u64 = self.entries.iter().map(|e| u64::from(e.count)).sum();
+        if total == 0 {
+            // `probability_vector` is empty here.
+            return crate::afssim::entropy(&[]);
+        }
+        crate::afssim::entropy_of(
+            self.entries
+                .iter()
+                .map(|e| f64::from(e.count) / total as f64),
+        )
     }
 
     /// Number of distinct texel sets observed.
@@ -224,12 +236,11 @@ impl TexelAddressTable {
 
     /// Clears the table for the next pixel (the paper resets it per request).
     /// The access counter is preserved — it is cumulative over a frame.
-    /// Retired entries keep their key buffers in the recycle pool, so a
-    /// steady-state reset→insert cycle performs no heap allocation.
+    /// The key arena keeps its capacity, so a steady-state reset→insert
+    /// cycle performs no heap allocation.
     pub fn reset(&mut self) {
-        for e in self.entries.drain(..) {
-            self.spare.push(e.addresses);
-        }
+        self.entries.clear();
+        self.keys.clear();
         self.overflowed = false;
         self.parity_error = false;
     }
@@ -387,6 +398,33 @@ mod tests {
             t.insert(&set(0x5000));
             assert_eq!(t.counts(), vec![2, 1], "round {round}");
             assert_eq!(t.distinct_sets(), 2);
+        }
+    }
+
+    #[test]
+    fn entropy_from_counts_is_bitwise_the_probability_vector_entropy() {
+        let bits = |t: &TexelAddressTable| {
+            let expected = crate::afssim::entropy(&t.probability_vector());
+            (t.entropy().to_bits(), expected.to_bits())
+        };
+        let mut t = TexelAddressTable::new();
+        let (got, expected) = bits(&t);
+        assert_eq!(got, expected, "empty table");
+        // A soft error can zero the only count tag.
+        t.insert(&set(0));
+        t.corrupt_count(0, 0);
+        let (got, expected) = bits(&t);
+        assert_eq!(got, expected, "all-zero counts");
+        for (round, taps) in [1u64, 2, 3, 5, 7, 11, 16].into_iter().enumerate() {
+            t.reset();
+            for i in 0..taps {
+                t.insert(&set((i * i + round as u64) % 5 * 0x100));
+            }
+            if round % 2 == 1 {
+                t.corrupt_count(round, round as u8);
+            }
+            let (got, expected) = bits(&t);
+            assert_eq!(got, expected, "{taps} taps");
         }
     }
 

@@ -14,7 +14,7 @@
 //!
 //! The two predictive stages share one unified threshold (Sec. IV-C(C)).
 
-use crate::afssim::{af_ssim_txds, try_af_ssim_n, txds};
+use crate::afssim::{af_ssim_txds, try_af_ssim_n, txds_from_entropy};
 use crate::error::PatuError;
 use crate::hash_table::TexelAddressTable;
 use patu_gpu::FaultInjector;
@@ -396,8 +396,7 @@ impl FilterPolicy {
             faults.note_fallback();
             return PolicyDecision::fallback(predictor_evals, hash_accesses);
         }
-        let p = table.probability_vector();
-        let stage2 = faults.poison_predictor(af_ssim_txds(txds(&p, n)));
+        let stage2 = faults.poison_predictor(af_ssim_txds(txds_from_entropy(table.entropy(), n)));
         if !stage2.is_finite() {
             faults.note_fallback();
             return PolicyDecision::fallback(predictor_evals, hash_accesses);

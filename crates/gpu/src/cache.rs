@@ -40,7 +40,54 @@ struct Way {
     valid: bool,
 }
 
+/// How an address splits into line, set and tag. Each divisor that is a
+/// power of two becomes a shift (and the set index a mask); any other stays
+/// an exact division, so both forms compute the same numbers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Indexing {
+    line_size: u64,
+    num_sets: u64,
+    line_shift: Option<u32>,
+    set_shift: Option<u32>,
+}
+
+impl Indexing {
+    fn new(line_size: u64, num_sets: u64) -> Indexing {
+        let shift = |v: u64| v.is_power_of_two().then(|| v.trailing_zeros());
+        Indexing {
+            line_size,
+            num_sets,
+            line_shift: shift(line_size),
+            set_shift: shift(num_sets),
+        }
+    }
+
+    /// The line holding `addr`.
+    #[inline]
+    fn line(&self, addr: TexelAddress) -> u64 {
+        match self.line_shift {
+            Some(s) => addr.as_u64() >> s,
+            None => addr.cache_line(self.line_size),
+        }
+    }
+
+    /// The set `line` maps to, and its tag.
+    #[inline]
+    fn set_and_tag(&self, line: u64) -> (usize, u64) {
+        match self.set_shift {
+            Some(s) => ((line & (self.num_sets - 1)) as usize, line >> s),
+            None => ((line % self.num_sets) as usize, line / self.num_sets),
+        }
+    }
+}
+
 /// A set-associative, write-allocate, LRU cache over byte addresses.
+///
+/// The ways of all sets live in one flat array, set-major. The cache also
+/// remembers where the most recent access landed: a repeat of that line (a
+/// bilinear quad's second texel on the same line as its first) is served
+/// from the memo without scanning the set, with exactly the clock, LRU
+/// stamp and statistics updates a scan would make.
 ///
 /// ```
 /// use patu_gpu::Cache;
@@ -51,9 +98,12 @@ struct Way {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cache {
-    sets: Vec<Vec<Way>>,
-    num_sets: u64,
-    line_size: u64,
+    ways: Vec<Way>,
+    assoc: usize,
+    index: Indexing,
+    /// `(line, flat way index)` of the last access; `None` after a reset or
+    /// an invalidation, which may have dropped that line.
+    last: Option<(u64, usize)>,
     clock: u64,
     stats: CacheStats,
 }
@@ -74,20 +124,16 @@ impl Cache {
         );
         let num_sets = size_bytes / (u64::from(ways) * line_size);
         assert!(num_sets > 0, "cache too small for its associativity");
+        let invalid = Way {
+            tag: 0,
+            last_used: 0,
+            valid: false,
+        };
         Cache {
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        last_used: 0,
-                        valid: false
-                    };
-                    ways as usize
-                ];
-                num_sets as usize
-            ],
-            num_sets,
-            line_size,
+            ways: vec![invalid; num_sets as usize * ways as usize],
+            assoc: ways as usize,
+            index: Indexing::new(line_size, num_sets),
+            last: None,
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -112,12 +158,29 @@ impl Cache {
 
     /// Number of sets.
     pub fn num_sets(&self) -> u64 {
-        self.num_sets
+        self.index.num_sets
     }
 
     /// Line size in bytes.
     pub fn line_size(&self) -> u64 {
-        self.line_size
+        self.index.line_size
+    }
+
+    /// Flat index range of `set`'s ways.
+    #[inline]
+    fn set_ways(&self, set: usize) -> std::ops::Range<usize> {
+        set * self.assoc..(set + 1) * self.assoc
+    }
+
+    /// Flat index of the valid way of `set` holding `tag`, if any.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let ways = self.set_ways(set);
+        let base = ways.start;
+        self.ways[ways]
+            .iter()
+            .position(|w| w.valid && w.tag == tag)
+            .map(|i| base + i)
     }
 
     /// Looks up (and on miss, fills) the line containing `addr`.
@@ -125,38 +188,53 @@ impl Cache {
     pub fn access(&mut self, addr: TexelAddress) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
-        let line = addr.cache_line(self.line_size);
-        let set_idx = (line % self.num_sets) as usize;
-        let tag = line / self.num_sets;
-        let set = &mut self.sets[set_idx];
-
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_used = self.clock;
-            self.stats.hits += 1;
-            return true;
+        let line = self.index.line(addr);
+        if let Some((last_line, way)) = self.last {
+            if last_line == line {
+                self.ways[way].last_used = self.clock;
+                self.stats.hits += 1;
+                return true;
+            }
         }
-
-        // Miss: fill the LRU (or first invalid) way. Sets are non-empty by
-        // `try_new`'s geometry validation; if that were ever violated the
-        // miss is still reported, just without a fill.
-        if let Some(victim) = set
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.last_used } else { 0 })
-        {
-            victim.tag = tag;
-            victim.valid = true;
-            victim.last_used = self.clock;
-        }
-        false
+        let (set, tag) = self.index.set_and_tag(line);
+        let ways = self.set_ways(set);
+        let base = ways.start;
+        let clock = self.clock;
+        let ways = &mut self.ways[ways];
+        let (i, hit) = match ways.iter().position(|w| w.valid && w.tag == tag) {
+            Some(i) => {
+                ways[i].last_used = clock;
+                self.stats.hits += 1;
+                (i, true)
+            }
+            // Miss: fill the LRU (or first invalid) way. Sets are non-empty
+            // by `try_new`'s geometry validation; if that were ever
+            // violated the miss is still reported, just without a fill.
+            None => match ways
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, w)| if w.valid { w.last_used } else { 0 })
+            {
+                Some((i, _)) => {
+                    ways[i] = Way {
+                        tag,
+                        last_used: clock,
+                        valid: true,
+                    };
+                    (i, false)
+                }
+                None => return false,
+            },
+        };
+        self.last = Some((line, base + i));
+        hit
     }
 
     /// Whether the line containing `addr` is currently resident (no state
     /// change, no stats update).
     pub fn probe(&self, addr: TexelAddress) -> bool {
-        let line = addr.cache_line(self.line_size);
-        let set_idx = (line % self.num_sets) as usize;
-        let tag = line / self.num_sets;
-        self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        let (set, tag) = self.index.set_and_tag(self.index.line(addr));
+        self.find(set, tag).is_some()
     }
 
     /// Invalidates the line containing `addr` if resident, returning
@@ -164,17 +242,15 @@ impl Cache {
     /// corrupted line cannot be served, so the next access refills it from
     /// the level below (keeping hit/miss accounting consistent).
     pub fn invalidate_line(&mut self, addr: TexelAddress) -> bool {
-        let line = addr.cache_line(self.line_size);
-        let set_idx = (line % self.num_sets) as usize;
-        let tag = line / self.num_sets;
-        if let Some(way) = self.sets[set_idx]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-        {
-            way.valid = false;
-            return true;
+        let (set, tag) = self.index.set_and_tag(self.index.line(addr));
+        match self.find(set, tag) {
+            Some(way) => {
+                self.ways[way].valid = false;
+                self.last = None;
+                true
+            }
+            None => false,
         }
-        false
     }
 
     /// Accumulated statistics.
@@ -184,11 +260,10 @@ impl Cache {
 
     /// Invalidates all lines and clears statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                way.valid = false;
-            }
+        for way in &mut self.ways {
+            way.valid = false;
         }
+        self.last = None;
         self.clock = 0;
         self.stats = CacheStats::default();
     }

@@ -1,6 +1,8 @@
 //! Baseline GPU configuration (paper Table I), with the cache-scaling knobs
 //! used by the Fig. 21 sensitivity study.
 
+use crate::error::GpuError;
+
 /// The simulated GPU's architectural parameters.
 ///
 /// Defaults reproduce the paper's Table I baseline, which itself references
@@ -83,6 +85,33 @@ impl Default for GpuConfig {
 }
 
 impl GpuConfig {
+    /// Rejects a zero in any field the model divides by or clamps against:
+    /// the texture unit's address/fetch width, the tile edge, the DRAM
+    /// channel, bank and bandwidth counts, and the max AF level. Each would
+    /// otherwise panic mid-frame, or silently issue every fetch in one
+    /// cycle.
+    ///
+    /// # Errors
+    ///
+    /// [`GpuError::InvalidConfig`] naming the first zero field.
+    pub fn validate(&self) -> Result<(), GpuError> {
+        let nonzero = [
+            ("address_alus", self.address_alus),
+            ("tile_size", self.tile_size),
+            ("dram_channels", self.dram_channels),
+            ("dram_banks_per_channel", self.dram_banks_per_channel),
+            ("dram_bytes_per_cycle", self.dram_bytes_per_cycle),
+            ("max_aniso", self.max_aniso),
+        ];
+        match nonzero.into_iter().find(|&(_, v)| v == 0) {
+            Some((field, value)) => Err(GpuError::InvalidConfig {
+                field,
+                value: u64::from(value),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Scales the last-level (L2) cache capacity, as in Fig. 21's
     /// 2×LLC / 4×LLC design points.
     #[must_use]
@@ -265,6 +294,34 @@ mod tests {
         };
         let shard = tiny.cluster_shard();
         assert_eq!(shard.tex_l2_bytes, 64 * 8);
+    }
+
+    #[test]
+    fn default_and_its_shard_validate() {
+        assert_eq!(GpuConfig::default().validate(), Ok(()));
+        assert_eq!(GpuConfig::default().cluster_shard().validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_each_zero_divisor() {
+        type Zero = fn(&mut GpuConfig);
+        let cases: [(&str, Zero); 6] = [
+            ("address_alus", |c| c.address_alus = 0),
+            ("tile_size", |c| c.tile_size = 0),
+            ("dram_channels", |c| c.dram_channels = 0),
+            ("dram_banks_per_channel", |c| c.dram_banks_per_channel = 0),
+            ("dram_bytes_per_cycle", |c| c.dram_bytes_per_cycle = 0),
+            ("max_aniso", |c| c.max_aniso = 0),
+        ];
+        for (field, zero) in cases {
+            let mut cfg = GpuConfig::default();
+            zero(&mut cfg);
+            assert_eq!(
+                cfg.validate(),
+                Err(GpuError::InvalidConfig { field, value: 0 }),
+                "{field}"
+            );
+        }
     }
 
     #[test]

@@ -19,6 +19,13 @@ pub enum GpuError {
         /// Requested line size in bytes.
         line_size: u64,
     },
+    /// A configuration field the model divides by was zero.
+    InvalidConfig {
+        /// The `GpuConfig` field.
+        field: &'static str,
+        /// The offending value.
+        value: u64,
+    },
     /// A cluster index exceeded the configured cluster count.
     ClusterOutOfRange {
         /// The offending index.
@@ -48,6 +55,12 @@ impl fmt::Display for GpuError {
                  {line_size}-byte lines (need positive parameters and at \
                  least one full set)"
             ),
+            GpuError::InvalidConfig { field, value } => {
+                write!(
+                    f,
+                    "GPU config field `{field}` must be positive, got {value}"
+                )
+            }
             GpuError::ClusterOutOfRange { cluster, clusters } => {
                 write!(f, "cluster {cluster} out of range (have {clusters})")
             }
@@ -77,6 +90,11 @@ mod tests {
             clusters: 4,
         };
         assert!(e.to_string().contains("cluster 9"));
+        let e = GpuError::InvalidConfig {
+            field: "address_alus",
+            value: 0,
+        };
+        assert!(e.to_string().contains("address_alus"));
         let e = GpuError::InvalidFaultRate {
             name: "cache_bitflip_rate",
             value: 2.0,

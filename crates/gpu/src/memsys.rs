@@ -68,16 +68,19 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate cache geometry; use [`MemorySystem::try_new`]
-    /// for a non-panicking variant.
+    /// Panics on an invalid configuration or degenerate cache geometry; use
+    /// [`MemorySystem::try_new`] for a non-panicking variant.
     pub fn new(cfg: &GpuConfig) -> MemorySystem {
         // patu-lint: allow(panic-path) — documented panicking convenience for tests; library paths use try_new
-        MemorySystem::try_new(cfg).expect("valid cache geometry")
+        MemorySystem::try_new(cfg).expect("valid GPU config")
     }
 
-    /// Like [`MemorySystem::new`] but reports degenerate cache geometry as
-    /// a typed error instead of panicking.
+    /// Like [`MemorySystem::new`] but reports an invalid configuration
+    /// ([`GpuConfig::validate`]) or degenerate cache geometry as a typed
+    /// error instead of panicking. Every render path builds its memory
+    /// system here, so this is where a bad `GpuConfig` is turned away.
     pub fn try_new(cfg: &GpuConfig) -> Result<MemorySystem, GpuError> {
+        cfg.validate()?;
         Ok(MemorySystem {
             l1: (0..cfg.clusters)
                 .map(|_| Cache::try_new(cfg.tex_l1_bytes, cfg.tex_l1_ways, cfg.cache_line_bytes))
@@ -503,6 +506,21 @@ mod tests {
             ..GpuConfig::default()
         };
         assert!(MemorySystem::try_new(&cfg).is_err());
+    }
+
+    #[test]
+    fn try_new_rejects_zero_fetch_width() {
+        let cfg = GpuConfig {
+            address_alus: 0,
+            ..GpuConfig::default()
+        };
+        assert_eq!(
+            MemorySystem::try_new(&cfg).err(),
+            Some(GpuError::InvalidConfig {
+                field: "address_alus",
+                value: 0
+            })
+        );
     }
 
     #[test]

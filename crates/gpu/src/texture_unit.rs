@@ -18,6 +18,36 @@ use patu_texture::TexelAddress;
 /// (paper Sec. V-D).
 const QUAD_PIPELINES: u64 = 4;
 
+/// Issue cycles of a request's texel fetches, `ports` per cycle starting
+/// at `first`: the `i`-th call returns `first + i / ports`, counted up
+/// instead of divided. `ports` must be positive ([`GpuConfig::validate`]).
+struct IssueClock {
+    cycle: u64,
+    slot: u64,
+    ports: u64,
+}
+
+impl IssueClock {
+    fn new(first: u64, ports: u64) -> IssueClock {
+        IssueClock {
+            cycle: first,
+            slot: 0,
+            ports,
+        }
+    }
+
+    #[inline]
+    fn tick(&mut self) -> u64 {
+        let cycle = self.cycle;
+        self.slot += 1;
+        if self.slot == self.ports {
+            self.slot = 0;
+            self.cycle += 1;
+        }
+        cycle
+    }
+}
+
 /// The filtering work for one pixel, produced by the filtering policy
 /// (baseline AF, TF-only, or a PATU decision).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -133,14 +163,13 @@ impl TextureUnit {
 
         // Texel fetches issue `fetch_ports` per cycle; the request waits for
         // the slowest outstanding fetch.
+        let mut issue = IssueClock::new(addr_cycles, self.fetch_ports);
         let mut fetch_latency = 0u64;
-        let mut issued = 0u64;
         for tap in &req.taps {
             for &addr in tap {
-                let issue_offset = addr_cycles + issued / self.fetch_ports;
+                let issue_offset = issue.tick();
                 let lat = mem.fetch_texel(self.cluster, addr, start + issue_offset);
                 fetch_latency = fetch_latency.max(issue_offset + lat);
-                issued += 1;
             }
         }
 
@@ -196,9 +225,10 @@ impl TextureUnit {
             self.queue_wait_hist.record(start - now);
         }
 
+        let mut issue = IssueClock::new(addr_cycles, self.fetch_ports);
         let mut fetch_latency = 0u64;
-        for (issued, &addr) in addresses.iter().enumerate() {
-            let issue_offset = addr_cycles + issued as u64 / self.fetch_ports;
+        for &addr in addresses {
+            let issue_offset = issue.tick();
             let lat = mem.fetch_texel(self.cluster, addr, start + issue_offset);
             fetch_latency = fetch_latency.max(issue_offset + lat);
         }
@@ -403,6 +433,16 @@ mod tests {
         assert_eq!(tu.attrib_work_cycles(), expected);
         tu.reset();
         assert_eq!(tu.attrib_work_cycles(), 0, "reset clears the tap");
+    }
+
+    #[test]
+    fn issue_clock_counts_what_the_division_computed() {
+        for ports in 1..=5u64 {
+            let mut issue = IssueClock::new(7, ports);
+            for i in 0..40u64 {
+                assert_eq!(issue.tick(), 7 + i / ports, "ports {ports} fetch {i}");
+            }
+        }
     }
 
     #[test]

@@ -173,3 +173,176 @@ fn shading_cycles_linear_bounds() {
         }
     }
 }
+
+/// Naive reference LRU: nested per-set way lists indexed with `/` and `%`,
+/// a full scan on every access, no memo. A miss fills the first invalid
+/// way, else the least recently used one.
+struct ReferenceLru {
+    sets: Vec<Vec<Option<(u64, u64)>>>,
+    line_size: u64,
+    clock: u64,
+    accesses: u64,
+    hits: u64,
+}
+
+impl ReferenceLru {
+    fn new(size_bytes: u64, ways: u32, line_size: u64) -> ReferenceLru {
+        let num_sets = size_bytes / (u64::from(ways) * line_size);
+        ReferenceLru {
+            sets: vec![vec![None; ways as usize]; num_sets as usize],
+            line_size,
+            clock: 0,
+            accesses: 0,
+            hits: 0,
+        }
+    }
+
+    /// `(set, tag)` of the line holding `addr`.
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line = addr / self.line_size;
+        let n = self.sets.len() as u64;
+        ((line % n) as usize, line / n)
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        self.clock += 1;
+        self.accesses += 1;
+        let (set, tag) = self.locate(addr);
+        let clock = self.clock;
+        let ways = &mut self.sets[set];
+        if let Some(way) = ways.iter_mut().flatten().find(|(t, _)| *t == tag) {
+            way.1 = clock;
+            self.hits += 1;
+            return true;
+        }
+        let victim = ways.iter().position(Option::is_none).unwrap_or_else(|| {
+            (0..ways.len())
+                .min_by_key(|&i| ways[i].map_or(0, |(_, stamp)| stamp))
+                .unwrap_or(0)
+        });
+        ways[victim] = Some((tag, clock));
+        false
+    }
+
+    fn probe(&self, addr: u64) -> bool {
+        let (set, tag) = self.locate(addr);
+        self.sets[set].iter().flatten().any(|&(t, _)| t == tag)
+    }
+
+    fn invalidate_line(&mut self, addr: u64) -> bool {
+        let (set, tag) = self.locate(addr);
+        let ways = &mut self.sets[set];
+        match ways
+            .iter()
+            .position(|w| matches!(w, Some((t, _)) if *t == tag))
+        {
+            Some(i) => {
+                ways[i] = None;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn reset(&mut self) {
+        for ways in &mut self.sets {
+            ways.fill(None);
+        }
+        self.clock = 0;
+        self.accesses = 0;
+        self.hits = 0;
+    }
+}
+
+/// Drives `Cache` and the naive reference with one seeded operation stream
+/// — same-line repeats, strides, random lines (over 4× the capacity, so
+/// sets conflict and evict), line invalidations and whole-cache resets —
+/// and asserts they agree on every hit/miss, probe and statistic.
+fn cache_matches_reference_lru(size_bytes: u64, ways: u32, line_size: u64, seed: u64) {
+    let mut rng = DetRng::new(seed);
+    let mut cache = Cache::new(size_bytes, ways, line_size);
+    let mut reference = ReferenceLru::new(size_bytes, ways, line_size);
+    let span = 4 * size_bytes;
+    let mut addr = 0u64;
+    for step in 0..20_000 {
+        let op = rng.range(100);
+        if op < 2 {
+            let victim = if rng.chance(0.5) {
+                addr
+            } else {
+                rng.range(span)
+            };
+            assert_eq!(
+                cache.invalidate_line(TexelAddress::new(victim)),
+                reference.invalidate_line(victim),
+                "step {step}: invalidate {victim:#x}"
+            );
+            continue;
+        }
+        if op == 2 && rng.chance(0.1) {
+            cache.reset();
+            reference.reset();
+            continue;
+        }
+        addr = match op {
+            0..=44 => addr - addr % line_size + rng.range(line_size),
+            45..=69 => addr + [2, 4, 64, 128, 1024][rng.range(5) as usize],
+            _ => rng.range(span),
+        };
+        assert_eq!(
+            cache.access(TexelAddress::new(addr)),
+            reference.access(addr),
+            "step {step}: access {addr:#x}"
+        );
+        let other = rng.range(span);
+        for a in [addr, other, addr + line_size] {
+            assert_eq!(
+                cache.probe(TexelAddress::new(a)),
+                reference.probe(a),
+                "step {step}: probe {a:#x}"
+            );
+        }
+        assert_eq!(cache.stats().accesses, reference.accesses, "step {step}");
+        assert_eq!(cache.stats().hits, reference.hits, "step {step}");
+    }
+}
+
+#[test]
+fn cache_matches_reference_lru_on_default_l1() {
+    let cfg = GpuConfig::default();
+    cache_matches_reference_lru(
+        cfg.tex_l1_bytes,
+        cfg.tex_l1_ways,
+        cfg.cache_line_bytes,
+        0x9_20,
+    );
+}
+
+#[test]
+fn cache_matches_reference_lru_on_default_shard_l2() {
+    let shard = GpuConfig::default().cluster_shard();
+    cache_matches_reference_lru(
+        shard.tex_l2_bytes,
+        shard.tex_l2_ways,
+        shard.cache_line_bytes,
+        0x9_21,
+    );
+}
+
+#[test]
+fn cache_matches_reference_lru_on_non_power_of_two_geometry() {
+    // 24 sets: set index and tag by division.
+    cache_matches_reference_lru(3 * 1024, 2, 64, 0x9_22);
+    // The L2 of a 3-cluster shard.
+    let shard = GpuConfig {
+        clusters: 3,
+        ..GpuConfig::default()
+    }
+    .cluster_shard();
+    assert!(!Cache::new(shard.tex_l2_bytes, shard.tex_l2_ways, 64)
+        .num_sets()
+        .is_power_of_two());
+    cache_matches_reference_lru(shard.tex_l2_bytes, shard.tex_l2_ways, 64, 0x9_23);
+    // 48-byte lines: the line index by division too.
+    cache_matches_reference_lru(48 * 2 * 10, 2, 48, 0x9_24);
+}

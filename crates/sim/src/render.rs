@@ -245,7 +245,8 @@ impl FrameResult {
 ///
 /// Returns [`SimError`] for adversarial configurations: a non-finite or
 /// out-of-range policy threshold, a zero-entry hash table, invalid fault
-/// rates or degenerate cache geometry.
+/// rates, a zero-valued GPU config divisor ([`GpuConfig::validate`]) or
+/// degenerate cache geometry.
 pub fn render_frame(
     workload: &Workload,
     index: u32,
@@ -286,6 +287,8 @@ pub fn render_sequence(
     cfg: &RenderConfig,
     store: &mut TileStore,
 ) -> Result<Vec<FrameResult>, SimError> {
+    // The tile planner divides by the tile size before any frame renders.
+    cfg.gpu.validate()?;
     let (width, height) = workload.resolution();
     let tile_size = cfg.gpu.tile_size;
     let threshold_bp = cfg
@@ -363,16 +366,17 @@ fn render_scene_inner(
     cfg: &RenderConfig,
     temporal: Option<&SeqCtx<'_>>,
 ) -> Result<FrameResult, SimError> {
+    // Fallible setup happens serially, before any worker spawns, so
+    // adversarial configurations surface as the same typed errors on every
+    // thread count. The full-config probe validates the configuration
+    // (a zero tile size included) before the tiler sees it, and catches
+    // degenerate geometry that shard clamping would otherwise mask.
+    MemorySystem::try_new(&cfg.gpu)?;
     let (width, height) = workload.resolution();
     let pipeline =
         Pipeline::with_tile_size(width, height, cfg.gpu.tile_size).with_traversal(cfg.traversal);
     let geometry = pipeline.run(&scene.meshes, &scene.camera);
 
-    // Fallible setup happens serially, before any worker spawns, so
-    // adversarial configurations surface as the same typed errors on every
-    // thread count. The full-config probe catches degenerate geometry that
-    // shard clamping would otherwise mask.
-    MemorySystem::try_new(&cfg.gpu)?;
     let clusters = cfg.gpu.clusters.max(1) as usize;
     let shard_gpu = cfg.gpu.cluster_shard();
     let mut shards = Vec::with_capacity(clusters);
@@ -1259,6 +1263,27 @@ mod tests {
         });
         let err = render_frame(&w, 0, &bad_rate).unwrap_err();
         assert!(err.to_string().contains("dram_stall_rate"));
+    }
+
+    #[test]
+    fn zero_divisor_gpu_configs_are_typed_errors_on_every_render_path() {
+        let w = workload();
+        for gpu in [
+            GpuConfig {
+                address_alus: 0,
+                ..GpuConfig::default()
+            },
+            GpuConfig {
+                tile_size: 0,
+                ..GpuConfig::default()
+            },
+        ] {
+            let cfg = RenderConfig::new(FilterPolicy::Baseline).with_gpu(gpu);
+            let err = render_frame(&w, 0, &cfg).unwrap_err();
+            assert!(err.to_string().contains("must be positive"), "{err}");
+            let mut store = TileStore::new(patu_temporal::TemporalConfig::default());
+            assert!(render_sequence(&w, &[0, 1], &cfg, &mut store).is_err());
+        }
     }
 
     #[test]

@@ -13,7 +13,35 @@
 //!   between the two is the paper's "LOD shift" (Sec. V-C): naively demoting
 //!   a pixel from AF to TF moves its texels to a blurrier mip level.
 
+use crate::MAX_ANISO;
 use patu_gmath::Vec2;
+
+/// `TAP_OFFSETS[n][..n]` holds [`Footprint::tap_offsets`] for every
+/// `n ≤ MAX_ANISO`: `(i + 0.5) / n − 0.5` for `i < n`, stably sorted by
+/// magnitude — the same values in the same order as the runtime sort.
+const TAP_OFFSETS: [[f32; MAX_ANISO as usize]; MAX_ANISO as usize + 1] = {
+    let mut table = [[0.0f32; MAX_ANISO as usize]; MAX_ANISO as usize + 1];
+    let mut n = 1;
+    while n < table.len() {
+        let row = &mut table[n];
+        let mut i = 0;
+        while i < n {
+            row[i] = (i as f32 + 0.5) / n as f32 - 0.5;
+            // Stable insertion sort: an entry only passes strictly larger
+            // magnitudes, so equal magnitudes keep their index order.
+            let mut j = i;
+            while j > 0 && row[j - 1].abs() > row[j].abs() {
+                let t = row[j - 1];
+                row[j - 1] = row[j];
+                row[j] = t;
+                j -= 1;
+            }
+            i += 1;
+        }
+        n += 1;
+    }
+    table
+};
 
 /// The sampling footprint of one pixel in texture space, produced by the
 /// *Texel Generation* stage (paper Fig. 2) from UV derivatives.
@@ -158,6 +186,11 @@ impl Footprint {
     pub fn tap_offsets_into(&self, out: &mut Vec<f32>) {
         let n = self.n as usize;
         out.clear();
+        if let Some(row) = TAP_OFFSETS.get(n) {
+            out.extend_from_slice(&row[..n]);
+            return;
+        }
+        // Only a unit configured beyond MAX_ANISO gets here.
         out.extend((0..n).map(|i| (i as f32 + 0.5) / n as f32 - 0.5));
         out.sort_by(|a, b| a.abs().total_cmp(&b.abs()));
     }

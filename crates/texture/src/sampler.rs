@@ -11,7 +11,7 @@
 
 use crate::footprint::Footprint;
 use crate::texel::{Rgba8, TexelAddress};
-use crate::texture::{AddressMode, Texture};
+use crate::texture::{AddressMode, MipLevel, Texture};
 use patu_gmath::Vec2;
 
 /// One trilinear sample: the `X_i` of the paper's Eq. (3).
@@ -85,10 +85,76 @@ pub fn sample_nearest(
     let lvl = tex.level(level);
     let x = (uv.x * lvl.width() as f32).floor() as i64;
     let y = (uv.y * lvl.height() as f32).floor() as i64;
-    (
-        tex.texel(level, x, y, mode),
-        tex.texel_address(level, x, y, mode),
-    )
+    let (tx, ty) = (mode.apply(x, lvl.width()), mode.apply(y, lvl.height()));
+    (lvl.texel(tx, ty), tex.folded_address(lvl, tx, ty))
+}
+
+/// The 2×2 texel quad a bilinear tap reads on one mip level, with its two
+/// columns and two rows folded by the address mode once. Both the texel
+/// colors and their addresses are read from this one resolution, so they
+/// always name the same texels.
+struct Quad<'a> {
+    lvl: &'a MipLevel,
+    xs: [u32; 2],
+    ys: [u32; 2],
+    /// Fractional position of the sample point past the first column.
+    fx: f32,
+    /// Fractional position of the sample point past the first row.
+    fy: f32,
+}
+
+impl<'a> Quad<'a> {
+    fn resolve(tex: &'a Texture, uv: Vec2, level: u32, mode: AddressMode) -> Quad<'a> {
+        let lvl = tex.level(level);
+        let (w, h) = (lvl.width(), lvl.height());
+        // Texel centers sit at integer + 0.5.
+        let x = uv.x * w as f32 - 0.5;
+        let y = uv.y * h as f32 - 0.5;
+        let x0 = x.floor();
+        let y0 = y.floor();
+        let (ix, iy) = (x0 as i64, y0 as i64);
+        Quad {
+            lvl,
+            xs: [mode.apply(ix, w), mode.apply(ix + 1, w)],
+            ys: [mode.apply(iy, h), mode.apply(iy + 1, h)],
+            fx: x - x0,
+            fy: y - y0,
+        }
+    }
+
+    /// The quad's folded texel coordinates in fetch order: `(x0, y0)`,
+    /// `(x0+1, y0)`, `(x0, y0+1)`, `(x0+1, y0+1)`.
+    #[inline]
+    fn coords(&self) -> [(u32, u32); 4] {
+        [
+            (self.xs[0], self.ys[0]),
+            (self.xs[1], self.ys[0]),
+            (self.xs[0], self.ys[1]),
+            (self.xs[1], self.ys[1]),
+        ]
+    }
+
+    /// The bilinear blend of the quad's 4 texels.
+    #[inline]
+    fn color(&self) -> Rgba8 {
+        let (fx, fy) = (self.fx, self.fy);
+        let weights = [
+            (1.0 - fx) * (1.0 - fy),
+            fx * (1.0 - fy),
+            (1.0 - fx) * fy,
+            fx * fy,
+        ];
+        let coords = self.coords();
+        let texels: [(Rgba8, f32); 4] =
+            std::array::from_fn(|i| (self.lvl.texel(coords[i].0, coords[i].1), weights[i]));
+        Rgba8::weighted_sum(&texels)
+    }
+
+    #[inline]
+    fn addresses(&self, tex: &Texture) -> [TexelAddress; 4] {
+        self.coords()
+            .map(|(tx, ty)| tex.folded_address(self.lvl, tx, ty))
+    }
 }
 
 /// The 4 texel addresses a bilinear tap at `uv` on `level` would fetch,
@@ -102,16 +168,7 @@ pub fn bilinear_addresses(
     level: u32,
     mode: AddressMode,
 ) -> [TexelAddress; 4] {
-    let lvl = tex.level(level);
-    let x = uv.x * lvl.width() as f32 - 0.5;
-    let y = uv.y * lvl.height() as f32 - 0.5;
-    let (x0, y0) = (x.floor() as i64, y.floor() as i64);
-    [
-        tex.texel_address(level, x0, y0, mode),
-        tex.texel_address(level, x0 + 1, y0, mode),
-        tex.texel_address(level, x0, y0 + 1, mode),
-        tex.texel_address(level, x0 + 1, y0 + 1, mode),
-    ]
+    Quad::resolve(tex, uv, level, mode).addresses(tex)
 }
 
 /// Bilinear sample of one mip level: 4 texels, weights from the fractional
@@ -124,32 +181,8 @@ pub fn sample_bilinear(
     level: u32,
     mode: AddressMode,
 ) -> (Rgba8, [TexelAddress; 4]) {
-    let lvl = tex.level(level);
-    let (w, h) = (lvl.width(), lvl.height());
-    // Texel centers sit at integer + 0.5.
-    let x = uv.x * w as f32 - 0.5;
-    let y = uv.y * h as f32 - 0.5;
-    let x0 = x.floor();
-    let y0 = y.floor();
-    let fx = x - x0;
-    let fy = y - y0;
-    let (x0, y0) = (x0 as i64, y0 as i64);
-
-    let coords = [(x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1)];
-    let weights = [
-        (1.0 - fx) * (1.0 - fy),
-        fx * (1.0 - fy),
-        (1.0 - fx) * fy,
-        fx * fy,
-    ];
-
-    let mut texels = [(Rgba8::BLACK, 0.0f32); 4];
-    let mut addresses = [TexelAddress::default(); 4];
-    for (i, (&(cx, cy), &wgt)) in coords.iter().zip(&weights).enumerate() {
-        texels[i] = (tex.texel(level, cx, cy, mode), wgt);
-        addresses[i] = tex.texel_address(level, cx, cy, mode);
-    }
-    (Rgba8::weighted_sum(&texels), addresses)
+    let quad = Quad::resolve(tex, uv, level, mode);
+    (quad.color(), quad.addresses(tex))
 }
 
 /// Trilinear sample at a fractional LOD: two bilinear taps on adjacent mip
@@ -186,12 +219,21 @@ pub fn sample_trilinear_into(
     let l1 = (l0 + 1).min(tex.mip_count() - 1);
     let frac = lod - lod.floor();
 
-    let (c0, a0) = sample_bilinear(tex, uv, l0, mode);
-    let (c1, a1) = sample_bilinear(tex, uv, l1, mode);
-    let color = Rgba8::weighted_sum(&[(c0, 1.0 - frac), (c1, frac)]);
+    let fine = Quad::resolve(tex, uv, l0, mode);
+    let coarse = Quad::resolve(tex, uv, l1, mode);
+    let c0 = fine.color();
+    // At an integral LOD the coarser level's blend weight is 0: the blend
+    // adds `+0.0` to each of `c0`'s channels and re-quantizes them to
+    // `c0` (`Rgba8::from_f32(c.to_f32()) == c`), so that level's texels
+    // are fetched (addressed) but their values are never needed.
+    let color = if frac == 0.0 {
+        c0
+    } else {
+        Rgba8::weighted_sum(&[(c0, 1.0 - frac), (coarse.color(), frac)])
+    };
 
-    addresses.extend_from_slice(&a0);
-    addresses.extend_from_slice(&a1);
+    addresses.extend_from_slice(&fine.addresses(tex));
+    addresses.extend_from_slice(&coarse.addresses(tex));
     (color, lod)
 }
 

@@ -2,6 +2,18 @@
 
 use std::fmt;
 
+/// `TO_F32[v] == v as f32 / 255.0` for every channel value: the conversion
+/// [`Rgba8::to_f32`] performs, as a lookup instead of a division.
+const TO_F32: [f32; 256] = {
+    let mut table = [0.0f32; 256];
+    let mut v = 0;
+    while v < 256 {
+        table[v] = v as f32 / 255.0;
+        v += 1;
+    }
+    table
+};
+
 /// An 8-bit-per-channel RGBA texel, the storage format of every texture in
 /// the simulator (matching the four-component color the paper's texture unit
 /// returns to the shaders).
@@ -69,14 +81,14 @@ impl Rgba8 {
         Rgba8 { r, g, b, a: 255 }
     }
 
-    /// Converts to floating-point channels in `[0, 1]`.
+    /// Converts to floating-point channels in `[0, 1]` (`v / 255` each).
     #[inline]
     pub fn to_f32(self) -> [f32; 4] {
         [
-            f32::from(self.r) / 255.0,
-            f32::from(self.g) / 255.0,
-            f32::from(self.b) / 255.0,
-            f32::from(self.a) / 255.0,
+            TO_F32[usize::from(self.r)],
+            TO_F32[usize::from(self.g)],
+            TO_F32[usize::from(self.b)],
+            TO_F32[usize::from(self.a)],
         ]
     }
 
@@ -97,8 +109,15 @@ impl Rgba8 {
     /// Component-wise weighted blend of many texels. Weights need not sum to
     /// one; the result is the plain weighted sum, clamped on conversion.
     pub fn weighted_sum(texels: &[(Rgba8, f32)]) -> Rgba8 {
+        Rgba8::accumulate(texels.iter().copied())
+    }
+
+    /// The weighted sum behind [`Rgba8::weighted_sum`] and
+    /// [`Rgba8::average`], accumulated in iteration order.
+    #[inline]
+    fn accumulate(texels: impl IntoIterator<Item = (Rgba8, f32)>) -> Rgba8 {
         let mut acc = [0.0f32; 4];
-        for &(t, w) in texels {
+        for (t, w) in texels {
             let c = t.to_f32();
             for (a, v) in acc.iter_mut().zip(c) {
                 *a += v * w;
@@ -115,8 +134,7 @@ impl Rgba8 {
     pub fn average(texels: &[Rgba8]) -> Rgba8 {
         assert!(!texels.is_empty(), "cannot average zero texels");
         let w = 1.0 / texels.len() as f32;
-        let weighted: Vec<(Rgba8, f32)> = texels.iter().map(|&t| (t, w)).collect();
-        Rgba8::weighted_sum(&weighted)
+        Rgba8::accumulate(texels.iter().map(|&t| (t, w)))
     }
 }
 

@@ -15,7 +15,9 @@ pub enum AddressMode {
 }
 
 impl AddressMode {
-    /// Folds an integer texel coordinate into `[0, size)`.
+    /// Folds an integer texel coordinate into `[0, size)`. Every mode maps
+    /// an in-range coordinate to itself, so only out-of-range ones pay for
+    /// the fold.
     ///
     /// # Panics
     ///
@@ -24,6 +26,9 @@ impl AddressMode {
     pub fn apply(self, coord: i64, size: u32) -> u32 {
         debug_assert!(size > 0);
         let size = i64::from(size);
+        if (0..size).contains(&coord) {
+            return coord as u32;
+        }
         let folded = match self {
             AddressMode::Wrap => coord.rem_euclid(size),
             AddressMode::Clamp => coord.clamp(0, size - 1),
@@ -236,10 +241,15 @@ impl Texture {
     /// The simulated memory address of a texel — what the hardware texel
     /// address ALU produces (Sec. II-B / Fig. 2 of the paper).
     pub fn texel_address(&self, level: u32, x: i64, y: i64, mode: AddressMode) -> TexelAddress {
-        let clamped_level = (level as usize).min(self.levels.len() - 1) as u32;
-        let lvl = self.level(clamped_level);
-        let tx = u64::from(mode.apply(x, lvl.width));
-        let ty = u64::from(mode.apply(y, lvl.height));
+        let lvl = self.level(level);
+        self.folded_address(lvl, mode.apply(x, lvl.width), mode.apply(y, lvl.height))
+    }
+
+    /// The address of texel `(tx, ty)` of `lvl`, a level of this texture,
+    /// whose coordinates are already folded into range.
+    #[inline]
+    pub(crate) fn folded_address(&self, lvl: &MipLevel, tx: u32, ty: u32) -> TexelAddress {
+        let (tx, ty) = (u64::from(tx), u64::from(ty));
         TexelAddress::new(
             self.base_address + lvl.offset + (ty * u64::from(lvl.width) + tx) * BYTES_PER_TEXEL,
         )

@@ -4,9 +4,10 @@
 //! reproduces bit-for-bit from the test name alone.
 
 use patu_gmath::{DetRng, Vec2};
+use patu_texture::sampler::{bilinear_addresses, sample_trilinear_into};
 use patu_texture::{
     procedural, sample_anisotropic, sample_bilinear, sample_trilinear, AddressMode, Footprint,
-    Texture, MAX_ANISO,
+    Rgba8, TexelAddress, Texture, MAX_ANISO,
 };
 
 const CASES: usize = 256;
@@ -196,5 +197,202 @@ fn mip_chain_addresses_never_overlap() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hot-path equivalence: the samplers fold each bilinear quad's coordinates
+// once and read every texel's color and address from that one resolution.
+// These tests pin them to a per-texel reference that folds every texel
+// separately through `Texture::texel` / `Texture::texel_address`.
+// ---------------------------------------------------------------------------
+
+const MODES: [AddressMode; 3] = [AddressMode::Wrap, AddressMode::Clamp, AddressMode::Mirror];
+
+/// A non-square texture whose sides are not powers of two (48×20 → … →
+/// 3×1 → 1×1), a square one, and a 1×1 single-level texture.
+fn equivalence_textures() -> Vec<Texture> {
+    vec![
+        Texture::with_mips(procedural::composite(48, 20, 0xE1), 0x4000),
+        Texture::with_mips(procedural::checkerboard(64, 64, 3, 0xE2), 0x9_0000),
+        Texture::single_level((1, 1, vec![Rgba8::rgb(9, 99, 199)]), 0x100),
+    ]
+}
+
+/// UVs inside the texture, far outside it (negative and several periods
+/// out), and on exact period boundaries.
+fn equivalence_uv(rng: &mut DetRng) -> Vec2 {
+    match rng.range(4) {
+        0 => Vec2::new(rng.next_f32(), rng.next_f32()),
+        1 => Vec2::new(f32_in(rng, -9.0, 9.0), f32_in(rng, -9.0, 9.0)),
+        2 => Vec2::new(f32_in(rng, -40.0, -20.0), f32_in(rng, 20.0, 40.0)),
+        _ => Vec2::new(
+            rng.range_between(0, 12) as f32 - 6.0,
+            rng.range_between(0, 12) as f32 - 6.0,
+        ),
+    }
+}
+
+/// Per-texel reference bilinear tap: each of the 4 texels folded on its own,
+/// once for its color and once more for its address.
+fn reference_bilinear(
+    tex: &Texture,
+    uv: Vec2,
+    level: u32,
+    mode: AddressMode,
+) -> (Rgba8, [TexelAddress; 4]) {
+    let lvl = tex.level(level);
+    let x = uv.x * lvl.width() as f32 - 0.5;
+    let y = uv.y * lvl.height() as f32 - 0.5;
+    let (x0, y0) = (x.floor(), y.floor());
+    let (fx, fy) = (x - x0, y - y0);
+    let (x0, y0) = (x0 as i64, y0 as i64);
+    let coords = [(x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1)];
+    let weights = [
+        (1.0 - fx) * (1.0 - fy),
+        fx * (1.0 - fy),
+        (1.0 - fx) * fy,
+        fx * fy,
+    ];
+    let texels: Vec<(Rgba8, f32)> = coords
+        .iter()
+        .zip(weights)
+        .map(|(&(cx, cy), w)| (tex.texel(level, cx, cy, mode), w))
+        .collect();
+    let addresses = coords.map(|(cx, cy)| tex.texel_address(level, cx, cy, mode));
+    (Rgba8::weighted_sum(&texels), addresses)
+}
+
+fn reference_trilinear(
+    tex: &Texture,
+    uv: Vec2,
+    lod: f32,
+    mode: AddressMode,
+) -> (Rgba8, f32, Vec<TexelAddress>) {
+    let lod = tex.clamp_lod(lod);
+    let l0 = lod.floor() as u32;
+    let l1 = (l0 + 1).min(tex.mip_count() - 1);
+    let frac = lod - lod.floor();
+    let (c0, a0) = reference_bilinear(tex, uv, l0, mode);
+    let (c1, a1) = reference_bilinear(tex, uv, l1, mode);
+    let color = Rgba8::weighted_sum(&[(c0, 1.0 - frac), (c1, frac)]);
+    (color, lod, [a0, a1].concat())
+}
+
+/// The seed definition of every address mode's fold, with no in-range
+/// shortcut.
+fn reference_fold(mode: AddressMode, coord: i64, size: u32) -> u32 {
+    let size = i64::from(size);
+    let folded = match mode {
+        AddressMode::Wrap => coord.rem_euclid(size),
+        AddressMode::Clamp => coord.clamp(0, size - 1),
+        AddressMode::Mirror => {
+            let m = coord.rem_euclid(2 * size);
+            if m < size {
+                m
+            } else {
+                2 * size - 1 - m
+            }
+        }
+    };
+    folded as u32
+}
+
+#[test]
+fn address_mode_fold_matches_reference_in_and_out_of_range() {
+    let mut rng = DetRng::new(0x7E_10);
+    for _ in 0..CASES * 8 {
+        let size = rng.range_between(1, 70) as u32;
+        let coord = rng.range_between(0, 1200) as i64 - 600;
+        for mode in MODES {
+            assert_eq!(
+                mode.apply(coord, size),
+                reference_fold(mode, coord, size),
+                "{mode:?} {coord} mod {size}"
+            );
+        }
+    }
+}
+
+#[test]
+fn bilinear_matches_per_texel_reference() {
+    let mut rng = DetRng::new(0x7E_11);
+    for tex in equivalence_textures() {
+        for _ in 0..CASES {
+            let uv = equivalence_uv(&mut rng);
+            // Levels past the chain clamp to the top (1×1) mip.
+            let level = rng.range(u64::from(tex.mip_count()) + 2) as u32;
+            for mode in MODES {
+                let expected = reference_bilinear(&tex, uv, level, mode);
+                assert_eq!(
+                    sample_bilinear(&tex, uv, level, mode),
+                    expected,
+                    "{mode:?} uv {uv:?} level {level}"
+                );
+                assert_eq!(
+                    bilinear_addresses(&tex, uv, level, mode),
+                    expected.1,
+                    "{mode:?} uv {uv:?} level {level}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn trilinear_into_matches_per_texel_reference() {
+    let mut rng = DetRng::new(0x7E_12);
+    let mut flat = Vec::new();
+    for tex in equivalence_textures() {
+        let top = tex.mip_count() as f32 - 1.0;
+        for _ in 0..CASES {
+            let uv = equivalence_uv(&mut rng);
+            // Integral LODs (half the cases) give the coarser level a zero
+            // blend weight.
+            let lod = if rng.chance(0.5) {
+                rng.range_between(0, tex.mip_count() as u64 + 2) as f32 - 1.0
+            } else {
+                f32_in(&mut rng, -1.0, top + 1.5)
+            };
+            for mode in MODES {
+                let (color, clamped, addresses) = reference_trilinear(&tex, uv, lod, mode);
+                flat.clear();
+                let got = sample_trilinear_into(&tex, uv, lod, mode, &mut flat);
+                assert_eq!(got, (color, clamped), "{mode:?} uv {uv:?} lod {lod}");
+                assert_eq!(flat, addresses, "{mode:?} uv {uv:?} lod {lod}");
+            }
+        }
+    }
+}
+
+#[test]
+fn f32_round_trip_is_exact_for_every_channel_value() {
+    for v in 0..=255u8 {
+        let c = Rgba8::new(v, 255 - v, v / 3, v);
+        assert_eq!(Rgba8::from_f32(c.to_f32()), c);
+    }
+}
+
+#[test]
+fn to_f32_table_is_bitwise_division_by_255() {
+    for v in 0..=255u8 {
+        let expected = (f32::from(v) / 255.0).to_bits();
+        let got = Rgba8::new(v, v, v, v).to_f32();
+        assert!(got.iter().all(|c| c.to_bits() == expected), "channel {v}");
+    }
+}
+
+#[test]
+fn tap_offset_table_matches_sorted_computation() {
+    for n in 1..=MAX_ANISO {
+        let mut expected: Vec<f32> = (0..n).map(|i| (i as f32 + 0.5) / n as f32 - 0.5).collect();
+        expected.sort_by(|a, b| a.abs().total_cmp(&b.abs()));
+        let fp = Footprint {
+            n,
+            ..Footprint::isotropic()
+        };
+        let got = fp.tap_offsets();
+        let bits = |v: &[f32]| v.iter().map(|o| o.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&expected), "n = {n}");
     }
 }
