@@ -7,8 +7,8 @@
 //! * `patu_report <artifact.jsonl> [--html] [-o <path>]` — validate a
 //!   JSONL stream line by line against the in-repo schema
 //!   (`patu_obs::schema`; the first bad line fails the run, named by its
-//!   number), then summarize it (serve lines, causal trace trees, SLO
-//!   alerts, cycle attribution) into one document. With `--html` the same
+//!   number), then summarize it (serve lines, causal trace trees, cycle
+//!   attribution) into one document. With `--html` the same
 //!   tables render as a standalone HTML page; `-o` writes to a file
 //!   instead of stdout.
 //! * `patu_report --check` — the CI attribution gate: renders every
@@ -210,39 +210,6 @@ fn dashboard(stream: &str) -> Vec<Section> {
         });
     }
 
-    // SLO burn-rate alerts.
-    let slo_rows: Vec<Vec<String>> = of_type("slo")
-        .map(|l| {
-            vec![
-                field_str(l, "slo").unwrap_or("?").to_string(),
-                field_u64(l, "cycle").unwrap_or(0).to_string(),
-                field_u64(l, "job").unwrap_or(0).to_string(),
-                format!(
-                    "{:.1}x",
-                    field_u64(l, "burn_fast_x1000").unwrap_or(0) as f64 / 1000.0
-                ),
-                format!(
-                    "{:.1}x",
-                    field_u64(l, "burn_slow_x1000").unwrap_or(0) as f64 / 1000.0
-                ),
-            ]
-        })
-        .collect();
-    if !slo_rows.is_empty() {
-        sections.push(Section {
-            title: "SLO burn-rate alerts".into(),
-            header: vec![
-                "objective".into(),
-                "cycle".into(),
-                "job".into(),
-                "fast burn".into(),
-                "slow burn".into(),
-            ],
-            rows: slo_rows,
-            notes: Vec::new(),
-        });
-    }
-
     // Cycle attribution, accumulated over every attrib line.
     let mut attrib = Attribution::new();
     let mut frames = 0u64;
@@ -440,7 +407,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patu_obs::SloOptions;
     use patu_serve::{run_session, Scenario, ServeConfig, SyntheticService};
 
     #[test]
@@ -454,7 +420,6 @@ mod tests {
             gpus: 2,
             queue_capacity: 8,
             trace: TraceLevel::Spans,
-            slo: SloOptions::default(),
             pressure_gain: 0.4,
             ..ServeConfig::default()
         };
@@ -473,8 +438,9 @@ mod tests {
 
     #[test]
     fn schema_invalid_lines_are_rejected_by_number() {
-        let stream = "{\"type\":\"slo\",\"slo\":\"slo::shed\"}\n";
-        let err = report(stream, "bad", false).expect_err("missing slo fields");
+        let stream = "{\"type\":\"serve\",\"client\":0,\"tier\":0,\"scene\":\"doom3\",\"frame\":0,\"arrival\":0,\"deadline\":9,\"outcome\":\"shed\"}\n";
+        let err = report(stream, "bad", false).expect_err("serve line without a job");
         assert!(err.starts_with("line 1: "), "{err}");
+        assert!(err.contains("\"job\""), "{err}");
     }
 }

@@ -27,17 +27,15 @@ fn cfg(load: f64, governor: bool, threads: usize) -> ServeConfig {
     }
 }
 
-fn run(cfg: &ServeConfig) -> Result<(ServeReport, f64), Box<dyn std::error::Error>> {
+fn run(cfg: &ServeConfig) -> Result<ServeReport, Box<dyn std::error::Error>> {
     let mut service = SimFrameService::new(cfg)?;
-    let (report, ms) = micro::timed(|| run_session(cfg, &mut service));
-    Ok((report?, ms))
+    Ok(run_session(cfg, &mut service)?)
 }
 
 struct Point {
     load: f64,
     governed: ServeReport,
     ungoverned: ServeReport,
-    governed_ms: f64,
     bit_identical: bool,
 }
 
@@ -46,9 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut points = Vec::new();
     for load in LOADS {
-        let (governed, governed_ms) = run(&cfg(load, true, 1))?;
-        let (wide, _) = run(&cfg(load, true, 4))?;
-        let (ungoverned, _) = run(&cfg(load, false, 1))?;
+        let governed = run(&cfg(load, true, 1))?;
+        let wide = run(&cfg(load, true, 4))?;
+        let ungoverned = run(&cfg(load, false, 1))?;
         let bit_identical = governed.log == wide.log
             && governed.chrome_trace() == wide.chrome_trace()
             && governed
@@ -60,7 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             load,
             governed,
             ungoverned,
-            governed_ms,
             bit_identical,
         });
     }
@@ -106,13 +103,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             rows.push_str(",\n");
         }
         rows.push_str(&format!(
-            "    {{\"load\": {}, \"governed_ms\": {}, \"bit_identical\": {}, \
+            "    {{\"load\": {}, \"bit_identical\": {}, \
              \"governed\": {{\"throughput_per_mcycle\": {}, \"miss_rate\": {}, \
              \"mean_ssim\": {}, \"shed\": {}, \"degrades\": {}}}, \
              \"ungoverned\": {{\"throughput_per_mcycle\": {}, \"miss_rate\": {}, \
              \"mean_ssim\": {}, \"shed\": {}, \"degrades\": {}}}}}",
             num_fixed(p.load, 2),
-            num_fixed(p.governed_ms, 1),
             p.bit_identical,
             num_fixed(p.governed.stats.throughput(), 4),
             num_fixed(p.governed.stats.miss_rate(), 4),

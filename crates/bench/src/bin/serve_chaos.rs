@@ -11,11 +11,9 @@
 
 use patu_bench::micro;
 use patu_obs::json::num_fixed;
-use patu_serve::{
-    run_session, ResilienceConfig, Scenario, ServeConfig, ServeReport, SimFrameService,
-};
+use patu_serve::{run_session, Scenario, ServeConfig, ServeReport, SimFrameService};
 
-fn cfg(scenario: Scenario, resilient: bool, threads: usize) -> ServeConfig {
+fn cfg(scenario: Scenario, resilience: bool, threads: usize) -> ServeConfig {
     ServeConfig {
         seed: 1207,
         clients: 6,
@@ -28,26 +26,20 @@ fn cfg(scenario: Scenario, resilient: bool, threads: usize) -> ServeConfig {
         // (the resilient arm's capacity lever) has no headroom left to
         // trade quality for throughput when half the pool drops out.
         pressure_gain: 0.4,
-        resilience: if resilient {
-            ResilienceConfig::default()
-        } else {
-            ResilienceConfig::disabled()
-        },
+        resilience,
         ..ServeConfig::default()
     }
 }
 
-fn run(cfg: &ServeConfig) -> Result<(ServeReport, f64), Box<dyn std::error::Error>> {
+fn run(cfg: &ServeConfig) -> Result<ServeReport, Box<dyn std::error::Error>> {
     let mut service = SimFrameService::new(cfg)?;
-    let (report, ms) = micro::timed(|| run_session(cfg, &mut service));
-    Ok((report?, ms))
+    Ok(run_session(cfg, &mut service)?)
 }
 
 struct Arm {
     scenario: Scenario,
     on: ServeReport,
     off: ServeReport,
-    on_ms: f64,
     bit_identical: bool,
 }
 
@@ -103,9 +95,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut arms = Vec::new();
     for scenario in Scenario::ALL {
-        let (on, on_ms) = run(&cfg(scenario, true, 1))?;
-        let (wide, _) = run(&cfg(scenario, true, 4))?;
-        let (off, _) = run(&cfg(scenario, false, 1))?;
+        let on = run(&cfg(scenario, true, 1))?;
+        let wide = run(&cfg(scenario, true, 4))?;
+        let off = run(&cfg(scenario, false, 1))?;
         check_session(&on, scenario.label())?;
         check_session(&off, &format!("{} (control)", scenario.label()))?;
         let bit_identical = on.log == wide.log
@@ -115,7 +107,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             scenario,
             on,
             off,
-            on_ms,
             bit_identical,
         });
     }
@@ -157,10 +148,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             rows.push_str(",\n");
         }
         rows.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"on_ms\": {}, \"bit_identical\": {}, \
+            "    {{\"scenario\": \"{}\", \"bit_identical\": {}, \
              \"resilient\": {}, \"control\": {}}}",
             a.scenario.label(),
-            num_fixed(a.on_ms, 1),
             a.bit_identical,
             stats_json(&a.on),
             stats_json(&a.off),

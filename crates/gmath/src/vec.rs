@@ -148,12 +148,6 @@ impl Vec2 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean length (avoids the `sqrt`).
-    #[inline]
-    pub fn length_squared(self) -> f32 {
-        self.dot(self)
-    }
-
     /// Returns the unit vector in this direction.
     ///
     /// Returns [`Vec2::ZERO`] for the zero vector instead of producing NaNs.
@@ -251,12 +245,6 @@ impl Vec3 {
     #[inline]
     pub fn length(self) -> f32 {
         self.dot(self).sqrt()
-    }
-
-    /// Squared Euclidean length.
-    #[inline]
-    pub fn length_squared(self) -> f32 {
-        self.dot(self)
     }
 
     /// Returns the unit vector in this direction.

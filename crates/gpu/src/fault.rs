@@ -330,11 +330,6 @@ impl FaultInjector {
     pub fn note_fallback(&mut self) {
         self.counts.fallbacks += 1;
     }
-
-    /// Records a cycle-budget watchdog trip.
-    pub fn note_watchdog_trip(&mut self) {
-        self.counts.watchdog_trips += 1;
-    }
 }
 
 #[cfg(test)]

@@ -28,8 +28,6 @@
 //! * [`schema`] — validation of every JSONL line the sinks emit.
 //! * [`attrib`] — per-frame cycle attribution by stage with an exact
 //!   conservation invariant against the frame's critical path.
-//! * [`slo`] — declarative SLOs with deterministic multi-window burn-rate
-//!   alerting on the virtual clock.
 //! * [`dump`] — `PATU_OBS_DUMP` perceptual debug artifacts (PPM heatmaps
 //!   and per-tile decision maps).
 //!
@@ -50,7 +48,6 @@ pub mod recorder;
 pub mod report;
 pub mod schema;
 pub mod sink;
-pub mod slo;
 pub mod span;
 
 pub use attrib::{Attribution, Stage};
@@ -60,5 +57,4 @@ pub use dump::{heat_color, obs_dump_dir, write_ppm, TileGrid};
 pub use hist::Log2Histogram;
 pub use recorder::{FlightDump, FlightRecorder};
 pub use report::Table;
-pub use slo::{SloAlert, SloOptions, SloSpec, SloTracker};
 pub use span::{Event, EventKind, Span, Track};

@@ -9,12 +9,11 @@
 
 use crate::json::{self, Json};
 
-/// The line types the sink emits. `"serve"`, `"trace"` and `"slo"` lines
-/// come from the `patu-serve` layer's per-job log rather than the frame
-/// sink, but share the stream format so one checker covers both.
-pub const LINE_TYPES: [&str; 11] = [
-    "frame", "counter", "hist", "span", "event", "dump", "serve", "trace", "slo", "attrib",
-    "temporal",
+/// The line types the sink emits. `"serve"` and `"trace"` lines come from
+/// the `patu-serve` layer's per-job log rather than the frame sink, but
+/// share the stream format so one checker covers both.
+pub const LINE_TYPES: [&str; 10] = [
+    "frame", "counter", "hist", "span", "event", "dump", "serve", "trace", "attrib", "temporal",
 ];
 
 fn require_num(obj: &Json, key: &str) -> Result<f64, String> {
@@ -50,11 +49,6 @@ fn check_event_fields(obj: &Json) -> Result<(), String> {
         }
         "fallback" => {
             require_num(obj, "count")?;
-            Ok(())
-        }
-        "slo_burn" => {
-            require_str(obj, "slo")?;
-            require_num(obj, "burn_x1000")?;
             Ok(())
         }
         other => Err(format!("unknown event kind \"{other}\"")),
@@ -203,23 +197,6 @@ pub fn check_line(line: &str) -> Result<(), String> {
                 .and_then(Json::as_arr)
                 .ok_or_else(|| "missing or non-array \"spans\"".to_string())?;
             check_trace_tree(spans, root)
-        }
-        "slo" => {
-            require_str(&obj, "slo")?;
-            require_num(&obj, "cycle")?;
-            require_num(&obj, "job")?;
-            require_num(&obj, "burn_fast_x1000")?;
-            require_num(&obj, "burn_slow_x1000")?;
-            let budget = require_num(&obj, "budget_x1000")?;
-            if budget < 1.0 {
-                return Err(format!("slo budget_x1000 {budget} must be >= 1"));
-            }
-            let fast = require_num(&obj, "fast_window")?;
-            let slow = require_num(&obj, "slow_window")?;
-            if fast < 1.0 || slow < fast {
-                return Err(format!("slo windows out of order: fast={fast} slow={slow}"));
-            }
-            Ok(())
         }
         "attrib" => {
             require_num(&obj, "frame")?;
@@ -456,16 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn slo_lines_validate() {
-        let good = "{\"type\":\"slo\",\"slo\":\"slo::shed\",\"cycle\":4200,\"job\":17,\"burn_fast_x1000\":9000,\"burn_slow_x1000\":2500,\"budget_x1000\":50,\"fast_window\":100,\"slow_window\":800}";
-        assert!(check_line(good).is_ok());
-        let bad_windows = "{\"type\":\"slo\",\"slo\":\"slo::shed\",\"cycle\":4200,\"job\":17,\"burn_fast_x1000\":9000,\"burn_slow_x1000\":2500,\"budget_x1000\":50,\"fast_window\":800,\"slow_window\":100}";
-        assert!(check_line(bad_windows).unwrap_err().contains("windows"));
-        let zero_budget = "{\"type\":\"slo\",\"slo\":\"s\",\"cycle\":1,\"job\":1,\"burn_fast_x1000\":1,\"burn_slow_x1000\":1,\"budget_x1000\":0,\"fast_window\":1,\"slow_window\":1}";
-        assert!(check_line(zero_budget).unwrap_err().contains("budget"));
-    }
-
-    #[test]
     fn attrib_lines_enforce_conservation() {
         use crate::attrib::{Attribution, Stage};
         let mut a = Attribution::new();
@@ -503,14 +470,6 @@ mod tests {
         assert!(check_line(orphan_parent)
             .unwrap_err()
             .contains("without \"id\""));
-    }
-
-    #[test]
-    fn slo_burn_events_validate() {
-        let good = "{\"type\":\"event\",\"frame\":0,\"cycle\":900,\"cluster\":0,\"tile\":0,\"kind\":\"slo_burn\",\"slo\":\"slo::miss::interactive\",\"burn_x1000\":12000}";
-        assert!(check_line(good).is_ok());
-        let missing = "{\"type\":\"event\",\"frame\":0,\"cycle\":900,\"cluster\":0,\"tile\":0,\"kind\":\"slo_burn\"}";
-        assert!(check_line(missing).is_err());
     }
 
     #[test]

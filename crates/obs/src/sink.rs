@@ -30,13 +30,6 @@ fn event_fields(frame: u32, e: &Event) -> String {
         EventKind::Fallback { count } => {
             let _ = write!(out, ",\"count\":{count}");
         }
-        EventKind::SloBurn { slo, burn_x1000 } => {
-            let _ = write!(
-                out,
-                ",\"slo\":\"{}\",\"burn_x1000\":{burn_x1000}",
-                escape(slo)
-            );
-        }
         EventKind::TileBegin | EventKind::TileEnd | EventKind::WatchdogTrip => {}
     }
     out

@@ -94,14 +94,6 @@ pub enum EventKind {
     /// The per-frame cycle-budget watchdog tripped; the rest of the
     /// cluster's tile stream renders degraded.
     WatchdogTrip,
-    /// An SLO burn-rate alert fired: the named objective is consuming its
-    /// error budget `burn_x1000 / 1000` times faster than sustainable.
-    SloBurn {
-        /// The SLO's stable name (e.g. `slo::miss::interactive`).
-        slo: &'static str,
-        /// Fast-window burn rate, fixed-point ×1000.
-        burn_x1000: u64,
-    },
 }
 
 impl EventKind {
@@ -113,7 +105,6 @@ impl EventKind {
             EventKind::Fault { .. } => "fault",
             EventKind::Fallback { .. } => "fallback",
             EventKind::WatchdogTrip => "watchdog_trip",
-            EventKind::SloBurn { .. } => "slo_burn",
         }
     }
 }
@@ -177,13 +168,5 @@ mod tests {
             "fault"
         );
         assert_eq!(EventKind::WatchdogTrip.label(), "watchdog_trip");
-        assert_eq!(
-            EventKind::SloBurn {
-                slo: "slo::shed",
-                burn_x1000: 8000
-            }
-            .label(),
-            "slo_burn"
-        );
     }
 }

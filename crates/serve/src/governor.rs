@@ -20,6 +20,10 @@
 use patu_core::FilterPolicy;
 use patu_sim::ThresholdController;
 
+/// The quality floor of every serve session: the governor never pushes
+/// the threshold below this, bounding how much SSIM can be traded away.
+pub(crate) const GOVERNOR_FLOOR: f64 = 0.25;
+
 /// The serving layer's outer quality controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityGovernor {

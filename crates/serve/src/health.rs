@@ -10,12 +10,14 @@
 //! pure function of the scenario seed: no wall clock, no ambient
 //! randomness, so chaos replays bit-identically at any `PATU_THREADS`.
 //!
-//! The resilience side lives here too: a typed [`RetryPolicy`]
-//! (deterministic exponential backoff in virtual cycles, per-tier retry
-//! budgets, and a deadline check so a retry that cannot finish in time is
-//! never dispatched) and a per-GPU [`CircuitBreaker`] (opens after K
-//! consecutive failures, cools down for a seeded drawn window, then
-//! half-opens for a single probe).
+//! The resilience side lives here too: retry scheduling
+//! (`next_attempt`: deterministic exponential backoff in virtual cycles,
+//! per-tier retry budgets, and a deadline check so a retry that cannot
+//! finish in time is never dispatched), a per-GPU [`CircuitBreaker`]
+//! (opens after K consecutive failures, cools down for a seeded drawn
+//! window, then half-opens for a single probe), and the tuning constants
+//! of retries, hedging, breakers and the brownout ladder. One switch,
+//! `ServeConfig::resilience`, turns all of them on or off together.
 
 use crate::error::ServeError;
 use crate::exec::fnv1a;
@@ -181,120 +183,68 @@ impl HealthModel {
     }
 }
 
-/// Typed retry semantics: per-tier budgets and deterministic exponential
-/// backoff, denominated in fractions of the calibrated mean service time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum retries per tier (index = `Tier::index()`); 0 disables
-    /// retries for that tier.
-    pub budgets: [u32; 3],
-    /// First backoff as a fraction of the mean service time.
-    pub backoff_frac: f64,
-    /// Backoff ceiling as a fraction of the mean service time.
-    pub backoff_cap_frac: f64,
+/// Retries per tier (index = `Tier::index()`) once resilience is on.
+pub(crate) const RETRY_BUDGETS: [u32; 3] = [2, 2, 3];
+/// First retry backoff, as a fraction of the mean service time.
+pub(crate) const BACKOFF_FRAC: f64 = 0.25;
+/// Backoff ceiling, as a fraction of the mean service time.
+pub(crate) const BACKOFF_CAP_FRAC: f64 = 4.0;
+/// A job is at risk, and may be hedged, when its remaining slack is below
+/// `HEDGE_SLACK × est_service` — one straggle or one transient would blow
+/// the deadline.
+pub(crate) const HEDGE_SLACK: f64 = 2.0;
+/// Consecutive failure incidents that open a circuit breaker.
+pub(crate) const BREAKER_THRESHOLD: u32 = 3;
+/// A breaker's cooldown is drawn uniformly from this range, in multiples
+/// of the mean service time. Deliberately short: the half-open probe is
+/// what verifies recovery, so a long quarantine only withholds a GPU that
+/// may already be healthy again.
+pub(crate) const BREAKER_COOLDOWN_FRAC: (f64, f64) = (1.0, 2.0);
+/// How hard a fully lost pool pushes the threshold down: the brownout
+/// ladder's bias is `-BROWNOUT_GAIN × rung`, rungs quantized to quarters
+/// of lost capacity.
+pub(crate) const BROWNOUT_GAIN: f64 = 0.5;
+
+/// The backoff before retry number `retry` (1-based), in virtual cycles:
+/// `BACKOFF_FRAC × mean_service × 2^(retry-1)`, capped at
+/// `BACKOFF_CAP_FRAC × mean_service`, never below 1 cycle.
+pub(crate) fn backoff(retry: u32, mean_service: u64) -> u64 {
+    let base = (mean_service as f64 * BACKOFF_FRAC).max(1.0);
+    let cap = (mean_service as f64 * BACKOFF_CAP_FRAC).max(1.0);
+    let doubling = f64::from(retry.saturating_sub(1).min(32));
+    let raw = base * 2.0f64.powf(doubling);
+    raw.min(cap).max(1.0) as u64
 }
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            budgets: [2, 2, 3],
-            backoff_frac: 0.25,
-            backoff_cap_frac: 4.0,
-        }
+/// Schedules the next attempt for a job whose `failed_attempts`-th
+/// execution just failed at cycle `now`, returning the cycle the retry
+/// becomes dispatchable.
+///
+/// # Errors
+///
+/// Returns [`ServeError::RetriesExhausted`] when the tier's
+/// `RETRY_BUDGETS` entry is spent, or when even an immediate retry could
+/// not finish by the job's deadline (`due + est_service > deadline`) —
+/// a retry never spends GPU cycles on a contract already lost.
+pub(crate) fn next_attempt(
+    job: &Job,
+    failed_attempts: u32,
+    now: u64,
+    est_service: u64,
+    mean_service: u64,
+) -> Result<u64, ServeError> {
+    let exhausted = || ServeError::RetriesExhausted {
+        job: job.id,
+        retries: failed_attempts.saturating_sub(1),
+    };
+    if failed_attempts > RETRY_BUDGETS[job.tier.index()] {
+        return Err(exhausted());
     }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries (every tier's budget is 0).
-    pub fn disabled() -> RetryPolicy {
-        RetryPolicy {
-            budgets: [0, 0, 0],
-            ..RetryPolicy::default()
-        }
+    let due = now.saturating_add(backoff(failed_attempts, mean_service));
+    if due.saturating_add(est_service) > job.deadline {
+        return Err(exhausted());
     }
-
-    /// Whether any tier can retry at all.
-    pub fn is_enabled(&self) -> bool {
-        self.budgets.iter().any(|&b| b > 0)
-    }
-
-    /// The backoff before retry number `retry` (1-based), in virtual
-    /// cycles: `backoff_frac × mean_service × 2^(retry-1)`, capped at
-    /// `backoff_cap_frac × mean_service`, never below 1 cycle.
-    pub fn backoff(&self, retry: u32, mean_service: u64) -> u64 {
-        let base = (mean_service as f64 * self.backoff_frac).max(1.0);
-        let cap = (mean_service as f64 * self.backoff_cap_frac).max(1.0);
-        let doubling = f64::from(retry.saturating_sub(1).min(32));
-        let raw = base * 2.0f64.powf(doubling);
-        raw.min(cap).max(1.0) as u64
-    }
-
-    /// Schedules the next attempt for a job whose `failed_attempts`-th
-    /// execution just failed at cycle `now`, returning the cycle the
-    /// retry becomes dispatchable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::RetriesExhausted`] when the tier's budget is
-    /// spent, or when even an immediate retry could not finish by the
-    /// job's deadline (`due + est_service > deadline`) — the policy never
-    /// spends GPU cycles on a contract already lost.
-    pub fn next_attempt(
-        &self,
-        job: &Job,
-        failed_attempts: u32,
-        now: u64,
-        est_service: u64,
-        mean_service: u64,
-    ) -> Result<u64, ServeError> {
-        let exhausted = || ServeError::RetriesExhausted {
-            job: job.id,
-            retries: failed_attempts.saturating_sub(1),
-        };
-        if failed_attempts > self.budgets[job.tier.index()] {
-            return Err(exhausted());
-        }
-        let due = now.saturating_add(self.backoff(failed_attempts, mean_service));
-        if due.saturating_add(est_service) > job.deadline {
-            return Err(exhausted());
-        }
-        Ok(due)
-    }
-}
-
-/// Circuit-breaker knobs, resolved against the calibrated mean service
-/// time at session start.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerConfig {
-    /// Whether breakers trip at all.
-    pub enabled: bool,
-    /// Consecutive failures that open the breaker.
-    pub threshold: u32,
-    /// Cooldown window drawn uniformly from this range, in multiples of
-    /// the mean service time. Deliberately short: the half-open probe is
-    /// what verifies recovery, so a long quarantine only withholds a GPU
-    /// that may already be healthy again.
-    pub cooldown_frac: (f64, f64),
-}
-
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig {
-            enabled: true,
-            threshold: 3,
-            cooldown_frac: (1.0, 2.0),
-        }
-    }
-}
-
-impl BreakerConfig {
-    /// A breaker that never opens.
-    pub fn disabled() -> BreakerConfig {
-        BreakerConfig {
-            enabled: false,
-            ..BreakerConfig::default()
-        }
-    }
+    Ok(due)
 }
 
 /// Where a [`CircuitBreaker`] stands.
@@ -315,7 +265,7 @@ pub enum BreakerState {
 /// A per-GPU circuit breaker with seeded cooldown draws.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
+    enabled: bool,
     rng: DetRng,
     state: BreakerState,
     consecutive: u32,
@@ -325,13 +275,11 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker drawing cooldowns from `rng` (fork one stream per
-    /// GPU so draws never interleave nondeterministically).
-    pub fn new(cfg: BreakerConfig, rng: DetRng) -> CircuitBreaker {
+    /// GPU so draws never interleave nondeterministically). A breaker that
+    /// is not `enabled` never opens.
+    pub fn new(enabled: bool, rng: DetRng) -> CircuitBreaker {
         CircuitBreaker {
-            cfg: BreakerConfig {
-                threshold: cfg.threshold.max(1),
-                ..cfg
-            },
+            enabled,
             rng,
             state: BreakerState::Closed,
             consecutive: 0,
@@ -389,15 +337,15 @@ impl CircuitBreaker {
     /// Records a failure observed at cycle `at`; returns `true` when this
     /// failure opened (or re-opened) the breaker. A failed half-open
     /// probe re-opens immediately; a closed breaker opens after
-    /// `threshold` consecutive failure *incidents* — failures at distinct
-    /// cycles — for a cooldown drawn uniformly from
-    /// `cooldown_frac × mean_service`. A crashed batch reports one loss
+    /// `BREAKER_THRESHOLD` consecutive failure *incidents* — failures at
+    /// distinct cycles — for a cooldown drawn uniformly from
+    /// `BREAKER_COOLDOWN_FRAC × mean_service`. A crashed batch reports one loss
     /// per job at the same cycle, but that is one incident: three jobs
     /// dying in one crash is much weaker evidence of a dead GPU than
     /// three dispatches dying in a row. An already-open breaker ignores
     /// further failures (the GPU only tripped once).
     pub fn on_failure(&mut self, at: u64, mean_service: u64) -> bool {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return false;
         }
         let trip = match self.state {
@@ -408,12 +356,11 @@ impl CircuitBreaker {
                     self.last_failure = Some(at);
                     self.consecutive += 1;
                 }
-                self.consecutive >= self.cfg.threshold
+                self.consecutive >= BREAKER_THRESHOLD
             }
         };
         if trip {
-            let (lo, hi) = self.cfg.cooldown_frac;
-            let (lo, hi) = (lo.max(0.0), hi.max(lo.max(0.0)));
+            let (lo, hi) = BREAKER_COOLDOWN_FRAC;
             let u = self.rng.next_f64();
             let cooldown = ((lo + (hi - lo) * u) * mean_service as f64).max(1.0) as u64;
             self.state = BreakerState::Open {
@@ -423,122 +370,6 @@ impl CircuitBreaker {
             self.opens += 1;
         }
         trip
-    }
-}
-
-/// Hedged-dispatch knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HedgeConfig {
-    /// Whether at-risk interactive jobs are duplicated.
-    pub enabled: bool,
-    /// A job is at risk when its remaining slack is below
-    /// `slack_factor × est_service` — the hedge fires only when one
-    /// straggle or one transient would blow the deadline.
-    pub slack_factor: f64,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> HedgeConfig {
-        HedgeConfig {
-            enabled: true,
-            slack_factor: 2.0,
-        }
-    }
-}
-
-impl HedgeConfig {
-    /// Hedging off.
-    pub fn disabled() -> HedgeConfig {
-        HedgeConfig {
-            enabled: false,
-            ..HedgeConfig::default()
-        }
-    }
-}
-
-/// The serving layer's full resilience posture; every mechanism can be
-/// switched off independently, and [`ResilienceConfig::disabled`] is the
-/// control arm chaos benchmarks compare against.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResilienceConfig {
-    /// Retry semantics for failed attempts.
-    pub retry: RetryPolicy,
-    /// Hedged duplicate dispatch for at-risk interactive jobs.
-    pub hedge: HedgeConfig,
-    /// Per-GPU circuit breakers.
-    pub breaker: BreakerConfig,
-    /// Whether lost capacity leans on the quality governor (the brownout
-    /// ladder).
-    pub brownout: bool,
-    /// How hard a fully lost pool would push the threshold down: the
-    /// ladder bias is `-brownout_gain × rung`, rungs quantized to
-    /// quarters of lost capacity.
-    pub brownout_gain: f64,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> ResilienceConfig {
-        ResilienceConfig {
-            retry: RetryPolicy::default(),
-            hedge: HedgeConfig::default(),
-            breaker: BreakerConfig::default(),
-            brownout: true,
-            brownout_gain: 0.5,
-        }
-    }
-}
-
-impl ResilienceConfig {
-    /// Everything off: failures fail, stragglers straggle, capacity loss
-    /// goes unmanaged. The chaos benchmarks' control arm.
-    pub fn disabled() -> ResilienceConfig {
-        ResilienceConfig {
-            retry: RetryPolicy::disabled(),
-            hedge: HedgeConfig::disabled(),
-            breaker: BreakerConfig::disabled(),
-            brownout: false,
-            brownout_gain: 0.0,
-        }
-    }
-
-    /// Checks every knob, reporting the first unusable one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] for non-finite or negative
-    /// fractions.
-    pub fn validate(&self) -> Result<(), ServeError> {
-        let bad = |what| Err(ServeError::InvalidConfig { what });
-        for (what, v) in [
-            (
-                "retry.backoff_frac must be finite and positive",
-                self.retry.backoff_frac,
-            ),
-            (
-                "retry.backoff_cap_frac must be finite and positive",
-                self.retry.backoff_cap_frac,
-            ),
-            (
-                "hedge.slack_factor must be finite and positive",
-                self.hedge.slack_factor,
-            ),
-            (
-                "breaker.cooldown_frac.0 must be finite and positive",
-                self.breaker.cooldown_frac.0,
-            ),
-            (
-                "breaker.cooldown_frac.1 must be finite and positive",
-                self.breaker.cooldown_frac.1,
-            ),
-        ] {
-            if !(v.is_finite() && v > 0.0) {
-                return bad(what);
-            }
-        }
-        if !(self.brownout_gain.is_finite() && self.brownout_gain >= 0.0) {
-            return bad("brownout_gain must be finite and non-negative");
-        }
-        Ok(())
     }
 }
 
@@ -642,28 +473,24 @@ mod tests {
 
     #[test]
     fn backoff_doubles_then_caps() {
-        let p = RetryPolicy::default();
         let ms = 1_000_000;
-        assert_eq!(p.backoff(1, ms), 250_000);
-        assert_eq!(p.backoff(2, ms), 500_000);
-        assert_eq!(p.backoff(3, ms), 1_000_000);
-        assert_eq!(p.backoff(6, ms), 4_000_000, "capped at 4x mean");
-        assert_eq!(p.backoff(30, ms), 4_000_000, "stays capped");
-        assert!(p.backoff(1, 0) >= 1, "never zero");
+        assert_eq!(backoff(1, ms), 250_000);
+        assert_eq!(backoff(2, ms), 500_000);
+        assert_eq!(backoff(3, ms), 1_000_000);
+        assert_eq!(backoff(6, ms), 4_000_000, "capped at 4x mean");
+        assert_eq!(backoff(30, ms), 4_000_000, "stays capped");
+        assert!(backoff(1, 0) >= 1, "never zero");
     }
 
     #[test]
     fn retry_respects_budget_and_deadline() {
-        let p = RetryPolicy::default();
         let ms = 1_000_000;
         let j = job(5, Tier::Standard, 0, 10_000_000);
-        let due = p
-            .next_attempt(&j, 1, 2_000_000, ms, ms)
-            .expect("first retry");
+        let due = next_attempt(&j, 1, 2_000_000, ms, ms).expect("first retry");
         assert_eq!(due, 2_250_000, "failure time + first backoff");
         assert!(
             matches!(
-                p.next_attempt(&j, 3, 2_000_000, ms, ms),
+                next_attempt(&j, 3, 2_000_000, ms, ms),
                 Err(ServeError::RetriesExhausted { job: 5, retries: 2 })
             ),
             "standard tier budget is 2"
@@ -672,17 +499,15 @@ mod tests {
         // even with budget left.
         let tight = job(6, Tier::Interactive, 0, 3_000_000);
         assert!(matches!(
-            p.next_attempt(&tight, 1, 2_500_000, ms, ms),
+            next_attempt(&tight, 1, 2_500_000, ms, ms),
             Err(ServeError::RetriesExhausted { job: 6, retries: 0 })
         ));
-        assert!(!RetryPolicy::disabled().is_enabled());
-        assert!(p.is_enabled());
     }
 
     #[test]
     fn breaker_opens_after_k_and_half_open_probes() {
         let ms = 1_000u64;
-        let mut b = CircuitBreaker::new(BreakerConfig::default(), DetRng::new(7));
+        let mut b = CircuitBreaker::new(true, DetRng::new(7));
         assert!(b.available(0));
         assert!(!b.on_failure(10, ms));
         assert!(!b.on_failure(20, ms));
@@ -710,7 +535,7 @@ mod tests {
 
     #[test]
     fn success_resets_the_failure_run() {
-        let mut b = CircuitBreaker::new(BreakerConfig::default(), DetRng::new(7));
+        let mut b = CircuitBreaker::new(true, DetRng::new(7));
         b.on_failure(1, 100);
         b.on_failure(2, 100);
         b.on_success();
@@ -721,7 +546,7 @@ mod tests {
 
     #[test]
     fn disabled_breaker_never_opens() {
-        let mut b = CircuitBreaker::new(BreakerConfig::disabled(), DetRng::new(7));
+        let mut b = CircuitBreaker::new(false, DetRng::new(7));
         for at in 0..50 {
             assert!(!b.on_failure(at, 100));
         }
@@ -732,34 +557,12 @@ mod tests {
     #[test]
     fn breaker_draws_are_seed_deterministic() {
         let run = |seed: u64| {
-            let mut b = CircuitBreaker::new(BreakerConfig::default(), DetRng::new(seed));
+            let mut b = CircuitBreaker::new(true, DetRng::new(seed));
             for at in 0..9 {
                 b.on_failure(at, 1_000);
             }
             b.state()
         };
         assert_eq!(run(42), run(42));
-    }
-
-    #[test]
-    fn resilience_validates_and_disables() {
-        assert!(ResilienceConfig::default().validate().is_ok());
-        let off = ResilienceConfig::disabled();
-        assert!(off.validate().is_ok());
-        assert!(!off.retry.is_enabled());
-        assert!(!off.hedge.enabled);
-        assert!(!off.breaker.enabled);
-        assert!(!off.brownout);
-        let mut bad = ResilienceConfig::default();
-        bad.retry.backoff_frac = f64::NAN;
-        assert!(bad.validate().is_err());
-        let mut bad = ResilienceConfig::default();
-        bad.hedge.slack_factor = -1.0;
-        assert!(bad.validate().is_err());
-        let bad = ResilienceConfig {
-            brownout_gain: f64::INFINITY,
-            ..ResilienceConfig::default()
-        };
-        assert!(bad.validate().is_err());
     }
 }

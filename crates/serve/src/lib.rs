@@ -22,8 +22,8 @@
 //!   witnesses) and the cheap [`SyntheticService`] drives scheduler tests.
 //! - [`health`] — the failure domain: per-GPU outage and straggle
 //!   [`Episode`] scripts, hash-drawn transient faults, and the resilience
-//!   primitives ([`RetryPolicy`], [`CircuitBreaker`], [`HedgeConfig`],
-//!   [`ResilienceConfig`]).
+//!   primitives (retry scheduling, the [`CircuitBreaker`], and the tuning
+//!   constants `ServeConfig::resilience` switches on).
 //! - [`chaos`] — named, fully-seeded [`Scenario`] scripts (single-GPU
 //!   flap, correlated half-pool outage, straggler storm…), including the
 //!   `PATU_SERVE_SCENARIO` env override.
@@ -69,10 +69,7 @@ pub use chaos::{default_scenario, Scenario};
 pub use error::ServeError;
 pub use exec::{FrameService, RenderKey, ServedFrame, SimFrameService, SyntheticService};
 pub use governor::QualityGovernor;
-pub use health::{
-    BreakerConfig, BreakerState, CircuitBreaker, Episode, EpisodeKind, HealthModel, HedgeConfig,
-    ResilienceConfig, RetryPolicy,
-};
+pub use health::{BreakerState, CircuitBreaker, Episode, EpisodeKind, HealthModel};
 pub use job::{CompletedJob, Job, Outcome, Tier};
 pub use queue::{Admission, AdmissionQueue};
 pub use server::{run_session, ServeReport, ServeStats};

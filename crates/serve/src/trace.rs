@@ -55,10 +55,6 @@ pub(crate) struct TraceBuilder {
     spans: Vec<TraceSpan>,
     /// When the current queue wait began (arrival, or the last requeue).
     queued_since: u64,
-    /// SLO objectives whose burn-rate alert this job's observation tipped
-    /// over — the causal link from an alert back to the job that burned
-    /// the budget.
-    slo_burns: Vec<&'static str>,
 }
 
 /// The job-local id of every tree's root span.
@@ -74,7 +70,6 @@ impl TraceBuilder {
             next_id: ROOT_ID + 1,
             spans: Vec::new(),
             queued_since: job.arrival,
-            slo_burns: Vec::new(),
         }
     }
 
@@ -164,12 +159,6 @@ impl TraceBuilder {
         );
     }
 
-    /// Tags the tree with an SLO whose alert this job's terminal
-    /// observation fired.
-    pub(crate) fn slo_burn(&mut self, slo: &'static str) {
-        self.slo_burns.push(slo);
-    }
-
     /// Closes the tree at the terminal outcome and renders the `"trace"`
     /// JSONL line (newline-terminated).
     pub(crate) fn finish(mut self, outcome: Outcome, finish: u64) -> String {
@@ -189,18 +178,6 @@ impl TraceBuilder {
             label,
             ROOT_ID,
         );
-        if !self.slo_burns.is_empty() {
-            line.push_str(",\"slo_burns\":[");
-            for (i, slo) in self.slo_burns.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push('"');
-                line.push_str(slo);
-                line.push('"');
-            }
-            line.push(']');
-        }
         line.push_str(",\"spans\":[");
         let root = TraceSpan {
             id: ROOT_ID,
@@ -256,12 +233,10 @@ mod tests {
         b.dispatched(1_500);
         let a2 = b.attempt(false, AttemptTraceKind::Clean, 1, 2, 1_520, 2_520);
         b.render(a2, 1_520, 2_520, 1_000);
-        b.slo_burn("slo::miss::interactive");
         let line = b.finish(Outcome::Delivered, 2_520);
         assert!(line.ends_with('\n'));
         let checked = patu_obs::schema::check_stream(&line).expect("valid trace line");
         assert_eq!(checked, 1);
-        assert!(line.contains("\"slo_burns\":[\"slo::miss::interactive\"]"));
         assert!(line.contains("\"name\":\"serve::retry_wait\""));
         assert!(line.contains("\"name\":\"serve::attempt::corrupt\""));
         assert!(line.contains("\"cycles\":1000"));

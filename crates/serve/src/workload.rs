@@ -15,11 +15,10 @@
 
 use crate::chaos::{default_scenario, Scenario};
 use crate::error::ServeError;
-use crate::health::ResilienceConfig;
 use crate::job::{Job, Tier};
 use patu_gmath::DetRng;
 use patu_gpu::FaultConfig;
-use patu_obs::{SloOptions, TraceLevel};
+use patu_obs::TraceLevel;
 
 /// Fallback client count when `PATU_SERVE_CLIENTS` is unset or invalid.
 const DEFAULT_CLIENTS: usize = 8;
@@ -72,30 +71,24 @@ pub struct ServeConfig {
     /// the per-job threshold. Disabled, every job renders at
     /// [`ServeConfig::base_threshold`].
     pub governor: bool,
-    /// The governor's quality floor — it never pushes the threshold below
-    /// this, bounding how much SSIM can be traded away.
-    pub governor_floor: f64,
     /// Quantization steps for governed thresholds (see
     /// `FilterPolicy::govern`); coarse grids cache better.
     pub governor_steps: u32,
     /// How hard queue pressure leans on the threshold: bias =
     /// `-pressure_gain × depth/capacity`.
     pub pressure_gain: f64,
-    /// Scene-setup cost charged once per dispatched batch, as a fraction of
-    /// the calibrated mean service time — what same-scene batching
-    /// amortizes.
-    pub setup_frac: f64,
     /// Fault injection forwarded into every render (disabled by default).
     pub faults: FaultConfig,
     /// The chaos scenario the session runs under — which GPU outage,
     /// straggler, and transient-failure script is in force. Defaults to
     /// `PATU_SERVE_SCENARIO` when set to a known label, else calm.
     pub scenario: Scenario,
-    /// The resilience posture: retries, hedging, circuit breakers, and
-    /// the brownout ladder. All on by default;
-    /// [`ResilienceConfig::disabled`] is the chaos benchmarks' control
-    /// arm.
-    pub resilience: ResilienceConfig,
+    /// Whether the resilience stack is on: retries, hedging, circuit
+    /// breakers, and the brownout ladder, tuned by the constants in
+    /// [`crate::health`]. On by default; off is the chaos benchmarks'
+    /// control arm, where failures fail, stragglers straggle, and capacity
+    /// loss goes unmanaged.
+    pub resilience: bool,
     /// Worker threads for batch rendering. `None` resolves `PATU_THREADS`,
     /// then available parallelism; outputs are bit-identical across all
     /// values.
@@ -104,9 +97,6 @@ pub struct ServeConfig {
     /// [`TraceLevel::Spans`] the session also emits one `"trace"` JSONL
     /// line per terminated job — its full causal lifecycle tree.
     pub trace: TraceLevel,
-    /// SLO burn-rate tracking (see [`patu_obs::slo`]). Off by default so
-    /// the serve log stays minimal; [`SloOptions::default`] turns it on.
-    pub slo: SloOptions,
 }
 
 impl Default for ServeConfig {
@@ -124,16 +114,13 @@ impl Default for ServeConfig {
             batch_max: 4,
             base_threshold: 1.0,
             governor: true,
-            governor_floor: 0.25,
             governor_steps: 8,
             pressure_gain: 1.0,
-            setup_frac: 0.2,
             faults: FaultConfig::disabled(),
             scenario: default_scenario(),
-            resilience: ResilienceConfig::default(),
+            resilience: true,
             threads: None,
             trace: TraceLevel::Counters,
-            slo: SloOptions::disabled(),
         }
     }
 }
@@ -167,21 +154,12 @@ impl ServeConfig {
         if self.batch_max == 0 {
             return bad("batch_max must be >= 1");
         }
-        for (what, v) in [
-            ("base_threshold must be in [0, 1]", self.base_threshold),
-            ("governor_floor must be in [0, 1]", self.governor_floor),
-        ] {
-            if !(v.is_finite() && (0.0..=1.0).contains(&v)) {
-                return bad(what);
-            }
+        if !(self.base_threshold.is_finite() && (0.0..=1.0).contains(&self.base_threshold)) {
+            return bad("base_threshold must be in [0, 1]");
         }
         if !(self.pressure_gain.is_finite() && self.pressure_gain >= 0.0) {
             return bad("pressure_gain must be finite and non-negative");
         }
-        if !(self.setup_frac.is_finite() && (0.0..=1.0).contains(&self.setup_frac)) {
-            return bad("setup_frac must be in [0, 1]");
-        }
-        self.resilience.validate()?;
         Ok(())
     }
 
@@ -357,17 +335,12 @@ mod tests {
                 Box::new(|c: &mut ServeConfig| c.base_threshold = 1.5),
                 "threshold",
             ),
-            (
-                Box::new(|c: &mut ServeConfig| c.governor_floor = f64::INFINITY),
-                "floor",
-            ),
             (Box::new(|c: &mut ServeConfig| c.scenes.clear()), "scenes"),
             (Box::new(|c: &mut ServeConfig| c.frame_span = 0), "span"),
             (
                 Box::new(|c: &mut ServeConfig| c.pressure_gain = -2.0),
                 "gain",
             ),
-            (Box::new(|c: &mut ServeConfig| c.setup_frac = 3.0), "setup"),
         ] {
             let mut bad = ok.clone();
             mutate(&mut bad);

@@ -73,11 +73,6 @@ impl TileStore {
         TileStore { cfg, prev: None }
     }
 
-    /// An empty store configured from the `PATU_TEMPORAL` knob.
-    pub fn from_env() -> TileStore {
-        TileStore::new(TemporalConfig::from_env())
-    }
-
     /// The policy this store classifies with.
     pub fn config(&self) -> &TemporalConfig {
         &self.cfg

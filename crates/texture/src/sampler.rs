@@ -32,17 +32,6 @@ pub struct Tap {
     pub addresses: Vec<TexelAddress>,
 }
 
-impl Tap {
-    /// The coarser-mip-level half of the tap's address set (the last 4
-    /// addresses). Neighboring taps quantize onto the same coarse-level
-    /// texels roughly twice as often as onto fine-level ones, which is the
-    /// granularity PATU's texel-address hash table compares at (paper
-    /// Fig. 11: most of AF's samples share TF's texel set).
-    pub fn coarse_level_addresses(&self) -> &[TexelAddress] {
-        &self.addresses[self.addresses.len().saturating_sub(4)..]
-    }
-}
-
 /// The complete result of filtering one pixel: the final color plus the
 /// architectural trace (every tap, every texel address) that the timing
 /// model and PATU's predictors consume.

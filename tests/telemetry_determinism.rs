@@ -3,9 +3,9 @@
 //! with and without fault injection, at every trace level — and `off` must
 //! record nothing at all. The flight recorder's postmortems must name the
 //! offending frame, tile, cluster, policy and fault seed. The serve-layer
-//! grid extends the same bar to observability v2: causal trace trees, SLO
-//! burn alerts and per-frame cycle attribution must be bit-identical
-//! across thread counts under every chaos scenario.
+//! grid extends the same bar to observability v2: causal trace trees and
+//! per-frame cycle attribution must be bit-identical across thread counts
+//! under every chaos scenario.
 
 use patu_core::FilterPolicy;
 use patu_gpu::FaultConfig;
@@ -169,12 +169,12 @@ fn fault_fallback_dump_carries_the_seed() {
 }
 
 mod serve_observability {
-    //! Observability v2 determinism: per-job causal trace trees, SLO
-    //! burn-rate alerts and attribution-bearing artifacts out of full
-    //! serve sessions, pinned across `PATU_THREADS` and chaos scenarios.
+    //! Observability v2 determinism: per-job causal trace trees and
+    //! attribution-bearing artifacts out of full serve sessions, pinned
+    //! across `PATU_THREADS` and chaos scenarios.
 
     use patu_core::FilterPolicy;
-    use patu_obs::{schema, sink, SloOptions, TelemetryConfig, TraceLevel};
+    use patu_obs::{schema, sink, TelemetryConfig, TraceLevel};
     use patu_scenes::Workload;
     use patu_serve::{run_session, Scenario, ServeConfig, SimFrameService, SyntheticService};
     use patu_sim::render::{render_frame, RenderConfig};
@@ -185,8 +185,8 @@ mod serve_observability {
         Scenario::StragglerStorm,
     ];
 
-    /// A dense synthetic session: enough jobs for retries, hedges and
-    /// (under outage) SLO burn alerts, cheap enough to run per scenario.
+    /// A dense synthetic session: enough jobs for retries and hedges,
+    /// cheap enough to run per scenario.
     fn chaos_cfg(scenario: Scenario) -> ServeConfig {
         ServeConfig {
             seed: 1207,
@@ -197,7 +197,6 @@ mod serve_observability {
             gpus: 2,
             queue_capacity: 8,
             trace: TraceLevel::Spans,
-            slo: SloOptions::default(),
             pressure_gain: 0.4,
             ..ServeConfig::default()
         }
@@ -268,31 +267,6 @@ mod serve_observability {
                 "{scenario:?}: ssim-baseline cycle accounting must not depend on the thread count"
             );
         }
-    }
-
-    #[test]
-    fn half_pool_outage_alerts_fire_at_identical_cycles_across_runs() {
-        let cfg = chaos_cfg(Scenario::HalfPoolOutage);
-        let mut cycles = Vec::new();
-        for _ in 0..2 {
-            let mut svc = SyntheticService::new(1_000_000, cfg.governor_steps);
-            let report = run_session(&cfg, &mut svc).unwrap();
-            assert!(
-                !report.alerts.is_empty(),
-                "losing half the pool at 1.5x load burns SLO budget"
-            );
-            cycles.push(
-                report
-                    .alerts
-                    .iter()
-                    .map(|a| (a.slo, a.cycle))
-                    .collect::<Vec<_>>(),
-            );
-        }
-        assert_eq!(
-            cycles[0], cycles[1],
-            "burn alerts land at deterministic virtual-clock cycles"
-        );
     }
 
     #[test]
