@@ -27,8 +27,7 @@ fn main() {
     });
 
     // The stratified sampled estimator at the default 1/4 fraction —
-    // compare with `mssim_512x512` for the sampling speedup (the fraction
-    // is pinned so the row never depends on `PATU_SSIM_SAMPLE`).
+    // compare with `mssim_512x512` for the sampling speedup.
     let a = gradient(512, 512, 0);
     let b = gradient(512, 512, 11);
     let sampled =

@@ -4,12 +4,13 @@
 //! evaluation) one average BP across games. This study quantifies what a
 //! per-game tuned threshold would add.
 
-use patu_bench::RunOptions;
+use patu_bench::{Knobs, RunOptions};
 use patu_scenes::{default_specs, Workload};
 use patu_sim::experiment::{best_point, threshold_sweep};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "ABLATION: per-game BP vs unified threshold ({})",
         opts.profile_banner()
@@ -24,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (mut sum_bp, mut sum_uni, mut games) = (0.0f64, 0.0f64, 0.0f64);
     for spec in default_specs() {
         let workload = Workload::build(spec.name, opts.resolution(&spec))?;
-        let (baseline, sweep) = threshold_sweep(&workload, &thresholds, &opts.experiment())?;
+        let (baseline, sweep) = threshold_sweep(&workload, &thresholds, &knobs.experiment(&opts))?;
         let bp = best_point(&baseline, &sweep);
         let at = |t: f64| {
             sweep

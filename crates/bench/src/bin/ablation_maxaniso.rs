@@ -5,15 +5,15 @@
 //! sample budget uniformly, whereas PATU removes work only where it is not
 //! perceivable.
 
-use patu_bench::RunOptions;
+use patu_bench::{Knobs, RunOptions};
 use patu_core::FilterPolicy;
 use patu_gpu::GpuConfig;
-use patu_quality::SsimConfig;
 use patu_scenes::Workload;
-use patu_sim::render::{render_frame, RenderConfig};
+use patu_sim::render::render_frame;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!("ABLATION: max AF level vs PATU ({})", opts.profile_banner());
 
     let spec = patu_scenes::default_specs()
@@ -23,9 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::build(spec.name, opts.resolution(&spec))?;
 
     // Reference: full 16x AF.
-    let reference = render_frame(&workload, 0, &RenderConfig::new(FilterPolicy::Baseline))?;
+    let reference = render_frame(&workload, 0, &knobs.render(FilterPolicy::Baseline))?;
     let ref_luma = reference.luma();
-    let ssim = SsimConfig::default();
+    let ssim = knobs.ssim();
 
     println!(
         "\n{:<22} {:>12} {:>9} {:>8}",
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let r = render_frame(
             &workload,
             0,
-            &RenderConfig::new(FilterPolicy::Baseline).with_gpu(gpu),
+            &knobs.render(FilterPolicy::Baseline).with_gpu(gpu),
         )?;
         let mssim = if max_aniso == 16 {
             1.0
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let patu = render_frame(
         &workload,
         0,
-        &RenderConfig::new(FilterPolicy::Patu { threshold: 0.4 }),
+        &knobs.render(FilterPolicy::Patu { threshold: 0.4 }),
     )?;
     println!(
         "{:<22} {:>12} {:>8.3}x {:>8.3}",

@@ -4,7 +4,7 @@
 //! the actually-filtered AF and TF colors (Eq. 4–5) and compare the oracle's
 //! approximate/keep verdict at θ = 0.4 against each runtime predictor's.
 
-use patu_bench::{pct, RunOptions};
+use patu_bench::{pct, Knobs, RunOptions};
 use patu_core::{
     af_ssim_n, af_ssim_txds, oracle_af_ssim, txds, FilterPolicy, PerceptionAwareTextureUnit,
     PredictionAccuracy, TexelAddressTable,
@@ -17,7 +17,9 @@ use patu_texture::{
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    // No knob changes what this binary computes; malformed ones still fail.
+    Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     let theta = 0.4;
     println!(
         "ABLATION: predictor accuracy vs oracle at θ={theta} ({})",

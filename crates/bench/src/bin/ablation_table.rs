@@ -5,13 +5,14 @@
 //! truncating the probability vector and biasing Txds; this study measures
 //! how much capacity the distribution stage actually needs.
 
-use patu_bench::{pct, RunOptions};
+use patu_bench::{pct, Knobs, RunOptions};
 use patu_core::FilterPolicy;
 use patu_scenes::{default_specs, Workload};
-use patu_sim::render::{render_frame, RenderConfig};
+use patu_sim::render::render_frame;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "ABLATION: hash-table capacity vs stage-2 behavior ({})",
         opts.profile_banner()
@@ -26,7 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (0u64, 0u64, 0u64, 0.0f64, 0.0f64);
         for spec in default_specs() {
             let workload = Workload::build(spec.name, opts.resolution(&spec))?;
-            let cfg = RenderConfig::new(FilterPolicy::Patu { threshold: 0.4 })
+            let cfg = knobs
+                .render(FilterPolicy::Patu { threshold: 0.4 })
                 .with_hash_table_capacity(capacity);
             let r = render_frame(&workload, 0, &cfg)?;
             cycles += r.stats.cycles;

@@ -6,21 +6,22 @@
 //! inter-frame SSIM tracks the baseline's, the approximation adds no
 //! temporal noise on top of the camera motion.
 
-use patu_bench::RunOptions;
+use patu_bench::{Knobs, RunOptions};
 use patu_core::FilterPolicy;
 use patu_scenes::Workload;
 use patu_sim::experiment::{temporal_stability, temporal_stability_with_store};
 use patu_temporal::{TemporalConfig, TemporalMode, TileStore};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "ABLATION: temporal stability (consecutive-frame SSIM) ({})",
         opts.profile_banner()
     );
     // Consecutive frame indices: the camera moves a small step between them.
     let frames: Vec<u32> = (0..6).collect();
-    let cfg = opts.experiment();
+    let cfg = knobs.experiment(&opts);
 
     println!(
         "\n{:<12} {:>10} {:>10} {:>10} {:>10}",

@@ -4,14 +4,15 @@
 //! Real GPUs traverse tiles in locality-preserving orders; the effect shows
 //! up in the L1 texture-cache hit rate and therefore in filtering latency.
 
-use patu_bench::RunOptions;
+use patu_bench::{Knobs, RunOptions};
 use patu_core::FilterPolicy;
 use patu_raster::TraversalOrder;
 use patu_scenes::{default_specs, Workload};
-use patu_sim::render::{render_frame, RenderConfig};
+use patu_sim::render::render_frame;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "ABLATION: fragment traversal order ({})",
         opts.profile_banner()
@@ -24,11 +25,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (mut rows, mut morts) = (0u64, 0u64);
     for spec in default_specs() {
         let workload = Workload::build(spec.name, opts.resolution(&spec))?;
-        let row = render_frame(&workload, 0, &RenderConfig::new(FilterPolicy::Baseline))?;
+        let row = render_frame(&workload, 0, &knobs.render(FilterPolicy::Baseline))?;
         let mort = render_frame(
             &workload,
             0,
-            &RenderConfig::new(FilterPolicy::Baseline).with_traversal(TraversalOrder::Morton),
+            &knobs
+                .render(FilterPolicy::Baseline)
+                .with_traversal(TraversalOrder::Morton),
         )?;
         println!(
             "{:<16} {:>13} {:>13} {:>16} {:>16}",

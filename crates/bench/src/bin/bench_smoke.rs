@@ -152,6 +152,16 @@ fn gate(
 }
 
 fn main() -> ExitCode {
+    // No knob changes what this gate measures: its kernels pin their own
+    // thread counts and sample fractions. Malformed knobs still fail.
+    if let Err(e) = patu_bench::Knobs::from_env() {
+        eprintln!("bench_smoke: {e}");
+        return ExitCode::FAILURE;
+    }
+    if let Err(e) = patu_bench::no_args() {
+        eprintln!("bench_smoke: {e}");
+        return ExitCode::FAILURE;
+    }
     let root = micro::repo_root();
     let filtering = std::fs::read_to_string(root.join("BENCH_filtering.json"));
     let ssim = std::fs::read_to_string(root.join("BENCH_ssim.json"));

@@ -7,9 +7,11 @@
 use patu_core::FilterPolicy;
 use patu_obs::Table;
 use patu_scenes::Workload;
-use patu_sim::render::{render_frame, RenderConfig};
+use patu_sim::render::render_frame;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let knobs = patu_bench::Knobs::from_env()?;
+    patu_bench::no_args()?;
     let mut table = Table::new(&[
         "game",
         "N_avg",
@@ -30,8 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (640, 512)
         };
         let w = Workload::build(name, res).unwrap();
-        let base = render_frame(&w, 0, &RenderConfig::new(FilterPolicy::Baseline))?;
-        let noaf = render_frame(&w, 0, &RenderConfig::new(FilterPolicy::NoAf))?;
+        let base = render_frame(&w, 0, &knobs.render(FilterPolicy::Baseline))?;
+        let noaf = render_frame(&w, 0, &knobs.render(FilterPolicy::NoAf))?;
         let e = &base.stats.events;
         let n_avg = e.trilinear_ops as f64 / base.stats.filter_requests as f64;
         table.row(&[

@@ -2,19 +2,20 @@
 //! AF-off index map and the anisotropy (N) distribution across fragments.
 
 use patu_core::FilterPolicy;
-use patu_quality::SsimConfig;
 use patu_raster::Pipeline;
 use patu_scenes::Workload;
-use patu_sim::render::{render_frame, RenderConfig};
+use patu_sim::render::render_frame;
 use patu_texture::{Footprint, MAX_ANISO};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let knobs = patu_bench::Knobs::from_env()?;
+    patu_bench::no_args()?;
     for name in ["doom3", "grid", "stal"] {
         let res = (640, 512);
         let w = Workload::build(name, res).unwrap();
-        let on = render_frame(&w, 0, &RenderConfig::new(FilterPolicy::Baseline))?;
-        let off = render_frame(&w, 0, &RenderConfig::new(FilterPolicy::NoAf))?;
-        let map = SsimConfig::default().ssim_map(&on.luma(), &off.luma());
+        let on = render_frame(&w, 0, &knobs.render(FilterPolicy::Baseline))?;
+        let off = render_frame(&w, 0, &knobs.render(FilterPolicy::NoAf))?;
+        let map = knobs.ssim().ssim_map(&on.luma(), &off.luma());
         let mut lows = [0u64; 5];
         for &v in map.values() {
             let b = ((v.clamp(0.0, 0.999)) * 5.0) as usize;

@@ -5,14 +5,15 @@
 //! mechanism (AF's texel storm throttling fps, worse at higher resolution)
 //! is driven through the simulator's `rbench` workload.
 
-use patu_bench::{paper_note, pct_delta, RunOptions};
+use patu_bench::{paper_note, pct_delta, Knobs, RunOptions};
 use patu_core::FilterPolicy;
 use patu_gpu::GpuConfig;
 use patu_scenes::Workload;
-use patu_sim::render::{render_frame, RenderConfig};
+use patu_sim::render::render_frame;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "FIG. 4: R.Bench fps with AF on/off ({})",
         opts.profile_banner()
@@ -35,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (mut sum_on, mut sum_off) = (0.0f64, 0.0f64);
         for i in 0..opts.frames {
             let frame = i * 150;
-            let on = render_frame(&workload, frame, &RenderConfig::new(FilterPolicy::Baseline))?;
-            let off = render_frame(&workload, frame, &RenderConfig::new(FilterPolicy::NoAf))?;
+            let on = render_frame(&workload, frame, &knobs.render(FilterPolicy::Baseline))?;
+            let off = render_frame(&workload, frame, &knobs.render(FilterPolicy::NoAf))?;
             let fps_on = on.stats.fps(freq);
             let fps_off = off.stats.fps(freq);
             sum_on += fps_on;

@@ -1,13 +1,14 @@
 //! Fig. 5: normalized speedup and energy reduction of 3D rendering when AF
 //! is disabled, per game.
 
-use patu_bench::{paper_note, pct_delta, RunOptions};
+use patu_bench::{paper_note, pct_delta, Knobs, RunOptions};
 use patu_core::FilterPolicy;
 use patu_scenes::{default_specs, Workload};
 use patu_sim::experiment::run_policies;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "FIG. 5: AF-off speedup and energy reduction ({})",
         opts.profile_banner()
@@ -26,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ("Baseline", FilterPolicy::Baseline),
                 ("NoAF", FilterPolicy::NoAf),
             ],
-            &opts.experiment(),
+            &knobs.experiment(&opts),
         )?;
         let base = &results[0];
         let noaf = &results[1];

@@ -1,6 +1,6 @@
 //! Fig. 6: memory-bandwidth usage breakdown before and after disabling AF.
 
-use patu_bench::{paper_note, pct, RunOptions};
+use patu_bench::{paper_note, pct, Knobs, RunOptions};
 use patu_core::FilterPolicy;
 use patu_gpu::BandwidthBreakdown;
 use patu_scenes::{default_specs, Workload};
@@ -21,7 +21,8 @@ fn print_breakdown(label: &str, b: &BandwidthBreakdown) {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "FIG. 6: memory bandwidth breakdown, AF on vs off ({})",
         opts.profile_banner()
@@ -43,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ("Baseline", FilterPolicy::Baseline),
                 ("NoAF", FilterPolicy::NoAf),
             ],
-            &opts.experiment(),
+            &knobs.experiment(&opts),
         )?;
         let on = results[0].stats.bandwidth;
         let off = results[1].stats.bandwidth;

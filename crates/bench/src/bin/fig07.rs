@@ -1,12 +1,13 @@
 //! Fig. 7: impact of disabling AF on perceived image quality (MSSIM).
 
-use patu_bench::{paper_note, pct, RunOptions};
+use patu_bench::{paper_note, pct, Knobs, RunOptions};
 use patu_core::FilterPolicy;
 use patu_scenes::{default_specs, Workload};
 use patu_sim::experiment::run_policies;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "FIG. 7: MSSIM when AF is disabled ({})",
         opts.profile_banner()
@@ -19,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let results = run_policies(
             &workload,
             &[("NoAF", FilterPolicy::NoAf)],
-            &opts.experiment(),
+            &knobs.experiment(&opts),
         )?;
         let mssim = results[0].mssim;
         println!(

@@ -1,16 +1,16 @@
 //! Fig. 8: an hl2 frame with AF on / AF off and their SSIM index map,
 //! written as image files plus summary statistics.
 
-use patu_bench::{paper_note, pct, RunOptions};
+use patu_bench::{paper_note, pct, Knobs, RunOptions};
 use patu_core::FilterPolicy;
-use patu_quality::SsimConfig;
 use patu_scenes::Workload;
-use patu_sim::render::{render_frame, RenderConfig};
+use patu_sim::render::render_frame;
 use std::fs::File;
 use std::io::BufWriter;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     let res = if opts.full { (1600, 1200) } else { (800, 600) };
     println!(
         "FIG. 8: hl2 AF-on/AF-off SSIM index map ({})",
@@ -18,9 +18,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let workload = Workload::build("hl2", res)?;
-    let on = render_frame(&workload, 0, &RenderConfig::new(FilterPolicy::Baseline))?;
-    let off = render_frame(&workload, 0, &RenderConfig::new(FilterPolicy::NoAf))?;
-    let map = SsimConfig::default().ssim_map(&on.luma(), &off.luma());
+    let on = render_frame(&workload, 0, &knobs.render(FilterPolicy::Baseline))?;
+    let off = render_frame(&workload, 0, &knobs.render(FilterPolicy::NoAf))?;
+    let map = knobs.ssim().ssim_map(&on.luma(), &off.luma());
 
     std::fs::create_dir_all("out")?;
     on.image

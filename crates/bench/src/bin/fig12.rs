@@ -1,13 +1,14 @@
 //! Fig. 12: percentage of AF's input samples (trilinear taps) that share
 //! the same set of texels with the TF sample during 3D rendering.
 
-use patu_bench::{paper_note, pct, RunOptions};
+use patu_bench::{paper_note, pct, Knobs, RunOptions};
 use patu_core::FilterPolicy;
 use patu_scenes::{default_specs, Workload};
 use patu_sim::experiment::run_policies;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "FIG. 12: AF taps sharing texel sets with TF ({})",
         opts.profile_banner()
@@ -24,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let results = run_policies(
             &workload,
             &[("Baseline", FilterPolicy::Baseline)],
-            &opts.experiment(),
+            &knobs.experiment(&opts),
         )?;
         let sharing = results[0].sharing;
         println!(

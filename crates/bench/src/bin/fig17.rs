@@ -2,12 +2,13 @@
 //! with the Best Point (BP) maximizing speedup × MSSIM, and the average
 //! case across games.
 
-use patu_bench::{paper_note, RunOptions};
+use patu_bench::{paper_note, Knobs, RunOptions};
 use patu_scenes::{default_specs, Workload};
 use patu_sim::experiment::{best_point, threshold_sweep};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "FIG. 17: threshold sweep per game ({})",
         opts.profile_banner()
@@ -22,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for spec in default_specs() {
         let workload = Workload::build(spec.name, opts.resolution(&spec))?;
-        let (baseline, sweep) = threshold_sweep(&workload, &thresholds, &opts.experiment())?;
+        let (baseline, sweep) = threshold_sweep(&workload, &thresholds, &knobs.experiment(&opts))?;
         let bp = best_point(&baseline, &sweep);
         bps.push((spec.label(), bp));
         games += 1.0;

@@ -1,12 +1,13 @@
 //! Fig. 18: normalized texture-filtering latency under the four design
 //! points (Baseline, AF-SSIM(N), AF-SSIM(N)+(Txds), PATU) at θ = 0.4.
 
-use patu_bench::{paper_note, pct, RunOptions};
+use patu_bench::{paper_note, pct, Knobs, RunOptions};
 use patu_scenes::{default_specs, Workload};
 use patu_sim::experiment::{design_points, run_policies};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "FIG. 18: normalized texture filtering latency ({})",
         opts.profile_banner()
@@ -21,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut games = 0.0;
     for spec in default_specs() {
         let workload = Workload::build(spec.name, opts.resolution(&spec))?;
-        let results = run_policies(&workload, &points, &opts.experiment())?;
+        let results = run_policies(&workload, &points, &knobs.experiment(&opts))?;
         let base = results[0].clone();
         let ratios: Vec<f64> = results
             .iter()

@@ -1,12 +1,13 @@
 //! Fig. 19: normalized speedup (bars) and perceived quality / MSSIM (lines)
 //! of the overall 3D rendering under the four design points at θ = 0.4.
 
-use patu_bench::{paper_note, pct_delta, RunOptions};
+use patu_bench::{paper_note, pct_delta, Knobs, RunOptions};
 use patu_scenes::{default_specs, Workload};
 use patu_sim::experiment::{design_points, run_policies};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "FIG. 19: speedup and MSSIM under the design points ({})",
         opts.profile_banner()
@@ -19,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for spec in default_specs() {
         let workload = Workload::build(spec.name, opts.resolution(&spec))?;
-        let results = run_policies(&workload, &points, &opts.experiment())?;
+        let results = run_policies(&workload, &points, &knobs.experiment(&opts))?;
         let base = results[0].clone();
         println!("\n{}:", spec.label());
         println!("{:<20} {:>9} {:>8}", "design", "speedup", "MSSIM");

@@ -1,14 +1,15 @@
 //! Fig. 21: cache-sensitivity study — performance at scaled texture-cache /
 //! LLC capacities, with and without PATU.
 
-use patu_bench::{paper_note, pct_delta, RunOptions};
+use patu_bench::{paper_note, pct_delta, Knobs, RunOptions};
 use patu_core::FilterPolicy;
 use patu_gpu::GpuConfig;
 use patu_scenes::{default_specs, Workload};
 use patu_sim::experiment::{run_policies, ExperimentConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "FIG. 21: cache scaling with and without PATU ({})",
         opts.profile_banner()
@@ -37,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // 1x baseline for normalization.
             let base_cfg = ExperimentConfig {
                 gpu: GpuConfig::default(),
-                ..opts.experiment()
+                ..knobs.experiment(&opts)
             };
             let ref_run = run_policies(
                 &workload,
@@ -46,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )?;
             let scaled_cfg = ExperimentConfig {
                 gpu: *gpu,
-                ..opts.experiment()
+                ..knobs.experiment(&opts)
             };
             let scaled = run_policies(
                 &workload,

@@ -2,17 +2,17 @@
 //! synthetic satisfaction model (the documented stand-in for the paper's
 //! 30-participant study — see DESIGN.md §2 and `patu_sim::satisfaction`).
 
-use patu_bench::{paper_note, RunOptions};
+use patu_bench::{paper_note, Knobs, RunOptions};
 use patu_core::FilterPolicy;
 use patu_obs::Log2Histogram;
-use patu_quality::SsimConfig;
 use patu_scenes::Workload;
-use patu_sim::render::{render_frame, RenderConfig};
+use patu_sim::render::render_frame;
 use patu_sim::replay::ReplayModel;
 use patu_sim::satisfaction::SatisfactionModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "FIG. 22: user satisfaction vs threshold ({})",
         opts.profile_banner()
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         quality_power: 8,
         ..SatisfactionModel::default()
     };
-    let ssim = SsimConfig::default();
+    let ssim = knobs.ssim();
     let frame_count = opts.frames.max(3);
 
     let cases: Vec<(&str, (u32, u32))> = vec![
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let frames: Vec<u32> = (0..frame_count).map(|i| i * 80).collect();
         let baselines: Vec<_> = frames
             .iter()
-            .map(|&f| render_frame(&workload, f, &RenderConfig::new(FilterPolicy::Baseline)))
+            .map(|&f| render_frame(&workload, f, &knobs.render(FilterPolicy::Baseline)))
             .collect::<Result<_, _>>()?;
 
         // Display normalization: scale the replay clock so the 16xAF
@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let r = if matches!(policy, FilterPolicy::Baseline) {
                     baselines[i].clone()
                 } else {
-                    render_frame(&workload, f, &RenderConfig::new(policy))?
+                    render_frame(&workload, f, &knobs.render(policy))?
                 };
                 mssim_sum += if matches!(policy, FilterPolicy::Baseline) {
                     1.0

@@ -8,7 +8,7 @@
 //! time is not recorded here: the `benchmark` binary measures it as
 //! medians.
 
-use patu_bench::{micro, paper_note, pct, pct_delta, RunOptions};
+use patu_bench::{micro, paper_note, pct, pct_delta, Knobs, RunOptions};
 use patu_obs::json::num_fixed;
 use patu_obs::Log2Histogram;
 use patu_scenes::{default_specs, Workload};
@@ -67,7 +67,9 @@ fn identical(a: &[AggregateResult], b: &[AggregateResult]) -> bool {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    // No knob changes what this binary computes; malformed ones still fail.
+    Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "HEADLINE: PATU at the conservative tuning point ({})",
         opts.profile_banner()

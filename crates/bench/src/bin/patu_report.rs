@@ -17,12 +17,12 @@
 //!   top-k stage shares hold against `BENCH_attribution.json`.
 //! * `patu_report --record` — (re)records `BENCH_attribution.json`.
 
-use patu_bench::micro;
+use patu_bench::{micro, ArgError, Knobs};
 use patu_core::FilterPolicy;
 use patu_obs::json::{self, Json};
 use patu_obs::{schema, Attribution, Stage, TelemetryConfig, TraceLevel};
 use patu_scenes::{game_names, Workload};
-use patu_sim::render::{render_frame, RenderConfig};
+use patu_sim::render::render_frame;
 
 /// Resolution for the attribution baseline renders — small enough for CI,
 /// large enough that every pipeline stage shows up.
@@ -255,12 +255,16 @@ fn dashboard(stream: &str) -> Vec<Section> {
 
 /// Renders frame 0 of `scene` at the baseline resolution and returns its
 /// cycle attribution + total cycles, hard-checking conservation.
-fn scene_attribution(scene: &str) -> Result<(Attribution, u64), Box<dyn std::error::Error>> {
+fn scene_attribution(
+    knobs: &Knobs,
+    scene: &str,
+) -> Result<(Attribution, u64), Box<dyn std::error::Error>> {
     let workload = Workload::build(scene, ATTRIB_RES)?;
-    let cfg = RenderConfig::new(FilterPolicy::Patu {
-        threshold: ATTRIB_THETA,
-    })
-    .with_telemetry(TelemetryConfig::with_level(TraceLevel::Counters));
+    let cfg = knobs
+        .render(FilterPolicy::Patu {
+            threshold: ATTRIB_THETA,
+        })
+        .with_telemetry(TelemetryConfig::with_level(TraceLevel::Counters));
     let result = render_frame(&workload, 0, &cfg)?;
     let telemetry = result
         .telemetry
@@ -281,10 +285,10 @@ fn scene_attribution(scene: &str) -> Result<(Attribution, u64), Box<dyn std::err
     Ok((attrib, result.stats.cycles))
 }
 
-fn record_baseline() -> Result<(), Box<dyn std::error::Error>> {
+fn record_baseline(knobs: &Knobs) -> Result<(), Box<dyn std::error::Error>> {
     let mut rows = String::new();
     for (i, scene) in game_names().into_iter().enumerate() {
-        let (attrib, total) = scene_attribution(scene)?;
+        let (attrib, total) = scene_attribution(knobs, scene)?;
         if i > 0 {
             rows.push_str(",\n");
         }
@@ -324,7 +328,7 @@ fn recorded_share(baseline: &Json, scene: &str, stage: &str) -> Option<u64> {
 /// Diffs each scene's top-k attribution shares against the recorded
 /// baseline; any drift beyond tolerance is a hard failure with a
 /// regeneration hint.
-fn check_against_baseline() -> Result<(), Box<dyn std::error::Error>> {
+fn check_against_baseline(knobs: &Knobs) -> Result<(), Box<dyn std::error::Error>> {
     let path = micro::repo_root().join("BENCH_attribution.json");
     let text = std::fs::read_to_string(&path).map_err(|_| {
         "BENCH_attribution.json missing; record it with \
@@ -332,7 +336,7 @@ fn check_against_baseline() -> Result<(), Box<dyn std::error::Error>> {
     })?;
     let baseline = json::parse(&text).map_err(|e| format!("BENCH_attribution.json: {e}"))?;
     for scene in game_names() {
-        let (attrib, _) = scene_attribution(scene)?;
+        let (attrib, _) = scene_attribution(knobs, scene)?;
         let mut shares = attrib.shares_x10000();
         shares.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         for (stage, measured) in shares.into_iter().take(TOP_K) {
@@ -372,26 +376,44 @@ fn report(stream: &str, title: &str, html: bool) -> Result<String, String> {
     })
 }
 
+const USAGE: &str = "patu_report <artifact.jsonl> [--html] [-o out] | --check | --record";
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--check") {
-        check_against_baseline()?;
+    let knobs = Knobs::from_env()?;
+    let (mut check, mut record, mut html) = (false, false, false);
+    let (mut out_path, mut input) = (None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--check" => check = true,
+            "--record" => record = true,
+            "--html" => html = true,
+            "-o" if out_path.is_none() => {
+                out_path = Some(args.next().ok_or(ArgError {
+                    arg,
+                    accepted: USAGE,
+                })?)
+            }
+            a if !a.starts_with('-') && input.is_none() => input = Some(arg),
+            _ => {
+                return Err(ArgError {
+                    arg,
+                    accepted: USAGE,
+                }
+                .into())
+            }
+        }
+    }
+    if check {
+        check_against_baseline(&knobs)?;
         println!("patu_report --check: attribution conserves and holds against the baseline");
         return Ok(());
     }
-    if args.iter().any(|a| a == "--record") {
-        return record_baseline();
+    if record {
+        return record_baseline(&knobs);
     }
-    let html = args.iter().any(|a| a == "--html");
-    let out_path = args
-        .iter()
-        .position(|a| a == "-o")
-        .and_then(|i| args.get(i + 1).cloned());
-    let input = args
-        .iter()
-        .find(|a| !a.starts_with('-') && Some(a.as_str()) != out_path.as_deref())
-        .ok_or("usage: patu_report <artifact.jsonl> [--html] [-o out] | --check | --record")?;
-    let stream = std::fs::read_to_string(input)?;
+    let input = input.ok_or(format!("usage: {USAGE}"))?;
+    let stream = std::fs::read_to_string(&input)?;
     let doc = report(&stream, &format!("patu report: {input}"), html)
         .map_err(|e| format!("{input}: {e}"))?;
     match out_path {

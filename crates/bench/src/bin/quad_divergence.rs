@@ -1,12 +1,13 @@
 //! Sec. V-C(1): prediction divergence within 2×2 quads under PATU.
 
-use patu_bench::{paper_note, pct, RunOptions};
+use patu_bench::{paper_note, pct, Knobs, RunOptions};
 use patu_core::FilterPolicy;
 use patu_scenes::{default_specs, Workload};
 use patu_sim::experiment::run_policies;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     println!(
         "SEC. V-C(1): quad prediction divergence under PATU θ=0.4 ({})",
         opts.profile_banner()
@@ -22,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let results = run_policies(
             &workload,
             &[("PATU", FilterPolicy::Patu { threshold: 0.4 })],
-            &opts.experiment(),
+            &knobs.experiment(&opts),
         )?;
         let d = results[0].divergence;
         println!(

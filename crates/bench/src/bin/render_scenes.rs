@@ -1,22 +1,23 @@
 //! Renders one frame of every workload to `out/scene_<name>.ppm` for visual
 //! inspection of the synthetic Table II stand-ins.
 
-use patu_bench::RunOptions;
+use patu_bench::{Knobs, RunOptions};
 use patu_core::FilterPolicy;
 use patu_scenes::Workload;
-use patu_sim::render::{render_frame, RenderConfig};
+use patu_sim::render::render_frame;
 use std::fs::File;
 use std::io::BufWriter;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = RunOptions::from_args();
+    let knobs = Knobs::from_env()?;
+    let opts = RunOptions::from_args()?;
     std::fs::create_dir_all("out")?;
     for name in [
         "hl2", "doom3", "grid", "nfs", "stal", "ut3", "wolf", "rbench",
     ] {
         let res = if opts.full { (1280, 1024) } else { (640, 512) };
         let workload = Workload::build(name, res)?;
-        let frame = render_frame(&workload, 0, &RenderConfig::new(FilterPolicy::Baseline))?;
+        let frame = render_frame(&workload, 0, &knobs.render(FilterPolicy::Baseline))?;
         let path = format!("out/scene_{name}.ppm");
         frame
             .image

@@ -9,13 +9,14 @@
 //! between `threads = 1` and `threads = 4`. Results land in
 //! `BENCH_serve.json` at the repository root.
 
-use patu_bench::micro;
+use patu_bench::{micro, Knobs};
 use patu_obs::json::num_fixed;
 use patu_serve::{run_session, ServeConfig, ServeReport, SimFrameService};
+use patu_temporal::TemporalConfig;
 
 const LOADS: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
 
-fn cfg(load: f64, governor: bool, threads: usize) -> ServeConfig {
+fn cfg(knobs: &Knobs, load: f64, governor: bool, threads: usize) -> ServeConfig {
     ServeConfig {
         seed: 42,
         clients: 6,
@@ -23,12 +24,15 @@ fn cfg(load: f64, governor: bool, threads: usize) -> ServeConfig {
         load,
         governor,
         threads: Some(threads),
+        scenario: knobs.scenario,
+        ssim_sample: knobs.ssim_sample,
         ..ServeConfig::default()
     }
 }
 
-fn run(cfg: &ServeConfig) -> Result<ServeReport, Box<dyn std::error::Error>> {
-    let mut service = SimFrameService::new(cfg)?;
+fn run(knobs: &Knobs, cfg: &ServeConfig) -> Result<ServeReport, Box<dyn std::error::Error>> {
+    let temporal = TemporalConfig::for_mode(knobs.temporal);
+    let mut service = SimFrameService::with_temporal(cfg, temporal)?;
     Ok(run_session(cfg, &mut service)?)
 }
 
@@ -40,13 +44,15 @@ struct Point {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let knobs = Knobs::from_env()?;
+    patu_bench::no_args()?;
     println!("SERVE: load sweep, governor on vs off (fixed seed, 2 GPUs)");
 
     let mut points = Vec::new();
     for load in LOADS {
-        let governed = run(&cfg(load, true, 1))?;
-        let wide = run(&cfg(load, true, 4))?;
-        let ungoverned = run(&cfg(load, false, 1))?;
+        let governed = run(&knobs, &cfg(&knobs, load, true, 1))?;
+        let wide = run(&knobs, &cfg(&knobs, load, true, 4))?;
+        let ungoverned = run(&knobs, &cfg(&knobs, load, false, 1))?;
         let bit_identical = governed.log == wide.log
             && governed.chrome_trace() == wide.chrome_trace()
             && governed

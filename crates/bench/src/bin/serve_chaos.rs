@@ -9,11 +9,12 @@
 //! between `threads = 1` and `threads = 4`. Results land in
 //! `BENCH_chaos.json` at the repository root.
 
-use patu_bench::micro;
+use patu_bench::{micro, Knobs};
 use patu_obs::json::num_fixed;
 use patu_serve::{run_session, Scenario, ServeConfig, ServeReport, SimFrameService};
+use patu_temporal::TemporalConfig;
 
-fn cfg(scenario: Scenario, resilience: bool, threads: usize) -> ServeConfig {
+fn cfg(knobs: &Knobs, scenario: Scenario, resilience: bool, threads: usize) -> ServeConfig {
     ServeConfig {
         seed: 1207,
         clients: 6,
@@ -27,12 +28,14 @@ fn cfg(scenario: Scenario, resilience: bool, threads: usize) -> ServeConfig {
         // trade quality for throughput when half the pool drops out.
         pressure_gain: 0.4,
         resilience,
+        ssim_sample: knobs.ssim_sample,
         ..ServeConfig::default()
     }
 }
 
-fn run(cfg: &ServeConfig) -> Result<ServeReport, Box<dyn std::error::Error>> {
-    let mut service = SimFrameService::new(cfg)?;
+fn run(knobs: &Knobs, cfg: &ServeConfig) -> Result<ServeReport, Box<dyn std::error::Error>> {
+    let temporal = TemporalConfig::for_mode(knobs.temporal);
+    let mut service = SimFrameService::with_temporal(cfg, temporal)?;
     Ok(run_session(cfg, &mut service)?)
 }
 
@@ -91,13 +94,15 @@ fn stats_json(report: &ServeReport) -> String {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let knobs = Knobs::from_env()?;
+    patu_bench::no_args()?;
     println!("CHAOS: every scenario at 1.5x load, resilience on vs off");
 
     let mut arms = Vec::new();
     for scenario in Scenario::ALL {
-        let on = run(&cfg(scenario, true, 1))?;
-        let wide = run(&cfg(scenario, true, 4))?;
-        let off = run(&cfg(scenario, false, 1))?;
+        let on = run(&knobs, &cfg(&knobs, scenario, true, 1))?;
+        let wide = run(&knobs, &cfg(&knobs, scenario, true, 4))?;
+        let off = run(&knobs, &cfg(&knobs, scenario, false, 1))?;
         check_session(&on, scenario.label())?;
         check_session(&off, &format!("{} (control)", scenario.label()))?;
         let bit_identical = on.log == wide.log

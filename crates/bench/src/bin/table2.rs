@@ -2,7 +2,11 @@
 
 use patu_scenes::catalog;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // The table is the same under every knob and profile; `--full` and
+    // `--frames` are accepted so one command line drives every harness.
+    patu_bench::Knobs::from_env()?;
+    patu_bench::RunOptions::from_args()?;
     println!("TABLE II: 3D GAMING BENCHMARKS");
     println!("{}", "-".repeat(72));
     println!(
@@ -19,4 +23,5 @@ fn main() {
         );
     }
     println!("\n(Each workload is a procedural stand-in scene; see DESIGN.md §2.)");
+    Ok(())
 }

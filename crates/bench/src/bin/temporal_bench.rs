@@ -11,12 +11,11 @@
 //! All throughput numbers are simulated GPU cycles — this bench never
 //! reads a wall clock, so its artifact is bit-reproducible on any host.
 
-use patu_bench::micro;
+use patu_bench::{micro, Knobs};
 use patu_core::FilterPolicy;
 use patu_obs::json::{num, num_fixed};
-use patu_quality::SsimConfig;
 use patu_scenes::{sequence_specs, Workload};
-use patu_sim::render::{render_sequence, RenderConfig};
+use patu_sim::render::render_sequence;
 use patu_sim::FrameResult;
 use patu_temporal::{TemporalConfig, TemporalMode, TileStore};
 
@@ -24,11 +23,12 @@ const GATE_SPEEDUP: f64 = 2.0;
 const GATE_MSSIM: f64 = 0.93;
 
 fn run_sequence(
+    knobs: &Knobs,
     workload: &Workload,
     frames: &[u32],
     mode: TemporalMode,
 ) -> Result<Vec<FrameResult>, Box<dyn std::error::Error>> {
-    let cfg = RenderConfig::new(FilterPolicy::Patu { threshold: 0.4 });
+    let cfg = knobs.render(FilterPolicy::Patu { threshold: 0.4 });
     let mut store = TileStore::new(TemporalConfig::for_mode(mode));
     Ok(render_sequence(workload, frames, &cfg, &mut store)?)
 }
@@ -42,8 +42,13 @@ struct ModeRow {
     reused_fraction: f64,
 }
 
-fn measure_mode(reference: &[FrameResult], results: &[FrameResult], mode: TemporalMode) -> ModeRow {
-    let ssim = SsimConfig::default();
+fn measure_mode(
+    knobs: &Knobs,
+    reference: &[FrameResult],
+    results: &[FrameResult],
+    mode: TemporalMode,
+) -> ModeRow {
+    let ssim = knobs.ssim();
     let (mut sum, mut min) = (0.0f64, f64::INFINITY);
     for (off, on) in reference.iter().zip(results) {
         let m = f64::from(ssim.mssim(&off.luma(), &on.luma()));
@@ -68,6 +73,8 @@ fn measure_mode(reference: &[FrameResult], results: &[FrameResult], mode: Tempor
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let knobs = Knobs::from_env()?;
+    patu_bench::no_args()?;
     println!("BENCH: temporal tile reuse (simulated cycles, sequence presets)");
     let frames: Vec<u32> = (0..12).collect();
     let mut scene_blocks = Vec::new();
@@ -75,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for spec in sequence_specs() {
         let workload = Workload::build(spec.name, spec.resolution)?;
-        let off = run_sequence(&workload, &frames, TemporalMode::Off)?;
+        let off = run_sequence(&knobs, &workload, &frames, TemporalMode::Off)?;
         let off_cycles: u64 = off.iter().map(|f| f.stats.cycles).sum();
         println!(
             "\n{} ({}x{}, {} frames): off = {off_cycles} cycles",
@@ -90,8 +97,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         let mut rows = Vec::new();
         for mode in [TemporalMode::On, TemporalMode::Aggressive] {
-            let results = run_sequence(&workload, &frames, mode)?;
-            let row = measure_mode(&off, &results, mode);
+            let results = run_sequence(&knobs, &workload, &frames, mode)?;
+            let row = measure_mode(&knobs, &off, &results, mode);
             println!(
                 "{:<12} {:>14} {:>8.2}x {:>11.4} {:>10.4} {:>7.0}%",
                 row.mode.to_string(),

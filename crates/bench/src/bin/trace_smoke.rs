@@ -8,13 +8,12 @@
 //! demotion-decision map (per-tile share of fragments the predictor
 //! demoted to a cheaper filter).
 
+use patu_bench::Knobs;
 use patu_core::FilterPolicy;
-use patu_obs::{
-    heat_color, obs_dump_dir, sink, trace_out_dir, Collector, TelemetryConfig, TraceLevel, Track,
-};
-use patu_quality::{GrayImage, SsimConfig};
+use patu_obs::{heat_color, sink, Collector, TelemetryConfig, TraceLevel, Track};
+use patu_quality::GrayImage;
 use patu_scenes::Workload;
-use patu_sim::render::{render_frame, FrameResult, RenderConfig};
+use patu_sim::render::{render_frame, FrameResult};
 use std::path::Path;
 
 /// Cell size (pixels per tile) in the dumped PPM maps.
@@ -77,24 +76,28 @@ fn dump_frame_maps(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let telemetry = TelemetryConfig::from_env();
+    let knobs = Knobs::from_env()?;
+    patu_bench::no_args()?;
+    let telemetry = TelemetryConfig::with_level(knobs.trace);
     println!("trace_smoke: PATU_TRACE={}", telemetry.level.name());
     if telemetry.level == TraceLevel::Off {
         println!("telemetry off — set PATU_TRACE=counters|spans to record");
     }
 
     let workload = Workload::build("doom3", (256, 192))?;
-    let base_cfg = RenderConfig::new(FilterPolicy::Baseline);
-    let cfg = RenderConfig::new(FilterPolicy::Patu { threshold: 0.4 }).with_telemetry(telemetry);
-    let ssim = SsimConfig::default();
+    let base_cfg = knobs.render(FilterPolicy::Baseline);
+    let cfg = knobs
+        .render(FilterPolicy::Patu { threshold: 0.4 })
+        .with_telemetry(telemetry);
+    let ssim = knobs.ssim();
 
-    let dump_dir = obs_dump_dir();
+    let dump_dir = &knobs.obs_dump;
     let mut frames = Vec::new();
     for index in [0u32, 40, 80] {
         let baseline = render_frame(&workload, index, &base_cfg)?;
         let mut result = render_frame(&workload, index, &cfg)?;
         let (base_luma, approx_luma) = (baseline.luma(), result.luma());
-        if let Some(dir) = &dump_dir {
+        if let Some(dir) = dump_dir {
             let paths = dump_frame_maps(
                 dir,
                 index,
@@ -124,9 +127,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if frames.is_empty() {
         return Ok(());
     }
-    match trace_out_dir() {
+    match &knobs.trace_out {
         Some(dir) => {
-            for path in sink::write_artifacts(&dir, "trace_smoke", &frames)? {
+            for path in sink::write_artifacts(dir, "trace_smoke", &frames)? {
                 println!("wrote {}", path.display());
             }
         }

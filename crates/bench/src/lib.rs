@@ -5,12 +5,15 @@
 //! the same rows/series the paper reports, alongside the paper's published
 //! value where one exists, so EXPERIMENTS.md can record paper-vs-measured.
 //!
-//! Binaries accept:
+//! The figure, table and ablation binaries accept ([`RunOptions`]):
 //!
 //! * `--full` — run at the paper's Table II resolutions (slow). The default
 //!   "fast" profile halves each dimension (quarter area), which preserves
 //!   every trend while keeping a full figure regeneration in minutes.
-//! * `--frames N` — frames averaged per data point (default 2).
+//! * `--frames N` — frames averaged per data point (default 2, N ≥ 1).
+//!
+//! Any other argument is an [`ArgError`]. Every binary resolves the
+//! `PATU_*` environment knobs once, through [`knobs::Knobs::from_env`].
 //!
 //! Self-contained `Instant`-based micro-benchmarks for the core data
 //! structures live in `benches/` (see [`micro`] for the harness).
@@ -18,11 +21,62 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod knobs;
 pub mod micro;
+
+pub use knobs::{KnobError, Knobs};
 
 use patu_gpu::GpuConfig;
 use patu_scenes::WorkloadSpec;
 use patu_sim::experiment::ExperimentConfig;
+use std::fmt;
+
+/// The flags [`RunOptions::parse`] accepts, as printed in [`ArgError`]s.
+const RUN_FLAGS: &str = "--full, --frames <N >= 1>";
+
+/// A command-line argument a binary does not accept.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ArgError {
+    /// The rejected argument (for `--frames`, the flag and its value).
+    pub arg: String,
+    /// What the binary accepts instead.
+    pub accepted: &'static str,
+}
+
+impl fmt::Display for ArgError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "invalid argument `{}`; accepted: {}",
+            self.arg, self.accepted
+        )
+    }
+}
+
+// `main` returning `Err` prints the error's `Debug`, so it reads as the
+// message.
+impl fmt::Debug for ArgError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self, f)
+    }
+}
+
+impl std::error::Error for ArgError {}
+
+/// For binaries that take no flags: fails on the first process argument.
+///
+/// # Errors
+///
+/// An [`ArgError`] naming the first argument given.
+pub fn no_args() -> Result<(), ArgError> {
+    match std::env::args().nth(1) {
+        Some(arg) => Err(ArgError {
+            arg,
+            accepted: "no arguments",
+        }),
+        None => Ok(()),
+    }
+}
 
 /// Command-line options shared by all harness binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,25 +98,39 @@ impl Default for RunOptions {
 
 impl RunOptions {
     /// Parses `--full` and `--frames N` from the process arguments.
-    /// Unknown arguments are ignored so binaries can add their own.
-    pub fn from_args() -> RunOptions {
+    ///
+    /// # Errors
+    ///
+    /// See [`RunOptions::parse`].
+    pub fn from_args() -> Result<RunOptions, ArgError> {
+        RunOptions::parse(std::env::args().skip(1))
+    }
+
+    /// Parses `--full` and `--frames N` (N ≥ 1) from `args`.
+    ///
+    /// # Errors
+    ///
+    /// An [`ArgError`] for any other argument, or for `--frames` without
+    /// a positive integer after it.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<RunOptions, ArgError> {
+        let reject = |arg| ArgError {
+            arg,
+            accepted: RUN_FLAGS,
+        };
         let mut opts = RunOptions::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
                 "--full" => opts.full = true,
                 "--frames" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.frames = v;
-                        i += 1;
-                    }
+                    let value = args.next().unwrap_or_default();
+                    let n = value.parse().ok().filter(|&n| n >= 1);
+                    opts.frames = n.ok_or_else(|| reject(format!("--frames {value}")))?;
                 }
-                _ => {}
+                _ => return Err(reject(arg)),
             }
-            i += 1;
         }
-        opts
+        Ok(opts)
     }
 
     /// The resolution to simulate a spec at: the paper's own under `--full`,
@@ -144,6 +212,30 @@ mod tests {
         assert_eq!(pct_delta(1.172), "+17.2%");
         assert_eq!(pct_delta(0.9), "-10.0%");
         assert_eq!(pct(0.62), "62.0%");
+    }
+
+    fn parse(args: &str) -> Result<RunOptions, ArgError> {
+        RunOptions::parse(args.split_whitespace().map(str::to_string))
+    }
+
+    #[test]
+    fn flags_parse_strictly() {
+        assert_eq!(parse("").unwrap(), RunOptions::default());
+        let o = parse("--frames 5 --full").unwrap();
+        assert!(o.full);
+        assert_eq!(o.frames, 5);
+        for (args, rejected) in [
+            ("--frame 5", "--frame"),
+            ("--frames 0", "--frames 0"),
+            ("--frames two", "--frames two"),
+            ("--frames", "--frames "),
+            ("--full extra", "extra"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert_eq!(err.arg, rejected, "{args}");
+            let msg = format!("{err:?}");
+            assert!(msg.contains(rejected) && msg.contains(RUN_FLAGS), "{msg}");
+        }
     }
 
     #[test]

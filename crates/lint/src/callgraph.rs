@@ -11,10 +11,6 @@
 //!
 //! Rules implemented here:
 //!
-//! * `knob-at-construction` — a breadth-first reachability sweep from the
-//!   entry points (`render_frame`, `run_session`) flags every
-//!   `std::env::var` read on a reachable path: knobs are resolved in config
-//!   constructors, never mid-render or mid-serve.
 //! * `det-rng-discipline` (interprocedural half) — a call that passes an
 //!   RNG stream to a function whose summary says the matching parameter
 //!   crosses a partition boundary is flagged at the call site.
@@ -27,10 +23,6 @@ use crate::diag::Diagnostic;
 use crate::rules;
 use crate::scope::{self, Strictness};
 use std::collections::BTreeMap;
-
-/// Functions whose names mark the render/serve entry points for
-/// `knob-at-construction` reachability.
-pub const ENTRY_POINTS: &[&str] = &["render_frame", "run_session"];
 
 struct Node<'a> {
     path: &'a str,
@@ -84,87 +76,14 @@ pub fn check(files: &BTreeMap<String, FileFacts>) -> Vec<Diagnostic> {
         out
     };
 
-    // Adjacency + reverse chain bookkeeping for reachability messages.
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-    for (i, n) in nodes.iter().enumerate() {
-        for call in &n.facts.calls {
-            for j in resolve(&call.target) {
-                if j != i && !edges[i].contains(&j) {
-                    edges[i].push(j);
-                }
-            }
-        }
-    }
-
-    let mut diags = Vec::new();
-    knob_at_construction(&nodes, &edges, &mut diags);
-    call_site_rules(&nodes, &resolve, &mut diags);
-    diags
-}
-
-/// BFS from the entry points; every reachable `env::var` read is flagged.
-fn knob_at_construction(nodes: &[Node<'_>], edges: &[Vec<usize>], diags: &mut Vec<Diagnostic>) {
-    let mut parent: Vec<Option<usize>> = vec![None; nodes.len()];
-    let mut seen = vec![false; nodes.len()];
-    let mut queue: Vec<usize> = Vec::new();
-    for (i, n) in nodes.iter().enumerate() {
-        if ENTRY_POINTS.contains(&n.facts.name.as_str()) {
-            seen[i] = true;
-            queue.push(i);
-        }
-    }
-    let mut head = 0usize;
-    while head < queue.len() {
-        let i = queue[head];
-        head += 1;
-        for &j in &edges[i] {
-            if !seen[j] {
-                seen[j] = true;
-                parent[j] = Some(i);
-                queue.push(j);
-            }
-        }
-    }
-    for (i, n) in nodes.iter().enumerate() {
-        if !seen[i] || scope::classify(n.path) != Strictness::Strict {
-            continue;
-        }
-        for (knob, line) in &n.facts.env_reads {
-            // Reconstruct a short entry chain for the message.
-            let mut chain = vec![n.facts.name.clone()];
-            let mut at = i;
-            while let Some(p) = parent[at] {
-                chain.push(nodes[p].facts.name.clone());
-                at = p;
-                if chain.len() >= 4 {
-                    break;
-                }
-            }
-            chain.reverse();
-            let shown = if knob == "?" { "an env var" } else { knob };
-            diags.push(Diagnostic {
-                rule: "knob-at-construction",
-                path: n.path.to_string(),
-                line: *line,
-                message: format!(
-                    "{shown} is read on a render/serve path (reachable via `{}`) — \
-                     registered knobs are resolved once at config construction and \
-                     passed down as values, never re-read mid-run",
-                    chain.join(" -> ")
-                ),
-            });
-        }
-    }
+    call_site_rules(&nodes, &resolve)
 }
 
 /// The depth-1 summary checks at call sites: RNG streams passed into
 /// partition-crossing parameters, thread-derived values passed into
 /// float-fold-grouping parameters.
-fn call_site_rules(
-    nodes: &[Node<'_>],
-    resolve: &dyn Fn(&str) -> Vec<usize>,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn call_site_rules(nodes: &[Node<'_>], resolve: &dyn Fn(&str) -> Vec<usize>) -> Vec<Diagnostic> {
+    let mut diags = Vec::new();
     let fold_exempt = rules::allowed_files("parallel-float-fold");
     for n in nodes {
         if scope::classify(n.path) != Strictness::Strict {
@@ -223,6 +142,7 @@ fn call_site_rules(
             }
         }
     }
+    diags
 }
 
 /// The float-fmt chain closure across calls: a binding whose initializer
@@ -328,44 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn env_read_reachable_from_entry_is_flagged() {
-        let mut files = BTreeMap::new();
-        let (p1, f1) = facts_for(
-            "crates/sim/src/render.rs",
-            "use crate::knobs::resolve_knob;\n\
-             pub fn render_frame(n: u32) -> u32 { helper(n) }\n\
-             fn helper(n: u32) -> u32 { resolve_knob().unwrap_or(n) }\n",
-        );
-        let (p2, f2) = facts_for(
-            "crates/sim/src/knobs.rs",
-            "pub fn resolve_knob() -> Option<u32> {\n\
-                 std::env::var(\"PATU_DEMO\").ok().and_then(|v| v.parse().ok())\n\
-             }\n",
-        );
-        files.insert(p1, f1);
-        files.insert(p2, f2);
-        let diags = check(&files);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, "knob-at-construction");
-        assert_eq!(diags[0].path, "crates/sim/src/knobs.rs");
-        assert!(diags[0].message.contains("render_frame"));
-    }
-
-    #[test]
-    fn constructor_only_env_read_is_clean() {
-        let mut files = BTreeMap::new();
-        let (p1, f1) = facts_for(
-            "crates/sim/src/config.rs",
-            "pub fn from_env() -> u32 {\n\
-                 std::env::var(\"PATU_DEMO\").ok().and_then(|v| v.parse().ok()).unwrap_or(1)\n\
-             }\n\
-             pub fn render_frame(n: u32) -> u32 { n }\n",
-        );
-        files.insert(p1, f1);
-        assert!(check(&files).is_empty());
-    }
-
-    #[test]
     fn cross_crate_rng_summary_flags_the_call_site() {
         let mut files = BTreeMap::new();
         let (p1, f1) = facts_for(
@@ -422,11 +304,18 @@ mod tests {
     fn test_functions_never_resolve_as_targets() {
         let mut files = BTreeMap::new();
         let (p1, f1) = facts_for(
-            "crates/serve/src/server.rs",
-            "pub fn run_session(n: u32) -> u32 { govern(n) }\n\
-             fn govern(n: u32) -> u32 { n }\n\
+            "crates/sim/src/stats.rs",
+            "use patu_sim::parallel;\n\
+             pub fn summarize(explicit: Option<usize>, vals: &[f64]) -> f64 {\n\
+                 let t = parallel::thread_count(explicit);\n\
+                 grouped_mean(t, vals)\n\
+             }\n\
              #[cfg(test)]\nmod tests {\n\
-                 fn govern(n: u32) -> u32 { std::env::var(\"X\").map(|_| n).unwrap_or(n) }\n\
+                 pub fn grouped_mean(groups: usize, vals: &[f64]) -> f64 {\n\
+                     let mut partials = vec![0.0f64; groups];\n\
+                     for (i, v) in vals.iter().enumerate() { partials[i % groups] += v; }\n\
+                     partials.iter().sum::<f64>()\n\
+                 }\n\
              }\n",
         );
         files.insert(p1, f1);

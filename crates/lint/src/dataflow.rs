@@ -225,8 +225,6 @@ pub struct FnFacts {
     pub name: String,
     /// Call sites in body order.
     pub calls: Vec<CallFact>,
-    /// `std::env::var` reads: (variable name or `?`, line).
-    pub env_reads: Vec<(String, u32)>,
     /// Parameter indices of `DetRng` params used inside a partition region.
     pub rng_cross_params: Vec<usize>,
     /// Parameter indices that group a float reduction when thread-tainted.
@@ -614,19 +612,6 @@ pub fn analyze_fn(
                     );
                 }
             }
-        }
-
-        // ---- env reads ----------------------------------------------------
-        if ident(toks, i) == Some("env")
-            && is_path_sep(toks, i + 1)
-            && matches!(ident(toks, i + 3), Some("var" | "var_os"))
-        {
-            let knob = toks
-                .get(i + 5)
-                .filter(|t| t.kind == TokKind::Str)
-                .map(|t| t.text.trim_matches('"').to_string())
-                .unwrap_or_else(|| "?".to_string());
-            facts.env_reads.push((knob, line));
         }
 
         // ---- RNG uses -----------------------------------------------------
@@ -1448,11 +1433,11 @@ mod tests {
     }
 
     #[test]
-    fn env_reads_and_calls_are_recorded() {
-        let src = "fn reader() -> Option<String> { std::env::var(\"PATU_DEMO\").ok() }\n\
+    fn calls_and_bindings_are_recorded() {
+        let src = "fn reader() -> Option<String> { None }\n\
                    fn caller() { let x = reader(); let _ = x; }\n";
         let (facts, _) = analyze(src);
-        assert_eq!(facts[0].env_reads, vec![("PATU_DEMO".to_string(), 1)]);
+        assert!(facts[0].calls.is_empty());
         assert_eq!(facts[1].calls.len(), 1);
         assert_eq!(facts[1].calls[0].target, "P:fake::engine::reader");
         assert_eq!(facts[1].calls[0].binds, "x");

@@ -17,21 +17,20 @@
 //! | `thread-spawn` | no `std::thread::{spawn,scope}` outside `patu_sim::parallel`         |
 //! | `panic-path`   | no `unwrap`/`expect`/`panic!`/`unreachable!` in non-test library code|
 //! | `hash-order`   | no `HashMap`/`HashSet` in non-test library code (`BTreeMap` instead) |
-//! | `env-var`      | no `std::env::var` outside the readers in [`rules::ENV_KNOBS`]       |
+//! | `env-var`      | no `std::env::var` in library code (knobs: `patu_bench::knobs`)      |
 //! | `float-fmt`    | floats enter JSON via `patu_obs::json::{num,num_fixed}`, never `{:.N}`|
 //! | `unsafe-code`  | `unsafe` forbidden workspace-wide; every lib root carries the forbid |
 //! | `extern-dep`   | every `Cargo.toml` dependency is a `path` dependency (offline/0-dep) |
 //!
 //! The linter is also *interprocedural*: an item parser ([`resolve`]) feeds
 //! per-function taint summaries ([`dataflow`]) into a workspace call graph
-//! ([`callgraph`]), adding four rules a single-file scan cannot check, plus
-//! a debt finding:
+//! ([`callgraph`]), adding three rules a single-file scan cannot check,
+//! plus a debt finding:
 //!
 //! | id                     | invariant                                                      |
 //! |------------------------|----------------------------------------------------------------|
 //! | `det-rng-discipline`   | RNG streams cross partition boundaries only as `fork(id)` children, even through calls |
 //! | `parallel-float-fold`  | no float reduction grouped/ordered by the thread count, even via a helper |
-//! | `knob-at-construction` | no `env::var` on any call path reachable from `render_frame`/`run_session` |
 //! | `schema-sync`          | emitted JSONL `"type"` tags ↔ `LINE_TYPES` registry, both directions |
 //! | `unused-pragma`        | every reasoned `allow(...)` still suppresses something          |
 //!
@@ -139,8 +138,8 @@ pub fn run(root: &Path) -> Result<Vec<Diagnostic>, LintError> {
 }
 
 /// Finishes a run over per-file analyses (repo-relative path → analysis):
-/// the global interprocedural pass (call graph, knob reachability,
-/// float-fmt chains, schema sync), then pragma suppression, then an
+/// the global interprocedural pass (call-site summaries, float-fmt
+/// chains, schema sync), then pragma suppression, then an
 /// `unused-pragma` finding for every pragma that suppressed nothing.
 #[must_use]
 pub fn check_analyses(files: BTreeMap<String, rules::FileAnalysis>) -> Vec<Diagnostic> {

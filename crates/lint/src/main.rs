@@ -14,7 +14,7 @@ const USAGE: &str = "usage: patu-lint [--root <dir>] [--rules]\n\
                      \n\
                      Statically checks the PATU workspace invariants:\n\
                      determinism (wall-clock, thread-spawn, hash-order, env-var,\n\
-                     det-rng-discipline, parallel-float-fold, knob-at-construction),\n\
+                     det-rng-discipline, parallel-float-fold),\n\
                      error hygiene (panic-path), telemetry/JSON hygiene (float-fmt,\n\
                      schema-sync), memory safety (unsafe-code), the offline\n\
                      guarantee (extern-dep) and pragma debt (unused-pragma).\n\

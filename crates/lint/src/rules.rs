@@ -39,9 +39,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "env-var",
-        invariant: "no std::env::var outside the readers registered in \
-                    ENV_KNOBS — every ambient knob is declared in one table \
-                    and read exactly once",
+        invariant: "no std::env::var in library code — every PATU_* knob is \
+                    read once, by patu_bench::knobs, and reaches libraries as \
+                    a config value",
     },
     RuleInfo {
         id: "float-fmt",
@@ -72,12 +72,6 @@ pub const RULES: &[RuleInfo] = &[
                     reduce through the ordered partition APIs",
     },
     RuleInfo {
-        id: "knob-at-construction",
-        invariant: "no env read reachable from render_frame/run_session — \
-                    knobs resolve once at config construction and flow down \
-                    as values",
-    },
-    RuleInfo {
         id: "schema-sync",
         invariant: "every emitted JSONL \"type\" is registered in \
                     patu_obs::schema::LINE_TYPES and every registered type \
@@ -87,56 +81,6 @@ pub const RULES: &[RuleInfo] = &[
         id: "unused-pragma",
         invariant: "every allow(...) pragma still suppresses something — \
                     stale suppressions are debt",
-    },
-];
-
-/// One registered environment knob: the variable's name and the source
-/// files sanctioned to read it.
-#[derive(Debug, Clone, Copy)]
-pub struct EnvKnob {
-    /// The environment variable.
-    pub name: &'static str,
-    /// The files allowed to call `std::env::var` for it — the knob's config
-    /// entry points. Everywhere else takes the parsed value as an argument.
-    pub readers: &'static [&'static str],
-}
-
-/// Every environment knob the workspace reads. This table is the single
-/// registration point: adding a knob here both exempts its reader from the
-/// `env-var` rule and puts its name in the diagnostic text — no scattered
-/// allowlists to keep in sync.
-pub const ENV_KNOBS: &[EnvKnob] = &[
-    EnvKnob {
-        name: "PATU_THREADS",
-        readers: &["crates/sim/src/parallel.rs", "crates/quality/src/par.rs"],
-    },
-    EnvKnob {
-        name: "PATU_TRACE",
-        readers: &["crates/obs/src/config.rs"],
-    },
-    EnvKnob {
-        name: "PATU_SERVE_CLIENTS",
-        readers: &["crates/serve/src/workload.rs"],
-    },
-    EnvKnob {
-        name: "PATU_SERVE_SCENARIO",
-        readers: &["crates/serve/src/chaos.rs"],
-    },
-    EnvKnob {
-        name: "PATU_SSIM_SAMPLE",
-        readers: &["crates/quality/src/sampled.rs"],
-    },
-    EnvKnob {
-        name: "PATU_OBS_DUMP",
-        readers: &["crates/obs/src/dump.rs"],
-    },
-    EnvKnob {
-        name: "PATU_TRACE_OUT",
-        readers: &["crates/obs/src/config.rs"],
-    },
-    EnvKnob {
-        name: "PATU_TEMPORAL",
-        readers: &["crates/temporal/src/config.rs"],
     },
 ];
 
@@ -153,12 +97,6 @@ pub(crate) fn allowed_files(rule: &str) -> &'static [&'static str] {
         "parallel-float-fold" => &["crates/sim/src/parallel.rs", "crates/quality/src/par.rs"],
         _ => &[],
     }
-}
-
-/// The knob names, comma-joined, for the `env-var` diagnostic.
-fn knob_names() -> String {
-    let names: Vec<&str> = ENV_KNOBS.iter().map(|k| k.name).collect();
-    names.join("/")
 }
 
 /// Whether `id` names a known rule (valid inside `allow(...)`).
@@ -261,9 +199,6 @@ fn json_float_spec(text: &str) -> bool {
 }
 
 fn applies(rule: &str, rel_path: &str) -> bool {
-    if rule == "env-var" {
-        return !ENV_KNOBS.iter().any(|k| k.readers.contains(&rel_path));
-    }
     !allowed_files(rule).contains(&rel_path)
 }
 
@@ -382,12 +317,9 @@ fn token_diags(rel_path: &str, toks: &[Tok], in_test: &[bool], strict: bool) -> 
                     push(
                         "env-var",
                         t.line,
-                        format!(
-                            "`std::env::var` outside the config entry points — each \
-                             knob ({}) is read once by the reader registered in \
-                             `ENV_KNOBS`",
-                            knob_names()
-                        ),
+                        "`std::env::var` in library code — `PATU_*` knobs are read \
+                         once, by `patu_bench::knobs`, and passed in as config values"
+                            .to_string(),
                         &mut raw,
                     );
                 }
@@ -695,78 +627,19 @@ mod tests {
     }
 
     #[test]
-    fn registered_knob_readers_are_exempt_from_env_var() {
+    fn env_var_fires_in_strict_paths_only() {
         let src = "pub fn knob() -> Option<String> { std::env::var(\"PATU_X\").ok() }\n";
-        for knob in ENV_KNOBS {
-            for reader in knob.readers {
-                assert!(
-                    rules_hit(reader, src).is_empty(),
-                    "{reader} is the registered reader for {}",
-                    knob.name
-                );
-            }
+        for strict in [
+            LIB,
+            "crates/sim/src/parallel.rs",
+            "crates/obs/src/config.rs",
+        ] {
+            let hits = rules_hit(strict, src);
+            assert_eq!(hits, vec![("env-var", 1)], "{strict}");
         }
-        assert_eq!(rules_hit(LIB, src), vec![("env-var", 1)]);
-    }
-
-    #[test]
-    fn ssim_sample_knob_reads_only_from_the_sampled_module() {
-        // The sampled-MSSIM estimator resolves `PATU_SSIM_SAMPLE` itself;
-        // every other quality or serve file must take the resolved fraction
-        // as an argument.
-        let src = "fn mode() -> Option<String> { std::env::var(\"PATU_SSIM_SAMPLE\").ok() }\n";
-        assert!(rules_hit("crates/quality/src/sampled.rs", src).is_empty());
-        assert_eq!(
-            rules_hit("crates/quality/src/ssim.rs", src),
-            vec![("env-var", 1)]
-        );
-        assert_eq!(
-            rules_hit("crates/serve/src/exec.rs", src),
-            vec![("env-var", 1)]
-        );
-    }
-
-    #[test]
-    fn temporal_knob_reads_only_from_the_temporal_config() {
-        // `PATU_TEMPORAL` resolves once in the temporal crate's config
-        // module; the sim render path and the serve layer take the resolved
-        // `TemporalConfig` as a plain value.
-        let src = "fn mode() -> Option<String> { std::env::var(\"PATU_TEMPORAL\").ok() }\n";
-        assert!(rules_hit("crates/temporal/src/config.rs", src).is_empty());
-        assert_eq!(
-            rules_hit("crates/temporal/src/store.rs", src),
-            vec![("env-var", 1)]
-        );
-        assert_eq!(
-            rules_hit("crates/sim/src/render.rs", src),
-            vec![("env-var", 1)]
-        );
-    }
-
-    #[test]
-    fn observability_knobs_read_only_from_their_obs_modules() {
-        // `PATU_OBS_DUMP` resolves in the dump sink; every other library
-        // file takes the parsed dump dir as an argument.
-        let dump = "fn dir() -> Option<String> { std::env::var(\"PATU_OBS_DUMP\").ok() }\n";
-        assert!(rules_hit("crates/obs/src/dump.rs", dump).is_empty());
-        assert_eq!(
-            rules_hit("crates/obs/src/sink.rs", dump),
-            vec![("env-var", 1)]
-        );
-    }
-
-    #[test]
-    fn knob_table_is_well_formed() {
-        let mut names: Vec<&str> = ENV_KNOBS.iter().map(|k| k.name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), ENV_KNOBS.len(), "knob names are unique");
-        for knob in ENV_KNOBS {
-            assert!(knob.name.starts_with("PATU_"), "{}", knob.name);
-            assert!(!knob.readers.is_empty(), "{} has a reader", knob.name);
+        for relaxed in ["crates/bench/src/knobs.rs", BIN, "tests/fixture.rs"] {
+            assert!(rules_hit(relaxed, src).is_empty(), "{relaxed}");
         }
-        let diag = &rules_hit(LIB, "fn f() { std::env::var(\"X\").ok(); }\n");
-        assert_eq!(diag, &[("env-var", 1)]);
     }
 
     #[test]

@@ -153,7 +153,6 @@ fn rules_listing_names_every_rule() {
         "extern-dep",
         "det-rng-discipline",
         "parallel-float-fold",
-        "knob-at-construction",
         "schema-sync",
         "unused-pragma",
     ] {

@@ -35,8 +35,8 @@ fn expected(src: &str, comment: &str) -> Vec<(String, u32)> {
 }
 
 /// Lints `src` as the single file `path` through the whole pipeline: the
-/// per-file analysis, the interprocedural pass (call graph, knob
-/// reachability, float-fmt chains, schema sync) over that file's facts,
+/// per-file analysis, the interprocedural pass (call-site summaries,
+/// float-fmt chains, schema sync) over that file's facts,
 /// then pragma suppression and `unused-pragma` debt.
 fn lint(path: &str, src: &str) -> Vec<Diagnostic> {
     let crates = BTreeMap::from([("crates/fixture".to_string(), "patu_fixture".to_string())]);
@@ -182,14 +182,6 @@ fn float_fmt_chain_fixture() {
 }
 
 #[test]
-fn knob_at_construction_fixture() {
-    check_source(
-        "crates/fixture/src/knob_at_construction.rs",
-        include_str!("fixtures/knob_at_construction.rs"),
-    );
-}
-
-#[test]
 fn schema_sync_fixture() {
     check_source(
         "crates/fixture/src/schema_sync.rs",
@@ -224,16 +216,4 @@ fn sanctioned_entry_points_are_exempt() {
     assert!(lint("crates/bench/src/micro.rs", clocks).is_empty());
     let spawns = include_str!("fixtures/thread_spawn.rs");
     assert!(lint("crates/sim/src/parallel.rs", spawns).is_empty());
-    // Every reader registered in ENV_KNOBS is exempt from env-var — the
-    // fixture that fires everywhere else stays silent there.
-    let envs = include_str!("fixtures/env_var.rs");
-    for knob in patu_lint::rules::ENV_KNOBS {
-        for reader in knob.readers {
-            assert!(
-                lint(reader, envs).is_empty(),
-                "{reader} reads {}",
-                knob.name
-            );
-        }
-    }
 }

@@ -1,6 +1,4 @@
-//! Telemetry configuration: the `PATU_TRACE` / `PATU_TRACE_OUT` knobs.
-
-use std::path::PathBuf;
+//! Telemetry configuration: the trace level and flight-recorder depth.
 
 /// How much the telemetry layer records.
 ///
@@ -20,13 +18,14 @@ pub enum TraceLevel {
 }
 
 impl TraceLevel {
-    /// Parses `off | counters | spans` (case-insensitive). Unknown values
-    /// sanitize to `Off` so a typo can never slow a run down.
-    pub fn parse(s: &str) -> TraceLevel {
+    /// Parses `off | counters | spans` (case-insensitive, surrounding
+    /// whitespace ignored); `None` for anything else.
+    pub fn parse(s: &str) -> Option<TraceLevel> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "counters" => TraceLevel::Counters,
-            "spans" => TraceLevel::Spans,
-            _ => TraceLevel::Off,
+            "off" => Some(TraceLevel::Off),
+            "counters" => Some(TraceLevel::Counters),
+            "spans" => Some(TraceLevel::Spans),
+            _ => None,
         }
     }
 
@@ -53,8 +52,7 @@ impl TraceLevel {
 /// Telemetry configuration carried by render/experiment configs.
 ///
 /// Deliberately `Copy` and tiny: the output *directory* is not part of it —
-/// sinks are driven by whoever writes files (bench binaries, tests), via
-/// [`trace_out_dir`].
+/// sinks are driven by whoever writes files (bench binaries, tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// What to record.
@@ -79,15 +77,6 @@ impl TelemetryConfig {
             flight_depth: DEFAULT_FLIGHT_DEPTH,
         }
     }
-
-    /// Resolves the `PATU_TRACE` environment variable (`off` when unset or
-    /// unparseable).
-    pub fn from_env() -> TelemetryConfig {
-        let level = std::env::var("PATU_TRACE")
-            .map(|v| TraceLevel::parse(&v))
-            .unwrap_or(TraceLevel::Off);
-        TelemetryConfig::with_level(level)
-    }
 }
 
 impl Default for TelemetryConfig {
@@ -98,15 +87,6 @@ impl Default for TelemetryConfig {
 
 /// Default flight-recorder ring depth per cluster.
 pub const DEFAULT_FLIGHT_DEPTH: u32 = 64;
-
-/// The directory trace artifacts should be written to: `PATU_TRACE_OUT`,
-/// or `None` when unset/empty (callers then skip file output).
-pub fn trace_out_dir() -> Option<PathBuf> {
-    match std::env::var("PATU_TRACE_OUT") {
-        Ok(dir) if !dir.trim().is_empty() => Some(PathBuf::from(dir)),
-        _ => None,
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -124,22 +104,19 @@ mod tests {
     }
 
     #[test]
-    fn parse_is_lenient() {
-        assert_eq!(TraceLevel::parse("spans"), TraceLevel::Spans);
-        assert_eq!(TraceLevel::parse(" Counters "), TraceLevel::Counters);
-        assert_eq!(TraceLevel::parse("off"), TraceLevel::Off);
-        assert_eq!(
-            TraceLevel::parse("bogus"),
-            TraceLevel::Off,
-            "typos sanitize to off"
-        );
-        assert_eq!(TraceLevel::parse(""), TraceLevel::Off);
+    fn parse_rejects_unknown_levels() {
+        assert_eq!(TraceLevel::parse("spans"), Some(TraceLevel::Spans));
+        assert_eq!(TraceLevel::parse(" Counters "), Some(TraceLevel::Counters));
+        assert_eq!(TraceLevel::parse("off"), Some(TraceLevel::Off));
+        assert_eq!(TraceLevel::parse("bogus"), None, "typos are not off");
+        assert_eq!(TraceLevel::parse("span"), None);
+        assert_eq!(TraceLevel::parse(""), None);
     }
 
     #[test]
     fn names_round_trip() {
         for level in [TraceLevel::Off, TraceLevel::Counters, TraceLevel::Spans] {
-            assert_eq!(TraceLevel::parse(level.name()), level);
+            assert_eq!(TraceLevel::parse(level.name()), Some(level));
         }
     }
 

@@ -1,24 +1,14 @@
-//! Perceptual debug artifacts: PPM heatmaps gated by `PATU_OBS_DUMP`.
+//! Perceptual debug artifacts: PPM heatmaps.
 //!
-//! When `PATU_OBS_DUMP=<dir>` is set, telemetry-aware drivers write
-//! per-frame SSIM-error heatmaps and demotion-decision maps into `<dir>`
-//! as binary PPMs for eyeballing where approximation error concentrates.
-//! This module owns the knob (the only reader, see patu-lint's
-//! `ENV_KNOBS`) plus the deterministic color ramp and image plumbing; the
-//! drivers own the data.
+//! Telemetry-aware binaries given a dump directory (the `trace_smoke`
+//! binary's `PATU_OBS_DUMP=<dir>`) write per-frame SSIM-error heatmaps and
+//! demotion-decision maps into it as binary PPMs for eyeballing where
+//! approximation error concentrates. This module owns the deterministic
+//! color ramp and image plumbing; the binaries own the data.
 
 use std::fs;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
-
-/// The dump directory from `PATU_OBS_DUMP`, or `None` when the knob is
-/// unset or blank. This is the knob's only reader.
-pub fn obs_dump_dir() -> Option<PathBuf> {
-    match std::env::var("PATU_OBS_DUMP") {
-        Ok(dir) if !dir.trim().is_empty() => Some(PathBuf::from(dir.trim())),
-        _ => None,
-    }
-}
+use std::path::Path;
 
 /// Maps an intensity in `[0, 1000]` (fixed-point ×1000) onto a cold→hot
 /// ramp: deep blue → cyan → green → yellow → red. Pure integer math, so

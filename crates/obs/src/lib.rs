@@ -4,11 +4,11 @@
 //! cycles, not wall time**, and every merge walks collectors in cluster
 //! order — the same ordered-merge discipline as `patu_sim::parallel` — so
 //! each artifact (JSONL event stream, Chrome trace, flight-recorder dump,
-//! report table) is bit-identical across `PATU_THREADS` settings, with and
+//! report table) is bit-identical across thread counts, with and
 //! without fault injection.
 //!
-//! * [`config::TraceLevel`] / [`config::TelemetryConfig`] — the `PATU_TRACE`
-//!   knob (`off | counters | spans`); `off` records nothing and costs a
+//! * [`config::TraceLevel`] / [`config::TelemetryConfig`] — the trace
+//!   level (`off | counters | spans`); `off` records nothing and costs a
 //!   branch per call site.
 //! * [`hist::Log2Histogram`] — fixed-bucket log2 latency/count histogram
 //!   with deterministic `p50/p95/p99` (nearest-rank over integer buckets).
@@ -28,8 +28,8 @@
 //! * [`schema`] — validation of every JSONL line the sinks emit.
 //! * [`attrib`] — per-frame cycle attribution by stage with an exact
 //!   conservation invariant against the frame's critical path.
-//! * [`dump`] — `PATU_OBS_DUMP` perceptual debug artifacts (PPM heatmaps
-//!   and per-tile decision maps).
+//! * [`dump`] — perceptual debug artifacts (PPM heatmaps and per-tile
+//!   decision maps).
 //!
 //! Nothing here depends on wall clocks, random state, iteration order of
 //! hash maps, or anything else that could differ between two runs of the
@@ -52,8 +52,8 @@ pub mod span;
 
 pub use attrib::{Attribution, Stage};
 pub use collect::{Collector, FrameTelemetry};
-pub use config::{trace_out_dir, TelemetryConfig, TraceLevel};
-pub use dump::{heat_color, obs_dump_dir, write_ppm, TileGrid};
+pub use config::{TelemetryConfig, TraceLevel};
+pub use dump::{heat_color, write_ppm, TileGrid};
 pub use hist::Log2Histogram;
 pub use recorder::{FlightDump, FlightRecorder};
 pub use report::Table;

@@ -23,7 +23,7 @@ pub struct GaussianSsimConfig {
     pub k2: f32,
     /// Sample dynamic range (255).
     pub dynamic_range: f32,
-    /// Worker threads for the banded scan (`None` = `PATU_THREADS`, then
+    /// Worker threads for the banded scan (`None` =
     /// [`std::thread::available_parallelism`]). Banding is bit-identical to
     /// the serial scan: per-window values are concatenated in row order and
     /// reduced serially afterwards.

@@ -9,31 +9,13 @@
 
 use std::num::NonZeroUsize;
 
-/// Resolves the worker count: an explicit knob wins, then the
-/// `PATU_THREADS` environment variable, then
-/// [`std::thread::available_parallelism`]. Unparseable or zero values
-/// sanitize to the next fallback; the result is always at least 1.
+/// Resolves the worker count: an explicit knob wins (zero sanitizes to
+/// 1), else [`std::thread::available_parallelism`].
 pub(crate) fn thread_count(explicit: Option<usize>) -> usize {
-    if let Some(n) = explicit {
-        return n.max(1);
+    match explicit {
+        Some(n) => n.max(1),
+        None => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
     }
-    if let Some(n) = env_threads() {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-fn env_threads() -> Option<usize> {
-    // patu-lint: allow(knob-at-construction) — sanctioned PATU_THREADS fallback,
-    // consulted only when the caller configured no explicit thread count
-    std::env::var("PATU_THREADS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n >= 1)
 }
 
 /// Maps `per_row` over `rows` row indices and concatenates the per-row

@@ -11,7 +11,7 @@
 //!    [`DetRng`] seeded with [`SampledSsimConfig::seed`] picks exactly one
 //!    tile per stratum (one draw per stratum — the plan is a pure function
 //!    of the seed and the image dimensions, so the estimate is bit-identical
-//!    across runs, machines and `PATU_THREADS` settings);
+//!    across runs, machines and thread counts);
 //! 3. each sampled tile is evaluated over *local* integral images covering
 //!    only its `(tile + window − 1)²` pixel support, with the same window
 //!    arithmetic as the full map;
@@ -34,21 +34,18 @@
 //! tiles; the acceptance suite (`tests/batch_equivalence.rs`) pins the
 //! observed error at ≤ 0.005 against the full MSSIM on every seed scene.
 //!
-//! # The `PATU_SSIM_SAMPLE` knob
+//! # Sampled or full
 //!
-//! When [`SampledSsimConfig::fraction`] is `None`, the environment variable
-//! `PATU_SSIM_SAMPLE` selects the mode: `off` (case-insensitive) forces the
-//! full computation, a float in `(0, 1)` sets the sampled fraction, and
-//! anything else (including unset) falls back to the default fraction
-//! [`DEFAULT_FRACTION`]. Values ≥ 1 also run the full computation — a
-//! fraction of 1 *is* the full scan.
+//! [`SampledSsimConfig::fraction`] selects the mode: a float in `(0, 1)`
+//! sets the sampled fraction, and `None` or any value outside `(0, 1)`
+//! runs the full computation — a fraction of 1 *is* the full scan.
 
 use crate::image::GrayImage;
 use crate::ssim::SsimConfig;
 use patu_gmath::DetRng;
 
-/// The sampled fraction used when neither the config nor the
-/// `PATU_SSIM_SAMPLE` environment variable picks one: 1/4 of the tiles.
+/// The sampled fraction [`SampledSsimConfig::new`] starts from: 1/4 of the
+/// tiles.
 ///
 /// Paired with the default 8-window tile this is the coarsest plan that
 /// keeps the observed estimator error within 0.005 of the full MSSIM on
@@ -63,9 +60,9 @@ pub struct SampledSsimConfig {
     pub ssim: SsimConfig,
     /// Tile edge length in window positions (default 8).
     pub tile: u32,
-    /// Sampled fraction of tiles in `(0, 1)`. `None` resolves the
-    /// `PATU_SSIM_SAMPLE` environment variable, then [`DEFAULT_FRACTION`];
-    /// values outside `(0, 1)` run the full computation.
+    /// Sampled fraction of tiles in `(0, 1)` ([`DEFAULT_FRACTION`] by
+    /// default). `None` or a value outside `(0, 1)` runs the full
+    /// computation.
     pub fraction: Option<f64>,
     /// Seed of the tile-selection plan. Equal seeds and dimensions yield
     /// identical plans — and therefore bit-identical estimates.
@@ -79,12 +76,12 @@ impl SampledSsimConfig {
         SampledSsimConfig {
             ssim: SsimConfig::default(),
             tile: 8,
-            fraction: None,
+            fraction: Some(DEFAULT_FRACTION),
             seed,
         }
     }
 
-    /// Overrides the sampled fraction, bypassing `PATU_SSIM_SAMPLE`.
+    /// Overrides the sampled fraction.
     #[must_use]
     pub fn with_fraction(mut self, fraction: f64) -> SampledSsimConfig {
         self.fraction = Some(fraction);
@@ -105,46 +102,16 @@ impl SampledSsimConfig {
         self
     }
 
-    /// The effective sampled fraction: `Some(f)` for a sampled run, `None`
-    /// when the estimator would run the full computation (explicit or
-    /// `PATU_SSIM_SAMPLE=off`, or a fraction outside `(0, 1)`).
-    pub fn resolved_fraction(&self) -> Option<f64> {
-        match self.fraction {
-            Some(f) => sanitize(f),
-            None => match env_mode() {
-                EnvMode::Off => None,
-                EnvMode::Fraction(f) => sanitize(f),
-                EnvMode::Default => Some(DEFAULT_FRACTION),
-            },
-        }
-    }
-
     /// Estimates the mean SSIM between `x` and `y` from a deterministic
-    /// stratified sample of window tiles (or computes it exactly when the
-    /// resolved mode is full — see [`SampledSsimConfig::resolved_fraction`]).
+    /// stratified sample of window tiles (or computes it exactly when
+    /// [`SampledSsimConfig::fraction`] selects the full scan).
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`SsimConfig::ssim_map`]: images
     /// that differ in size or are smaller than the window.
     pub fn mssim_sampled(&self, x: &GrayImage, y: &GrayImage) -> f32 {
-        self.mssim_with(x, y, self.resolved_fraction())
-    }
-
-    /// Estimates with a mode resolved ahead of time: `None` runs the full
-    /// computation, `Some(f)` the stratified estimate at fraction `f`.
-    ///
-    /// This is the construction-time path for long-lived callers — resolve
-    /// [`SampledSsimConfig::resolved_fraction`] once when the service is
-    /// built and pass the value down, instead of re-reading
-    /// `PATU_SSIM_SAMPLE` on every estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`SsimConfig::ssim_map`]: images
-    /// that differ in size or are smaller than the window.
-    pub fn mssim_with(&self, x: &GrayImage, y: &GrayImage, resolved: Option<f64>) -> f32 {
-        match resolved.and_then(sanitize) {
+        match self.fraction.and_then(sanitize) {
             None => self.ssim.mssim(x, y),
             Some(fraction) => self.estimate(x, y, fraction),
         }
@@ -200,32 +167,6 @@ impl SampledSsimConfig {
             s += len;
         }
         (sum / count as f64) as f32
-    }
-}
-
-/// What the environment variable asked for.
-enum EnvMode {
-    Off,
-    Fraction(f64),
-    Default,
-}
-
-fn env_mode() -> EnvMode {
-    // patu-lint: allow(knob-at-construction) — resolved once per estimator or
-    // service construction (resolved_fraction); per-frame callers use mssim_with
-    match std::env::var("PATU_SSIM_SAMPLE") {
-        Ok(v) => {
-            let v = v.trim();
-            if v.eq_ignore_ascii_case("off") {
-                EnvMode::Off
-            } else {
-                match v.parse::<f64>() {
-                    Ok(f) => EnvMode::Fraction(f),
-                    Err(_) => EnvMode::Default,
-                }
-            }
-        }
-        Err(_) => EnvMode::Default,
     }
 }
 

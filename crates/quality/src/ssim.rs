@@ -27,8 +27,7 @@ pub struct SsimConfig {
     pub k2: f32,
     /// Dynamic range of the samples (255 for 8-bit luma).
     pub dynamic_range: f32,
-    /// Worker threads for the banded map computation. `None` resolves the
-    /// `PATU_THREADS` environment variable, falling back to
+    /// Worker threads for the banded map computation. `None` uses
     /// [`std::thread::available_parallelism`]. The result is bit-identical
     /// for every thread count: window values are pure functions of shared
     /// integral images, bands concatenate in row order, and the mean is

@@ -8,12 +8,6 @@
 //! outages, the same stragglers, and the same transient draws — on any
 //! thread count. That is what makes a chaos run a *regression test*
 //! rather than a dice roll.
-//!
-//! This file is the registered reader of the `PATU_SERVE_SCENARIO`
-//! environment knob (see `patu-lint`'s `ENV_KNOBS` table): the ambient
-//! scenario name is read exactly once, here, and flows everywhere else as
-//! a plain [`ServeConfig::scenario`](crate::ServeConfig) field. Unset or
-//! unrecognized names fall back to [`Scenario::Calm`].
 
 use crate::exec::fnv1a;
 use crate::health::{Episode, EpisodeKind, HealthModel};
@@ -56,7 +50,7 @@ impl Scenario {
         Scenario::StragglerStorm,
     ];
 
-    /// Stable name, used in JSON artifacts and `PATU_SERVE_SCENARIO`.
+    /// Stable name, used in JSON artifacts and accepted by [`Scenario::parse`].
     pub fn label(self) -> &'static str {
         match self {
             Scenario::Calm => "calm",
@@ -162,17 +156,6 @@ impl Scenario {
         }
         HealthModel::new(per_gpu, self.transient_rate(), seed)
     }
-}
-
-/// Resolves the default scenario: `PATU_SERVE_SCENARIO` if set to a known
-/// label, else [`Scenario::Calm`]. Explicit `ServeConfig::scenario`
-/// assignments always win — this only seeds `Default`, mirroring
-/// `PATU_SERVE_CLIENTS`.
-pub fn default_scenario() -> Scenario {
-    std::env::var("PATU_SERVE_SCENARIO")
-        .ok()
-        .and_then(|v| Scenario::parse(&v))
-        .unwrap_or(Scenario::Calm)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! ([`SimFrameService`]). Both are deterministic: a [`RenderKey`] fully
 //! identifies the work, results are cached by key, and batch fan-out goes
 //! through `patu_sim::parallel::run_indexed` — so serve outputs are
-//! bit-identical across `PATU_THREADS` settings.
+//! bit-identical across thread counts.
 
 use crate::error::ServeError;
 use crate::workload::ServeConfig;
@@ -126,13 +126,10 @@ pub struct SimFrameService {
     steps: u32,
     faults: FaultConfig,
     threads: usize,
-    /// The sampled-SSIM mode, resolved from `PATU_SSIM_SAMPLE` once at
-    /// service construction (`None` = full MSSIM): serving re-reads no
-    /// environment, so a mid-session knob flip cannot change what a
-    /// session reports.
+    /// The sampled-SSIM mode, [`ServeConfig::ssim_sample`] (`None` = full
+    /// MSSIM).
     ssim_mode: Option<f64>,
-    /// Cross-frame reuse policy, resolved from `PATU_TEMPORAL` once at
-    /// service construction. With mode `off` (the default) serving is
+    /// Cross-frame reuse policy. With mode `off` (the default) serving is
     /// byte-identical to a build without the temporal subsystem.
     temporal: TemporalConfig,
     /// One tile-reuse chain per `(scene, bucket)`: a client whose session
@@ -153,13 +150,11 @@ impl SimFrameService {
     /// Returns [`ServeError`] for unknown scene names or an invalid base
     /// policy.
     pub fn new(cfg: &ServeConfig) -> Result<SimFrameService, ServeError> {
-        SimFrameService::with_temporal(cfg, TemporalConfig::from_env())
+        SimFrameService::with_temporal(cfg, TemporalConfig::off())
     }
 
-    /// [`SimFrameService::new`] with an explicit temporal-reuse config
-    /// instead of the `PATU_TEMPORAL` environment knob — the constructor
-    /// tests use to exercise both serve paths without touching the
-    /// process environment.
+    /// [`SimFrameService::new`] with cross-frame tile reuse under
+    /// `temporal` instead of off.
     ///
     /// # Errors
     ///
@@ -183,7 +178,7 @@ impl SimFrameService {
             steps: cfg.governor_steps.max(1),
             faults: cfg.faults,
             threads: parallel::thread_count(cfg.threads),
-            ssim_mode: SampledSsimConfig::new(0).resolved_fraction(),
+            ssim_mode: cfg.ssim_sample,
             temporal,
             stores: BTreeMap::new(),
             baselines: BTreeMap::new(),
@@ -292,11 +287,13 @@ impl SimFrameService {
             self.stores.insert((scene, bucket), store);
             for (key, result) in keys.into_iter().zip(results) {
                 let ssim = match self.baselines.get(&(key.scene, key.frame)) {
-                    Some((luma, _)) => f64::from(SampledSsimConfig::new(key.mix()).mssim_with(
-                        luma,
-                        &result.luma(),
-                        self.ssim_mode,
-                    )),
+                    Some((luma, _)) => f64::from(
+                        SampledSsimConfig {
+                            fraction: self.ssim_mode,
+                            ..SampledSsimConfig::new(key.mix())
+                        }
+                        .mssim_sampled(luma, &result.luma()),
+                    ),
                     None => 0.0,
                 };
                 self.rendered.insert(
@@ -364,12 +361,14 @@ impl FrameService for SimFrameService {
                         // Sampled estimator, seeded per render key: the
                         // stratified plan is a pure function of the key and
                         // the frame size, so cache hits and misses — and any
-                        // PATU_THREADS setting — report the same number.
-                        Some((luma, _)) => f64::from(SampledSsimConfig::new(key.mix()).mssim_with(
-                            luma,
-                            &result.luma(),
-                            ssim_mode,
-                        )),
+                        // thread count — report the same number.
+                        Some((luma, _)) => f64::from(
+                            SampledSsimConfig {
+                                fraction: ssim_mode,
+                                ..SampledSsimConfig::new(key.mix())
+                            }
+                            .mssim_sampled(luma, &result.luma()),
+                        ),
                         // Unreachable (fill_baselines ran), but degrade to
                         // "no quality claim" instead of panicking.
                         None => 0.0,
@@ -547,6 +546,28 @@ mod tests {
         for f in &served {
             assert!(f.ssim > 0.8 && f.ssim <= 1.0, "ssim {}", f.ssim);
         }
+    }
+
+    #[test]
+    fn ssim_sample_none_serves_the_full_mssim() {
+        let sampled_cfg = ServeConfig {
+            scenes: vec!["doom3".to_string()],
+            resolution: (96, 64),
+            ..ServeConfig::default()
+        };
+        let full_cfg = ServeConfig {
+            ssim_sample: None,
+            ..sampled_cfg.clone()
+        };
+        let k = key(0, 0, 3);
+        let sampled = SimFrameService::new(&sampled_cfg)
+            .expect("builds")
+            .serve(&[k]);
+        let full = SimFrameService::new(&full_cfg).expect("builds").serve(&[k]);
+        let (sampled, full) = (sampled.expect("renders")[0], full.expect("renders")[0]);
+        assert_eq!(sampled.image_hash, full.image_hash, "same pixels");
+        assert_ne!(sampled.ssim, full.ssim, "the estimate is not the full scan");
+        assert!((sampled.ssim - full.ssim).abs() < 0.05);
     }
 
     #[test]

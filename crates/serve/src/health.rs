@@ -8,7 +8,7 @@
 //! without going offline) — plus a hash-derived per-attempt **transient**
 //! failure draw that surfaces as a corrupt frame hash. Everything is a
 //! pure function of the scenario seed: no wall clock, no ambient
-//! randomness, so chaos replays bit-identically at any `PATU_THREADS`.
+//! randomness, so chaos replays bit-identically at any thread count.
 //!
 //! The resilience side lives here too: retry scheduling
 //! (`next_attempt`: deterministic exponential backoff in virtual cycles,

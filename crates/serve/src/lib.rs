@@ -5,11 +5,11 @@
 //! frame + deadline + priority tier) against a fixed-capacity pool of PATU
 //! GPUs, entirely on a **virtual clock in simulated GPU cycles** — no wall
 //! time anywhere, so every session is bit-identical across runs, machines
-//! and `PATU_THREADS` settings. The pieces:
+//! and thread counts. The pieces:
 //!
 //! - [`workload`] — seeded open-loop traffic generation (`DetRng`-driven
 //!   inter-arrival gaps, scene mix, tier draws, deadline assignment) and the
-//!   [`ServeConfig`] knobs, including the `PATU_SERVE_CLIENTS` env override.
+//!   [`ServeConfig`] knobs.
 //! - [`queue`] — the admission-controlled bounded EDF queue whose depth is
 //!   both the backpressure signal and the shed trigger.
 //! - [`governor`] — the load-adaptive quality loop: queue pressure biases a
@@ -25,8 +25,7 @@
 //!   primitives (retry scheduling, the [`CircuitBreaker`], and the tuning
 //!   constants `ServeConfig::resilience` switches on).
 //! - [`chaos`] — named, fully-seeded [`Scenario`] scripts (single-GPU
-//!   flap, correlated half-pool outage, straggler storm…), including the
-//!   `PATU_SERVE_SCENARIO` env override.
+//!   flap, correlated half-pool outage, straggler storm…).
 //! - [`server`] — the discrete-event loop tying it together, producing a
 //!   [`ServeReport`]: stats, a schema-checked JSONL serve log, and
 //!   Chrome-traceable telemetry with per-GPU outage postmortems.
@@ -65,7 +64,7 @@ pub mod server;
 mod trace;
 pub mod workload;
 
-pub use chaos::{default_scenario, Scenario};
+pub use chaos::Scenario;
 pub use error::ServeError;
 pub use exec::{FrameService, RenderKey, ServedFrame, SimFrameService, SyntheticService};
 pub use governor::QualityGovernor;

@@ -4,8 +4,8 @@
 //! Time is simulated GPU cycles, advanced only by three event kinds — job
 //! arrivals, GPU completions, and retry due-times — so a session is a pure
 //! function of its [`ServeConfig`] and [`FrameService`]: bit-identical
-//! logs, stats and delivered frames on every run and every `PATU_THREADS`
-//! setting. The loop per step: admit every arrival due now (shedding on a
+//! logs, stats and delivered frames on every run and every thread
+//! count. The loop per step: admit every arrival due now (shedding on a
 //! full queue), requeue every retry that has cooled down, dispatch EDF
 //! batches onto available GPUs with the governor's quantized threshold,
 //! else advance the clock to the next event.

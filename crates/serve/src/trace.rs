@@ -8,7 +8,7 @@
 //! start at 1 per job (the root is always id 1), every non-root span names
 //! a present parent, and ids never repeat. Because ids are job-local and
 //! the serve event loop is single-threaded on the virtual clock, trace
-//! lines are bit-identical across runs and `PATU_THREADS` settings.
+//! lines are bit-identical across runs and thread counts.
 //!
 //! The builder also carries the session [`Collector`]'s reserved span id
 //! (`flow`) for this job, so the per-GPU render spans recorded during

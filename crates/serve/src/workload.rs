@@ -7,33 +7,14 @@
 //! perturbs another client's stream), merged in `(arrival, id)` order.
 //! There is no wall clock anywhere; a "second" of traffic is measured in
 //! simulated GPU cycles.
-//!
-//! This file is the registered reader of the `PATU_SERVE_CLIENTS`
-//! environment knob (see `patu-lint`'s `ENV_KNOBS` table): the ambient
-//! client count is read exactly once, here, and flows everywhere else as a
-//! plain field.
 
-use crate::chaos::{default_scenario, Scenario};
+use crate::chaos::Scenario;
 use crate::error::ServeError;
 use crate::job::{Job, Tier};
 use patu_gmath::DetRng;
 use patu_gpu::FaultConfig;
 use patu_obs::TraceLevel;
-
-/// Fallback client count when `PATU_SERVE_CLIENTS` is unset or invalid.
-const DEFAULT_CLIENTS: usize = 8;
-
-/// Resolves the default client count: the `PATU_SERVE_CLIENTS` environment
-/// variable if set to a positive integer, else [`DEFAULT_CLIENTS`].
-/// Explicit [`ServeConfig::clients`] assignments always win — this is only
-/// the `Default` seed, mirroring how `PATU_THREADS` resolves.
-pub fn default_clients() -> usize {
-    std::env::var("PATU_SERVE_CLIENTS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(DEFAULT_CLIENTS)
-}
+use patu_quality::sampled::DEFAULT_FRACTION;
 
 /// Everything the serving subsystem needs to run one session.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,8 +61,8 @@ pub struct ServeConfig {
     /// Fault injection forwarded into every render (disabled by default).
     pub faults: FaultConfig,
     /// The chaos scenario the session runs under — which GPU outage,
-    /// straggler, and transient-failure script is in force. Defaults to
-    /// `PATU_SERVE_SCENARIO` when set to a known label, else calm.
+    /// straggler, and transient-failure script is in force (calm by
+    /// default).
     pub scenario: Scenario,
     /// Whether the resilience stack is on: retries, hedging, circuit
     /// breakers, and the brownout ladder, tuned by the constants in
@@ -89,10 +70,13 @@ pub struct ServeConfig {
     /// control arm, where failures fail, stragglers straggle, and capacity
     /// loss goes unmanaged.
     pub resilience: bool,
-    /// Worker threads for batch rendering. `None` resolves `PATU_THREADS`,
-    /// then available parallelism; outputs are bit-identical across all
-    /// values.
+    /// Worker threads for batch rendering. `None` uses available
+    /// parallelism; outputs are bit-identical across all values.
     pub threads: Option<usize>,
+    /// Sampled fraction of the stratified MSSIM estimate each served frame
+    /// reports (see `patu_quality::SampledSsimConfig`); `None` runs the
+    /// full MSSIM scan.
+    pub ssim_sample: Option<f64>,
     /// Telemetry level for serve spans/counters. At
     /// [`TraceLevel::Spans`] the session also emits one `"trace"` JSONL
     /// line per terminated job — its full causal lifecycle tree.
@@ -103,7 +87,7 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             seed: 42,
-            clients: default_clients(),
+            clients: 8,
             jobs_per_client: 8,
             scenes: vec!["doom3".to_string(), "hl2".to_string()],
             resolution: (192, 144),
@@ -117,9 +101,10 @@ impl Default for ServeConfig {
             governor_steps: 8,
             pressure_gain: 1.0,
             faults: FaultConfig::disabled(),
-            scenario: default_scenario(),
+            scenario: Scenario::Calm,
             resilience: true,
             threads: None,
+            ssim_sample: Some(DEFAULT_FRACTION),
             trace: TraceLevel::Counters,
         }
     }
@@ -159,6 +144,9 @@ impl ServeConfig {
         }
         if !(self.pressure_gain.is_finite() && self.pressure_gain >= 0.0) {
             return bad("pressure_gain must be finite and non-negative");
+        }
+        if self.ssim_sample.is_some_and(|f| !(f > 0.0 && f < 1.0)) {
+            return bad("ssim_sample must be in (0, 1), or None for the full scan");
         }
         Ok(())
     }
@@ -341,15 +329,14 @@ mod tests {
                 Box::new(|c: &mut ServeConfig| c.pressure_gain = -2.0),
                 "gain",
             ),
+            (
+                Box::new(|c: &mut ServeConfig| c.ssim_sample = Some(1.5)),
+                "ssim_sample",
+            ),
         ] {
             let mut bad = ok.clone();
             mutate(&mut bad);
             assert!(bad.validate().is_err());
         }
-    }
-
-    #[test]
-    fn default_clients_is_positive() {
-        assert!(default_clients() >= 1);
     }
 }

@@ -27,7 +27,7 @@ pub struct ExperimentConfig {
     /// Optional per-frame cycle budget for the degradation watchdog.
     pub cycle_budget: Option<u64>,
     /// Worker threads for the sweep (and, when the sweep has a single
-    /// point, the render inside it). `None` defers to `PATU_THREADS`, then
+    /// point, the render inside it). `None` uses
     /// [`std::thread::available_parallelism`]. Results are bit-identical
     /// across every value; 1 is the serial path.
     pub threads: Option<usize>,
@@ -147,13 +147,17 @@ fn accumulate(result: &FrameResult, agg: &mut AggregateResult, energy: &EnergyMo
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] when any policy or the fault configuration is
-/// adversarial (see [`render_frame`]).
+/// Returns [`SimError::NotEnoughFrames`] when `cfg` samples no frames (a
+/// mean over none is undefined), or [`SimError`] when any policy or the
+/// fault configuration is adversarial (see [`render_frame`]).
 pub fn run_policies(
     workload: &Workload,
     policies: &[(&str, FilterPolicy)],
     cfg: &ExperimentConfig,
 ) -> Result<Vec<AggregateResult>, SimError> {
+    if cfg.frames == 0 {
+        return Err(SimError::NotEnoughFrames { got: 0, need: 1 });
+    }
     let energy = EnergyModel::default();
     let ssim = SsimConfig::default();
     let mut results: Vec<AggregateResult> = policies
@@ -271,6 +275,10 @@ pub fn design_points(theta: f64) -> Vec<(&'static str, FilterPolicy)> {
 
 /// Runs the Fig. 17 threshold sweep: PATU at each threshold, plus the
 /// baseline reference. Returns `(threshold, result)` pairs and the baseline.
+///
+/// # Errors
+///
+/// As [`run_policies`].
 pub fn threshold_sweep(
     workload: &Workload,
     thresholds: &[f64],
@@ -527,6 +535,30 @@ mod tests {
         assert!((0.0..=1.0).contains(&patu));
         // Approximation must not add an order of magnitude of flicker.
         assert!(patu > base - 0.1, "patu {patu} vs base {base}");
+    }
+
+    #[test]
+    fn sweeps_need_at_least_one_frame() {
+        let w = workload();
+        let none = ExperimentConfig {
+            frames: 0,
+            ..small_cfg()
+        };
+        let err = run_policies(
+            &w,
+            &[("PATU", FilterPolicy::Patu { threshold: 0.4 })],
+            &none,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            crate::error::SimError::NotEnoughFrames { got: 0, need: 1 }
+        );
+        let err = threshold_sweep(&w, &[0.4], &none).unwrap_err();
+        assert_eq!(
+            err,
+            crate::error::SimError::NotEnoughFrames { got: 0, need: 1 }
+        );
     }
 
     #[test]

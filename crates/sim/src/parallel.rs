@@ -18,41 +18,22 @@
 //!    runs serially on the caller in that order, so floating-point rounding
 //!    and counter totals cannot depend on the thread count.
 //!
-//! Thread counts resolve explicit builder knobs first, then the
-//! `PATU_THREADS` environment variable, then
-//! [`std::thread::available_parallelism`]; `PATU_THREADS=1` (or a knob of
-//! 1) runs every task inline on the caller — the serial path.
+//! Thread counts resolve explicit config values first, then
+//! [`std::thread::available_parallelism`]; a value of 1 runs every task
+//! inline on the caller — the serial path.
 
 use std::num::NonZeroUsize;
 
 /// A boxed unit of work executed by [`run_tasks`].
 pub type Task<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
-/// Resolves the worker count: an explicit knob wins, then the
-/// `PATU_THREADS` environment variable, then
-/// [`std::thread::available_parallelism`]. Unparseable or zero values
-/// sanitize to the next fallback; the result is always at least 1.
+/// Resolves the worker count: an explicit value wins (zero sanitizes to
+/// 1), else [`std::thread::available_parallelism`].
 pub fn thread_count(explicit: Option<usize>) -> usize {
-    if let Some(n) = explicit {
-        return n.max(1);
+    match explicit {
+        Some(n) => n.max(1),
+        None => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
     }
-    if let Some(n) = env_threads() {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-fn env_threads() -> Option<usize> {
-    // patu-lint: allow(knob-at-construction) — sanctioned PATU_THREADS fallback,
-    // consulted only when the caller configured no explicit thread count
-    std::env::var("PATU_THREADS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n >= 1)
 }
 
 /// The static tile→cluster assignment: round-robin on the tile index. A
@@ -200,7 +181,7 @@ mod tests {
         assert_eq!(thread_count(Some(0)), 1, "zero sanitizes to one");
         assert!(
             thread_count(None) >= 1,
-            "env/available fallback is positive"
+            "available-parallelism fallback is positive"
         );
     }
 

@@ -79,8 +79,7 @@ pub struct RenderConfig {
     /// — the frame always completes instead of livelocking under injected
     /// stalls.
     pub cycle_budget: Option<u64>,
-    /// Worker threads for intra-frame cluster parallelism. `None` resolves
-    /// the `PATU_THREADS` environment variable, then
+    /// Worker threads for intra-frame cluster parallelism. `None` uses
     /// [`std::thread::available_parallelism`]. Every output is bit-identical
     /// across thread counts (see [`crate::parallel`]); 1 takes the serial
     /// path with no thread spawns.
@@ -272,7 +271,7 @@ pub fn render_frame(
 /// entirely; per-frame reuse counters land in
 /// [`FrameStats::temporal`](patu_gpu::FrameStats). Fault streams are keyed
 /// per `(frame, tile)` in sequence mode, so outputs are bit-identical
-/// across `PATU_THREADS` and reruns even under fault injection.
+/// across thread counts and reruns even under fault injection.
 ///
 /// With the store's mode `off` every tile rerenders, but the sequence
 /// still flows through the store (fault keying included), so `off` vs a

@@ -1,10 +1,5 @@
-//! Temporal-reuse configuration and the `PATU_TEMPORAL` knob.
-//!
-//! This file is the registered reader of the `PATU_TEMPORAL` environment
-//! knob (see `patu-lint`'s `ENV_KNOBS` table): the ambient mode is read
-//! exactly once, at construction time, and flows everywhere else as plain
-//! [`TemporalConfig`] fields — the per-frame reuse/invalidation paths never
-//! touch the environment.
+//! Temporal-reuse configuration: the reuse mode and the thresholds it
+//! selects.
 
 use std::fmt;
 
@@ -25,12 +20,14 @@ pub enum TemporalMode {
 }
 
 impl TemporalMode {
-    /// Parses the knob's value; unknown or empty strings mean [`TemporalMode::Off`].
-    pub fn parse(value: &str) -> TemporalMode {
+    /// Parses `off | on | aggressive` (surrounding whitespace ignored);
+    /// `None` for anything else.
+    pub fn parse(value: &str) -> Option<TemporalMode> {
         match value.trim() {
-            "on" => TemporalMode::On,
-            "aggressive" => TemporalMode::Aggressive,
-            _ => TemporalMode::Off,
+            "off" => Some(TemporalMode::Off),
+            "on" => Some(TemporalMode::On),
+            "aggressive" => Some(TemporalMode::Aggressive),
+            _ => None,
         }
     }
 
@@ -94,18 +91,6 @@ impl TemporalConfig {
         TemporalConfig::for_mode(TemporalMode::Off)
     }
 
-    /// Resolves the mode from the `PATU_TEMPORAL` environment variable
-    /// (`off` | `on` | `aggressive`; unset or unknown values mean `off`).
-    /// Call once at construction — the resolved config is a plain value.
-    pub fn from_env() -> TemporalConfig {
-        // patu-lint: allow(knob-at-construction) — resolved once while the
-        // owning service/bench is built; the mode flows down as a field
-        let mode = std::env::var("PATU_TEMPORAL")
-            .map(|v| TemporalMode::parse(&v))
-            .unwrap_or_default();
-        TemporalConfig::for_mode(mode)
-    }
-
     /// Testing hook: force every tile to rerender every frame.
     #[must_use]
     pub fn with_force_invalidate(mut self) -> TemporalConfig {
@@ -131,11 +116,12 @@ mod tests {
             TemporalMode::On,
             TemporalMode::Aggressive,
         ] {
-            assert_eq!(TemporalMode::parse(&mode.to_string()), mode);
+            assert_eq!(TemporalMode::parse(&mode.to_string()), Some(mode));
         }
-        assert_eq!(TemporalMode::parse("  on "), TemporalMode::On);
-        assert_eq!(TemporalMode::parse("bogus"), TemporalMode::Off);
-        assert_eq!(TemporalMode::parse(""), TemporalMode::Off);
+        assert_eq!(TemporalMode::parse("  on "), Some(TemporalMode::On));
+        assert_eq!(TemporalMode::parse("bogus"), None);
+        assert_eq!(TemporalMode::parse("aggresive"), None);
+        assert_eq!(TemporalMode::parse(""), None);
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //! The renderer (in `patu-sim`) is responsible for making reuse
 //! *deterministic*: fault streams are re-keyed per `(frame, tile)` so a
 //! blitted tile consumes no fault-stream state, keeping sequences
-//! bit-identical across `PATU_THREADS` and under fault injection.
+//! bit-identical across thread counts and under fault injection.
 //!
-//! The ambient policy comes from the `PATU_TEMPORAL` environment knob
-//! (`off` | `on` | `aggressive`), read once at construction by
-//! [`TemporalConfig::from_env`].
+//! The reuse policy is a plain [`TemporalConfig`] value (mode `off` |
+//! `on` | `aggressive`) that the caller builds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

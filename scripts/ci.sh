@@ -2,13 +2,14 @@
 # Offline CI gate: everything here must pass with no network access.
 #
 #   1. Tier-1: release build + the full test suite (unit, integration,
-#      property sweeps, the chaos/fault-injection suite, doc-tests) —
-#      run twice, serial (PATU_THREADS=1) and multi-threaded
-#      (PATU_THREADS=4), because every simulator output must be
-#      bit-identical across thread counts. The determinism,
-#      job-conservation and JSONL-schema invariants are gated here and
-#      only here, by named tests (the telemetry/serve/temporal
-#      determinism grids and the serve unit tests).
+#      property sweeps, the chaos/fault-injection suite, doc-tests), run
+#      once. Every simulator output must be bit-identical across thread
+#      counts; the tests pin thread counts in their configs, since no
+#      library reads PATU_THREADS: tests/parallel_determinism.rs sweeps
+#      1/2/4/available threads, and the telemetry/serve/temporal
+#      determinism grids run 1 and 4. The determinism, job-conservation
+#      and JSONL-schema invariants are gated here and only here, by those
+#      named tests and the serve unit tests.
 #   2. Bench smoke: the perf gate (bench_smoke) re-measures the batched
 #      SoA kernel vs. the scalar filter path and the sampled MSSIM
 #      estimator vs. the full scan, and hard-fails if either ratio
@@ -18,9 +19,9 @@
 #      scene's top-4 stage shares must hold against
 #      BENCH_attribution.json.
 #   4. Lint: patu-lint (the workspace invariant checker — token rules
-#      plus the interprocedural determinism pass: call-graph knob
-#      reachability, RNG/float-fold taint, schema-sync; hard fail on any
-#      violation or stale pragma); then clippy over every target (libs,
+#      plus the interprocedural determinism pass: RNG/float-fold taint
+#      across calls, schema-sync; hard fail on any violation or stale
+#      pragma); then clippy over every target (libs,
 #      bins, tests, benches, examples) with warnings promoted to errors,
 #      and cargo fmt --check.
 #
@@ -36,11 +37,8 @@ export CARGO_NET_OFFLINE=true
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: PATU_THREADS=1 cargo test -q (serial)"
-PATU_THREADS=1 cargo test -q
-
-echo "==> tier-1: PATU_THREADS=4 cargo test -q (parallel runtime)"
-PATU_THREADS=4 cargo test -q
+echo "==> tier-1: cargo test -q"
+cargo test -q
 
 echo "==> bench smoke: perf ratio gate vs recorded BENCH_*.json baselines"
 cargo run -q --release -p patu-bench --bin bench_smoke

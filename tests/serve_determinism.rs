@@ -4,8 +4,7 @@
 //! counts × fault rates × load levels and asserts the entire observable
 //! session — serve log, queue stats, delivered image hashes, telemetry —
 //! is bit-identical. Thread counts are pinned via the explicit
-//! `ServeConfig::threads` knob (which outranks `PATU_THREADS`), so the grid
-//! is immune to the test harness environment.
+//! `ServeConfig::threads` knob.
 
 use patu_gpu::FaultConfig;
 use patu_serve::{run_session, Scenario, ServeConfig, ServeReport, SimFrameService};
@@ -21,9 +20,6 @@ fn base_cfg() -> ServeConfig {
         gpus: 2,
         queue_capacity: 6,
         batch_max: 3,
-        // Pin the scenario so an ambient PATU_SERVE_SCENARIO can never
-        // perturb the grid; chaos coverage gets its own explicit axis.
-        scenario: Scenario::Calm,
         ..ServeConfig::default()
     }
 }
@@ -91,7 +87,7 @@ fn thread_count_never_leaks_into_results() {
         let four = fingerprint(&run(&cfg(4)));
         assert_eq!(
             one, four,
-            "PATU_THREADS=1 vs 4 must be bit-identical (faults={fault_rate})"
+            "threads 1 vs 4 must be bit-identical (faults={fault_rate})"
         );
     }
 }
@@ -111,7 +107,7 @@ fn chaos_scenarios_replay_bit_identically_across_thread_counts() {
         assert_eq!(
             one,
             four,
-            "scenario {} must be bit-identical across PATU_THREADS=1 vs 4",
+            "scenario {} must be bit-identical across threads 1 vs 4",
             scenario.label()
         );
         let replay = fingerprint(&run(&cfg(1)));

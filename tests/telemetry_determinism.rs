@@ -1,5 +1,5 @@
 //! Telemetry determinism grid: the serialized artifacts (JSONL stream and
-//! Chrome trace) must be byte-identical across `PATU_THREADS` settings,
+//! Chrome trace) must be byte-identical across thread counts,
 //! with and without fault injection, at every trace level — and `off` must
 //! record nothing at all. The flight recorder's postmortems must name the
 //! offending frame, tile, cluster, policy and fault seed. The serve-layer
@@ -59,7 +59,7 @@ fn off_produces_zero_events() {
         let r = render_frame(&w, 0, &cfg).unwrap();
         assert!(
             r.telemetry.is_none(),
-            "PATU_TRACE=off carries no telemetry at all"
+            "TraceLevel::Off carries no telemetry at all"
         );
     }
 }
@@ -171,7 +171,7 @@ fn fault_fallback_dump_carries_the_seed() {
 mod serve_observability {
     //! Observability v2 determinism: per-job causal trace trees and
     //! attribution-bearing artifacts out of full serve sessions, pinned
-    //! across `PATU_THREADS` and chaos scenarios.
+    //! across thread counts and chaos scenarios.
 
     use patu_core::FilterPolicy;
     use patu_obs::{schema, sink, TelemetryConfig, TraceLevel};
