@@ -30,6 +30,37 @@ struct Entry {
     count: u8,
 }
 
+/// One trilinear tap's stage-2 key, normalized once: its bilinear quad's 4
+/// texel addresses sorted and deduplicated — the form the table and the
+/// Fig. 12 sharing statistics compare. The shared batched kernel builds it
+/// once per tap and hands it to every unit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TapKey {
+    set: [TexelAddress; 4],
+    len: u8,
+}
+
+impl TapKey {
+    pub(crate) fn new(mut set: [TexelAddress; 4]) -> TapKey {
+        set.sort_unstable();
+        let mut len = 0;
+        for i in 0..set.len() {
+            if len == 0 || set[i] != set[len - 1] {
+                set[len] = set[i];
+                len += 1;
+            }
+        }
+        TapKey {
+            set,
+            len: len as u8,
+        }
+    }
+
+    pub(crate) fn as_slice(&self) -> &[TexelAddress] {
+        &self.set[..usize::from(self.len)]
+    }
+}
+
 /// The texel-address hash table for one pixel's prediction.
 ///
 /// ```
@@ -136,6 +167,13 @@ impl TexelAddressTable {
             key.dedup();
             self.insert_key(&key)
         }
+    }
+
+    /// [`TexelAddressTable::insert`] for a key normalized up front: the
+    /// same access count and the same table update.
+    pub(crate) fn insert_tap(&mut self, key: &TapKey) -> bool {
+        self.accesses += 1;
+        self.insert_key(key.as_slice())
     }
 
     /// Inserts an already-normalized (sorted, deduplicated) key.

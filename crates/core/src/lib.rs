@@ -46,7 +46,7 @@ pub mod stats;
 pub mod unit;
 
 pub use afssim::{af_ssim_mu, af_ssim_n, af_ssim_txds, entropy, try_af_ssim_n, txds};
-pub use batch::{LaneOutcome, LaneScratch, SoaBatch};
+pub use batch::{filter_batch_shared, LaneOutcome, LaneScratch, SoaBatch};
 pub use error::PatuError;
 pub use hash_table::TexelAddressTable;
 pub use oracle::{oracle_af_ssim, oracle_mu, PredictionAccuracy};

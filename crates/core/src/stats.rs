@@ -1,6 +1,7 @@
 //! Instrumentation the paper reports: texel-set sharing (Fig. 12),
 //! quad prediction divergence (Sec. V-C(1)) and approximation coverage.
 
+use crate::hash_table::TapKey;
 use crate::policy::{DecisionStage, PolicyDecision};
 use patu_texture::TexelAddress;
 
@@ -44,32 +45,17 @@ impl SharingStats {
         }
     }
 
-    /// Fixed-width, allocation-free form of [`SharingStats::record`] for the
-    /// batched fragment path: each tap's set is the 4 TF-level bilinear
-    /// addresses the hash table compares at, as a stack array. Produces
+    /// Allocation-free form of [`SharingStats::record`] for the batched
+    /// fragment path: each tap's key is its 4 TF-level bilinear addresses,
+    /// normalized once (the stage-2 keys the hash table compared). Produces
     /// exactly the counters `record` would for the equivalent `Vec` sets.
-    pub fn record_fixed(&mut self, tap_sets: &[[TexelAddress; 4]]) {
-        fn normalize(set: &mut [TexelAddress; 4]) -> usize {
-            set.sort_unstable();
-            let mut len = 0;
-            for i in 0..set.len() {
-                if len == 0 || set[i] != set[len - 1] {
-                    set[len] = set[i];
-                    len += 1;
-                }
-            }
-            len
-        }
-        if tap_sets.len() < 2 {
+    pub(crate) fn record_keys(&mut self, keys: &[TapKey]) {
+        let Some((center, taps)) = keys.split_first() else {
             return;
-        }
-        let mut center = tap_sets[0];
-        let center_len = normalize(&mut center);
-        for tap in &tap_sets[1..] {
-            let mut key = *tap;
-            let key_len = normalize(&mut key);
+        };
+        for key in taps {
             self.taps_total += 1;
-            if key[..key_len] == center[..center_len] {
+            if key.as_slice() == center.as_slice() {
                 self.taps_shared += 1;
             }
         }
@@ -306,7 +292,7 @@ mod tests {
 
     #[test]
     fn sharing_fixed_matches_vec_form() {
-        // The batched path's stack-array recorder must agree with the
+        // The batched path's normalized-key recorder must agree with the
         // allocating form on every sharing pattern, including unsorted and
         // duplicate-bearing sets.
         let quad = |base: u64| -> [TexelAddress; 4] {
@@ -327,9 +313,9 @@ mod tests {
             let mut by_vec = SharingStats::new();
             let mut by_fixed = SharingStats::new();
             let sets: Vec<Vec<TexelAddress>> = bases.iter().map(|&b| quad(b).to_vec()).collect();
-            let fixed: Vec<[TexelAddress; 4]> = bases.iter().map(|&b| quad(b)).collect();
+            let keys: Vec<TapKey> = bases.iter().map(|&b| TapKey::new(quad(b))).collect();
             by_vec.record(&sets);
-            by_fixed.record_fixed(&fixed);
+            by_fixed.record_keys(&keys);
             assert_eq!(by_vec, by_fixed, "bases {bases:?}");
         }
     }

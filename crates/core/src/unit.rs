@@ -8,17 +8,15 @@
 //! the LOD shift of Sec. V-C(2)). The record carries every texel address the
 //! timing model must replay.
 
-use crate::batch::{LaneOutcome, LaneScratch};
 use crate::error::PatuError;
-use crate::hash_table::TexelAddressTable;
+use crate::hash_table::{TapKey, TexelAddressTable};
 use crate::policy::{FilterMode, FilterPolicy, PolicyDecision};
 use crate::stats::{ApproxStats, SharingStats};
 use patu_gmath::Vec2;
 use patu_gpu::{FaultConfig, FaultCounts, FaultInjector};
 use patu_texture::{
-    sample_anisotropic, sample_trilinear_record,
-    sampler::{bilinear_addresses, sample_trilinear_into},
-    AddressMode, Footprint, Rgba8, SampleRecord, TexelAddress, Texture,
+    sample_anisotropic, sample_trilinear_record, sampler::bilinear_addresses, AddressMode,
+    Footprint, SampleRecord, Texture,
 };
 
 /// The complete functional result of filtering one pixel under a policy.
@@ -218,12 +216,7 @@ impl PerceptionAwareTextureUnit {
                     .collect()
             })
         };
-        self.approx.record(&decision);
-        if self.telemetry {
-            self.attrib.predictor_evals += u64::from(decision.predictor_evals);
-            self.attrib.stage1_consults += u64::from(decision.predictor_evals >= 1);
-            self.attrib.stage2_accesses += u64::from(decision.hash_accesses);
-        }
+        self.record_decision(&decision);
 
         let record = match decision.mode {
             FilterMode::Anisotropic => {
@@ -249,85 +242,44 @@ impl PerceptionAwareTextureUnit {
         FilterOutcome { record, decision }
     }
 
-    /// The fused per-lane kernel of the batched path (see [`crate::batch`]):
-    /// one pixel's prediction flow with tap addresses streamed straight into
-    /// the hash table, then only the filtering the decision demands, with
-    /// fetched addresses appended to the batch's flat buffer.
-    ///
-    /// Bit-identical to [`PerceptionAwareTextureUnit::filter_with`]: the
-    /// decision bottoms out in the same `decide_streamed` flow (same fault
-    /// draws, same table accesses in the same order), and the sampling
-    /// routines are the `_into` forms of the exact scalar ones. The one
-    /// deliberate difference is laziness, not values: a demoted lane never
-    /// reads the `N×8` AF texels the scalar path fetches just to enumerate
-    /// tap addresses — the stage-2 keys are pure address math.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn filter_lane(
+    /// The decision half of the shared batched kernel (see [`crate::batch`]):
+    /// runs `policy`'s prediction flow for one lane against this unit's
+    /// table and fault stream, with `stream_taps` feeding the stage-2 keys,
+    /// and records the decision's statistics. Draws and table accesses are
+    /// exactly those of [`PerceptionAwareTextureUnit::filter_with`].
+    pub(crate) fn decide_lane<F>(
         &mut self,
-        policy_override: FilterPolicy,
-        tex: &Texture,
-        uv: Vec2,
+        policy: FilterPolicy,
         footprint: &Footprint,
-        mode: AddressMode,
-        scratch: &mut LaneScratch,
-        addresses: &mut Vec<TexelAddress>,
-    ) -> LaneOutcome {
-        // TF-sample-area granularity of the hash-table keys; see filter_with.
-        let tf_level = footprint.tf_lod.floor() as u32;
-        let decision = {
-            let scratch = &mut *scratch;
-            policy_override.decide_streamed(footprint, &mut self.table, &mut self.faults, |table| {
-                footprint.tap_offsets_into(&mut scratch.offsets);
-                table.reset();
-                for &t in &scratch.offsets {
-                    let tap_uv = uv + footprint.major_axis_uv * t;
-                    table.insert(&bilinear_addresses(tex, tap_uv, tf_level, mode));
-                }
-                scratch.offsets.len() as u32
-            })
-        };
-        self.approx.record(&decision);
+        stream_taps: F,
+    ) -> PolicyDecision
+    where
+        F: FnOnce(&mut TexelAddressTable) -> u32,
+    {
+        let decision =
+            policy.decide_streamed(footprint, &mut self.table, &mut self.faults, stream_taps);
+        self.record_decision(&decision);
+        decision
+    }
+
+    /// The bookkeeping half of the shared batched kernel: `taps` trilinear
+    /// taps were fetched for the lane, and `kept_af_keys` holds its stage-2
+    /// keys when the decision kept AF (Fig. 12 sharing instrumentation).
+    pub(crate) fn finish_lane(&mut self, taps: u32, kept_af_keys: Option<&[TapKey]>) {
+        if let Some(keys) = kept_af_keys {
+            self.sharing.record_keys(keys);
+        }
+        if self.telemetry {
+            self.tap_hist.record(u64::from(taps));
+        }
+    }
+
+    fn record_decision(&mut self, decision: &PolicyDecision) {
+        self.approx.record(decision);
         if self.telemetry {
             self.attrib.predictor_evals += u64::from(decision.predictor_evals);
             self.attrib.stage1_consults += u64::from(decision.predictor_evals >= 1);
             self.attrib.stage2_accesses += u64::from(decision.hash_accesses);
-        }
-
-        let (color, lod, taps) = match decision.mode {
-            FilterMode::Anisotropic => {
-                let lod = tex.clamp_lod(footprint.af_lod);
-                footprint.tap_offsets_into(&mut scratch.offsets);
-                scratch.tap_colors.clear();
-                scratch.tap_keys.clear();
-                for &t in &scratch.offsets {
-                    let tap_uv = uv + footprint.major_axis_uv * t;
-                    let (c, _) = sample_trilinear_into(tex, tap_uv, lod, mode, addresses);
-                    scratch.tap_colors.push(c);
-                    scratch
-                        .tap_keys
-                        .push(bilinear_addresses(tex, tap_uv, tf_level, mode));
-                }
-                self.sharing.record_fixed(&scratch.tap_keys);
-                (Rgba8::average(&scratch.tap_colors), lod, footprint.n)
-            }
-            FilterMode::TrilinearTfLod => {
-                let (c, lod) = sample_trilinear_into(tex, uv, footprint.tf_lod, mode, addresses);
-                (c, lod, 1)
-            }
-            FilterMode::TrilinearAfLod => {
-                let (c, lod) = sample_trilinear_into(tex, uv, footprint.af_lod, mode, addresses);
-                (c, lod, 1)
-            }
-        };
-
-        if self.telemetry {
-            self.tap_hist.record(u64::from(taps));
-        }
-        LaneOutcome {
-            color,
-            lod,
-            taps,
-            decision,
         }
     }
 

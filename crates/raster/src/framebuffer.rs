@@ -83,16 +83,62 @@ impl Framebuffer {
     pub fn copy_rect_from(&mut self, src: &Framebuffer, x0: u32, y0: u32, w: u32, h: u32) {
         assert_eq!(self.width, src.width, "framebuffer widths differ");
         assert_eq!(self.height, src.height, "framebuffer heights differ");
+        for row in self.rect_rows(x0, y0, w, h, (w as usize) * (h as usize)) {
+            self.pixels[row.clone()].copy_from_slice(&src.pixels[row]);
+        }
+    }
+
+    /// Copies the rectangle `[x0, x0+w) × [y0, y0+h)` out to `dst`, row by
+    /// row, `w` pixels per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rectangle is out of bounds or `dst` does not hold
+    /// exactly `w × h` pixels.
+    pub fn read_rect(&self, x0: u32, y0: u32, w: u32, h: u32, dst: &mut [Rgba8]) {
+        let rows = self.rect_rows(x0, y0, w, h, dst.len());
+        for (row, out) in rows.zip(dst.chunks_exact_mut(w.max(1) as usize)) {
+            out.copy_from_slice(&self.pixels[row]);
+        }
+    }
+
+    /// Writes `src`, `w` pixels per row, to the rectangle
+    /// `[x0, x0+w) × [y0, y0+h)` — the parallel renderer's tile stitch:
+    /// each cluster renders its disjoint tiles into a private block buffer
+    /// and the merged frame copies them back row by row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rectangle is out of bounds or `src` does not hold
+    /// exactly `w × h` pixels.
+    pub fn write_rect(&mut self, x0: u32, y0: u32, w: u32, h: u32, src: &[Rgba8]) {
+        let rows = self.rect_rows(x0, y0, w, h, src.len());
+        for (row, data) in rows.zip(src.chunks_exact(w.max(1) as usize)) {
+            self.pixels[row].copy_from_slice(data);
+        }
+    }
+
+    /// The pixel-index range of each row of a rect, checked against the
+    /// buffer and against a `len`-pixel block.
+    fn rect_rows(
+        &self,
+        x0: u32,
+        y0: u32,
+        w: u32,
+        h: u32,
+        len: usize,
+    ) -> impl Iterator<Item = std::ops::Range<usize>> {
         assert!(
             x0.checked_add(w).is_some_and(|x1| x1 <= self.width)
                 && y0.checked_add(h).is_some_and(|y1| y1 <= self.height),
             "rect out of bounds"
         );
-        for y in y0..y0 + h {
-            let row = (y as usize) * (self.width as usize);
-            let (lo, hi) = (row + x0 as usize, row + (x0 + w) as usize);
-            self.pixels[lo..hi].copy_from_slice(&src.pixels[lo..hi]);
-        }
+        assert_eq!(len, (w as usize) * (h as usize), "block size differs");
+        let width = self.width as usize;
+        (y0..y0 + h).map(move |y| {
+            let row = (y as usize) * width + x0 as usize;
+            row..row + w as usize
+        })
     }
 
     /// Per-pixel Rec. 601 luma plane, the input to SSIM.
@@ -212,6 +258,27 @@ mod tests {
         let mut a = Framebuffer::new(4, 4, Rgba8::BLACK);
         let b = Framebuffer::new(4, 4, Rgba8::BLACK);
         a.copy_rect_from(&b, 2, 0, 3, 1);
+    }
+
+    #[test]
+    fn rect_blocks_round_trip() {
+        let mut fb = Framebuffer::new(5, 4, Rgba8::BLACK);
+        let block: Vec<Rgba8> = (0..6).map(|i| Rgba8::rgb(i, i, i)).collect();
+        fb.write_rect(2, 1, 3, 2, &block);
+        assert_eq!(fb.get(2, 1), Rgba8::rgb(0, 0, 0));
+        assert_eq!(fb.get(4, 1), Rgba8::rgb(2, 2, 2));
+        assert_eq!(fb.get(2, 2), Rgba8::rgb(3, 3, 3));
+        assert_eq!(fb.get(1, 1), Rgba8::BLACK, "outside the rect untouched");
+        let mut back = vec![Rgba8::WHITE; 6];
+        fb.read_rect(2, 1, 3, 2, &mut back);
+        assert_eq!(back, block);
+    }
+
+    #[test]
+    #[should_panic(expected = "block size differs")]
+    fn write_rect_rejects_a_short_block() {
+        let mut fb = Framebuffer::new(4, 4, Rgba8::BLACK);
+        fb.write_rect(0, 0, 2, 2, &[Rgba8::WHITE; 3]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::error::SimError;
 use crate::parallel;
-use crate::render::{render_frame, render_sequence, FrameResult, RenderConfig};
+use crate::render::{render_frame, render_policies, render_sequence, FrameResult, RenderConfig};
 use patu_core::FilterPolicy;
 use patu_energy::EnergyModel;
 use patu_gpu::{FaultConfig, FrameStats, GpuConfig};
@@ -26,8 +26,9 @@ pub struct ExperimentConfig {
     pub faults: FaultConfig,
     /// Optional per-frame cycle budget for the degradation watchdog.
     pub cycle_budget: Option<u64>,
-    /// Worker threads for the sweep (and, when the sweep has a single
-    /// point, the render inside it). `None` uses
+    /// Worker threads. [`run_policies`] renders each frame's clusters on
+    /// them (one traversal serves every policy);
+    /// [`temporal_stability`] renders its frames on them. `None` uses
     /// [`std::thread::available_parallelism`]. Results are bit-identical
     /// across every value; 1 is the serial path.
     pub threads: Option<usize>,
@@ -67,6 +68,20 @@ impl ExperimentConfig {
     pub fn with_threads(mut self, threads: usize) -> ExperimentConfig {
         self.threads = Some(threads);
         self
+    }
+
+    /// The configuration every frame of this experiment renders under:
+    /// `policy` on the experiment's GPU, with its faults, cycle budget,
+    /// telemetry and worker threads.
+    pub fn render_config(&self, policy: FilterPolicy) -> RenderConfig {
+        RenderConfig {
+            gpu: self.gpu,
+            faults: self.faults,
+            cycle_budget: self.cycle_budget,
+            threads: self.threads,
+            telemetry: self.telemetry,
+            ..RenderConfig::new(policy)
+        }
     }
 
     /// Enables telemetry for every rendered frame (builder style).
@@ -141,7 +156,10 @@ fn accumulate(result: &FrameResult, agg: &mut AggregateResult, energy: &EnergyMo
 /// Runs `policies` over the sampled frames of `workload`, computing each
 /// policy's MSSIM against a 16×AF baseline rendered on the same frames.
 ///
-/// The baseline is always rendered (once per frame) to serve as the quality
+/// Each frame is one [`render_policies`] call: one traversal renders the
+/// baseline and every other policy, sharing geometry, footprints, stage-2
+/// keys and texel samples, each result bit-identical to rendering that
+/// policy alone. The baseline is always rendered to serve as the quality
 /// reference; include [`FilterPolicy::Baseline`] in `policies` to also get
 /// it as a result row.
 ///
@@ -177,76 +195,37 @@ pub fn run_policies(
         })
         .collect();
 
-    let frames = cfg.frame_indices();
-    // The (policy, frame) grid renders in parallel: every point is an
-    // independent simulation. The baseline renders once per frame and
-    // doubles as the quality reference; `Baseline` rows reuse it. Nested
-    // parallelism is collapsed — with more than one point in flight each
-    // render runs serially inside (bit-identical by the determinism
-    // invariant), otherwise the render inherits the sweep's thread knob.
-    let mut points: Vec<(u32, Option<usize>)> = Vec::new();
-    for &frame in &frames {
-        points.push((frame, None)); // the 16×AF baseline / reference
-        for (slot, (_, policy)) in policies.iter().enumerate() {
-            if !matches!(policy, FilterPolicy::Baseline) {
-                points.push((frame, Some(slot)));
-            }
-        }
-    }
-    let inner_threads = if points.len() > 1 {
-        Some(1)
-    } else {
-        cfg.threads
-    };
-    let render_cfg = move |policy: FilterPolicy| {
-        let mut rc = RenderConfig::new(policy)
-            .with_gpu(cfg.gpu)
-            .with_faults(cfg.faults);
-        rc.cycle_budget = cfg.cycle_budget;
-        rc.threads = inner_threads;
-        rc.telemetry = cfg.telemetry;
-        rc
-    };
-    let tasks: Vec<parallel::Task<'_, Result<FrameResult, SimError>>> = points
+    // One traversal per frame renders the 16×AF reference and every
+    // approximating policy (`Baseline` rows reuse the reference), its
+    // clusters in parallel on `cfg.threads` workers. Frames render in
+    // order and are scored and accumulated as they finish, frame-major and
+    // policy-minor, so `f64` sums match across thread counts and only one
+    // frame's renders are alive at a time.
+    let mut rendered = vec![FilterPolicy::Baseline];
+    let slots: Vec<usize> = policies
         .iter()
-        .map(|&(frame, slot)| {
-            let policy = slot.map_or(FilterPolicy::Baseline, |s| policies[s].1);
-            Box::new(move || render_frame(workload, frame, &render_cfg(policy)))
-                as parallel::Task<'_, Result<FrameResult, SimError>>
+        .map(|(_, policy)| match policy {
+            FilterPolicy::Baseline => 0,
+            _ => {
+                rendered.push(*policy);
+                rendered.len() - 1
+            }
         })
         .collect();
-    let mut rendered = Vec::with_capacity(points.len());
-    for result in parallel::run_tasks(parallel::thread_count(cfg.threads), tasks) {
-        rendered.push(result?); // first error in point order, as the serial loop reported
-    }
-
-    // Accumulation is serial and walks the grid in the original
-    // frame-major, policy-minor order, so `f64` sums match the serial path.
-    let mut cursor = 0usize;
-    for _ in &frames {
-        let baseline = &rendered[cursor];
-        let baseline_luma = baseline.luma();
-        let frame_points = &points[cursor..];
-        let mut offset = 1; // skip the baseline point itself
-        for (slot, (_, policy)) in policies.iter().enumerate() {
-            let is_baseline = matches!(policy, FilterPolicy::Baseline);
-            let result = if is_baseline {
-                baseline
-            } else {
-                debug_assert_eq!(frame_points[offset].1, Some(slot));
-                offset += 1;
-                &rendered[cursor + offset - 1]
-            };
-            let mssim = if is_baseline {
+    let rc = cfg.render_config(FilterPolicy::Baseline);
+    let frames = cfg.frame_indices();
+    for &frame in &frames {
+        let frame_results = render_policies(workload, frame, &rc, &rendered)?;
+        let baseline_luma = frame_results[0].luma();
+        for (agg, &slot) in results.iter_mut().zip(&slots) {
+            let result = &frame_results[slot];
+            agg.mssim += if slot == 0 {
                 1.0
             } else {
                 f64::from(ssim.mssim(&baseline_luma, &result.luma()))
             };
-            let agg = &mut results[slot];
-            agg.mssim += mssim;
             accumulate(result, agg, &energy);
         }
-        cursor += offset;
     }
 
     let n = frames.len() as f64;
@@ -320,15 +299,10 @@ pub fn temporal_stability(
         });
     }
     let ssim = SsimConfig::default();
-    let mut rc = RenderConfig::new(policy).with_gpu(cfg.gpu);
-    // Frames render in parallel (serially inside each render when several
-    // are in flight); the consecutive-pair SSIM scan stays serial and in
-    // frame order, so the mean is bit-identical across thread counts.
-    rc.threads = if frames.len() > 1 {
-        Some(1)
-    } else {
-        cfg.threads
-    };
+    // Frames render in parallel, each serially inside; the
+    // consecutive-pair SSIM scan stays serial and in frame order, so the
+    // mean is bit-identical across thread counts.
+    let rc = cfg.render_config(policy).with_threads(1);
     let tasks: Vec<parallel::Task<'_, Result<patu_quality::GrayImage, SimError>>> = frames
         .iter()
         .map(|&f| {
@@ -385,9 +359,7 @@ pub fn temporal_stability_with_store(
             need: 2,
         });
     }
-    let mut rc = RenderConfig::new(policy).with_gpu(cfg.gpu);
-    rc.threads = cfg.threads;
-    let results = render_sequence(workload, frames, &rc, store)?;
+    let results = render_sequence(workload, frames, &cfg.render_config(policy), store)?;
     let ssim = SsimConfig::default();
     let lumas: Vec<patu_quality::GrayImage> = results.iter().map(|r| r.luma()).collect();
     let mut sum = 0.0;
@@ -535,6 +507,35 @@ mod tests {
         assert!((0.0..=1.0).contains(&patu));
         // Approximation must not add an order of magnitude of flicker.
         assert!(patu > base - 0.1, "patu {patu} vs base {base}");
+    }
+
+    #[test]
+    fn temporal_stability_renders_under_the_experiment_faults() {
+        let w = workload();
+        let frames = [0u32, 1, 2];
+        let policy = FilterPolicy::Patu { threshold: 0.4 };
+        let faults = FaultConfig::uniform(5, 0.05);
+        let cfg = ExperimentConfig {
+            faults,
+            ..small_cfg()
+        };
+        let rc = RenderConfig::new(policy).with_faults(faults);
+        let lumas: Vec<_> = frames
+            .iter()
+            .map(|&f| render_frame(&w, f, &rc).unwrap().luma())
+            .collect();
+        let ssim = SsimConfig::default();
+        let by_hand = (f64::from(ssim.mssim(&lumas[0], &lumas[1]))
+            + f64::from(ssim.mssim(&lumas[1], &lumas[2])))
+            / 2.0;
+        let measured = temporal_stability(&w, policy, &frames, &cfg).unwrap();
+        assert_eq!(measured.to_bits(), by_hand.to_bits());
+        let clean = temporal_stability(&w, policy, &frames, &small_cfg()).unwrap();
+        assert_ne!(
+            measured.to_bits(),
+            clean.to_bits(),
+            "the faults reach the frames"
+        );
     }
 
     #[test]

@@ -50,7 +50,9 @@ pub use controller::ThresholdController;
 pub use error::SimError;
 pub use experiment::{AggregateResult, ExperimentConfig};
 pub use foveation::Foveation;
-pub use render::{render_frame, render_sequence, BatchMode, FrameResult, RenderConfig};
+pub use render::{
+    render_frame, render_policies, render_sequence, BatchMode, FrameResult, RenderConfig,
+};
 pub use replay::{ReplayModel, ReplayResult};
 pub use satisfaction::SatisfactionModel;
 pub use stereo::{render_stereo, StereoFrameResult};

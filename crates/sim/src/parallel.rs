@@ -1,16 +1,18 @@
 //! The deterministic parallel runtime: scoped worker threads over
 //! statically partitioned work, with results stitched back in index order.
 //!
-//! Everything in the simulator that fans out — per-cluster tile shards in
-//! [`crate::render`], independent (policy, frame) points in
-//! [`crate::experiment`] — goes through [`run_tasks`]. The contract that
-//! makes multi-threaded runs bit-identical to serial ones:
+//! Everything in the simulator that fans out goes through [`run_tasks`]:
+//! per-cluster tile shards in [`crate::render`] — each carrying every
+//! policy a [`crate::render::render_policies`] traversal renders, so an
+//! experiment's grid is (frame, cluster) — and independent frames in
+//! [`crate::experiment::temporal_stability`]. The contract that makes
+//! multi-threaded runs bit-identical to serial ones:
 //!
 //! 1. **Static partition.** Work→worker assignment is a pure function of
 //!    the task index ([`tile_cluster`] for tiles, `i mod workers` for task
 //!    queues), never of runtime timing. No work stealing.
-//! 2. **Sharded ownership.** Each task owns its mutable state (memory
-//!    shard, texture units, framebuffer tiles). There are no locks or
+//! 2. **Sharded ownership.** Each task owns its mutable state (per policy:
+//!    memory shard, texture units, tile pixels). There are no locks or
 //!    atomics anywhere — the per-fragment hot path touches only
 //!    worker-private data.
 //! 3. **Ordered merge.** Results come back in task-index order and every

@@ -3,7 +3,8 @@
 use crate::error::SimError;
 use crate::parallel;
 use patu_core::{
-    DecisionAttrib, DivergenceStats, FilterPolicy, PerceptionAwareTextureUnit, SoaBatch,
+    filter_batch_shared, DecisionAttrib, DivergenceStats, FilterPolicy, PerceptionAwareTextureUnit,
+    PolicyDecision, SoaBatch,
 };
 use patu_gpu::{
     FaultConfig, FaultCounts, FrameStats, FrameTimer, GpuConfig, MemAttribCycles, MemSideEffects,
@@ -14,7 +15,7 @@ use patu_obs::{
     TelemetryConfig, Track,
 };
 use patu_quality::GrayImage;
-use patu_raster::{Framebuffer, GeometryOutput, Pipeline};
+use patu_raster::{Fragment, Framebuffer, GeometryOutput, Pipeline, Tile};
 use patu_scenes::Workload;
 use patu_temporal::{TileClass, TileDecision, TileStore};
 use patu_texture::{AddressMode, Footprint, Rgba8};
@@ -238,7 +239,8 @@ impl FrameResult {
 
 /// Renders frame `index` of `workload` under `cfg` through the full stack:
 /// geometry pass → per-tile fragment shading with the policy-driven texture
-/// unit → timing/energy event accounting.
+/// unit → timing/energy event accounting. This is [`render_policies`] with
+/// the one policy `cfg.policy`.
 ///
 /// # Errors
 ///
@@ -251,17 +253,53 @@ pub fn render_frame(
     index: u32,
     cfg: &RenderConfig,
 ) -> Result<FrameResult, SimError> {
+    let mut results = render_policies(workload, index, cfg, &[cfg.policy])?;
+    // One policy in, one result out.
+    Ok(results.swap_remove(0))
+}
+
+/// Renders frame `index` of `workload` once for every policy in
+/// `policies`, in one traversal, returning one [`FrameResult`] per policy
+/// in the same order. `cfg` is shared; each policy replaces `cfg.policy`.
+///
+/// The work that is the same for every policy runs once: the scene, the
+/// geometry pass, each material run's footprints, the stage-2 tap keys and
+/// the texel samples the policies' decisions need (see
+/// [`patu_core::filter_batch_shared`]). Everything a policy's outcome
+/// depends on stays its own — prediction unit (hash table, fault stream
+/// forked by cluster index, statistics), texture unit, memory system,
+/// frame timer, watchdog, foveated thresholds, telemetry and framebuffer —
+/// so each result is bit-identical to [`render_frame`] with that policy,
+/// faults, cycle budgets and telemetry included. Clusters render in
+/// parallel on `cfg.threads` workers.
+///
+/// # Errors
+///
+/// As [`render_frame`], for the first policy (in order) that is invalid.
+pub fn render_policies(
+    workload: &Workload,
+    index: u32,
+    cfg: &RenderConfig,
+    policies: &[FilterPolicy],
+) -> Result<Vec<FrameResult>, SimError> {
     let scene = workload.frame(index);
-    let mut result = render_scene(workload, &scene, cfg)?;
+    let mut results = render_scene_inner(workload, &scene, cfg, policies, None)?;
     // `render_scene` has no frame identity (the stereo path renders derived
     // scenes); stamp it here so telemetry artifacts name the frame.
+    for result in &mut results {
+        stamp_frame(result, index);
+    }
+    Ok(results)
+}
+
+/// Names frame `frame` in a result's telemetry artifacts.
+fn stamp_frame(result: &mut FrameResult, frame: u32) {
     if let Some(t) = result.telemetry.as_deref_mut() {
-        t.frame = index;
+        t.frame = frame;
         for dump in &mut t.dumps {
-            dump.frame = index;
+            dump.frame = frame;
         }
     }
-    Ok(result)
 }
 
 /// Renders the frames of `workload` listed in `frames` (in order) with
@@ -306,14 +344,9 @@ pub fn render_sequence(
                 prev: store.prev_image(),
                 store,
             };
-            render_scene_inner(workload, &scene, cfg, Some(&ctx))?
+            render_scene_inner(workload, &scene, cfg, &[cfg.policy], Some(&ctx))?.swap_remove(0)
         };
-        if let Some(t) = result.telemetry.as_deref_mut() {
-            t.frame = frame;
-            for dump in &mut t.dumps {
-                dump.frame = frame;
-            }
-        }
+        stamp_frame(&mut result, frame);
         // Refresh the store: rendered tiles contribute fresh decision
         // summaries (grid-indexed; tiles with no geometry stay default),
         // reused tiles carry their stored summaries forward inside commit.
@@ -353,24 +386,31 @@ pub fn render_scene(
     scene: &patu_scenes::FrameScene,
     cfg: &RenderConfig,
 ) -> Result<FrameResult, SimError> {
-    render_scene_inner(workload, scene, cfg, None)
+    let mut results = render_scene_inner(workload, scene, cfg, &[cfg.policy], None)?;
+    Ok(results.swap_remove(0))
 }
 
-/// The shared frame renderer. `temporal` is `Some` only on the
+/// The shared frame renderer: one traversal for every policy in
+/// `policies`, one result per policy. `temporal` is `Some` only on the
 /// [`render_sequence`] path; with `None` the behavior (including fault
 /// stream positions) is byte-identical to what [`render_scene`] always did.
 fn render_scene_inner(
     workload: &Workload,
     scene: &patu_scenes::FrameScene,
     cfg: &RenderConfig,
+    policies: &[FilterPolicy],
     temporal: Option<&SeqCtx<'_>>,
-) -> Result<FrameResult, SimError> {
+) -> Result<Vec<FrameResult>, SimError> {
     // Fallible setup happens serially, before any worker spawns, so
     // adversarial configurations surface as the same typed errors on every
     // thread count. The full-config probe validates the configuration
     // (a zero tile size included) before the tiler sees it, and catches
     // degenerate geometry that shard clamping would otherwise mask.
     MemorySystem::try_new(&cfg.gpu)?;
+    let cfgs: Vec<RenderConfig> = policies
+        .iter()
+        .map(|&policy| RenderConfig { policy, ..*cfg })
+        .collect();
     let (width, height) = workload.resolution();
     let pipeline =
         Pipeline::with_tile_size(width, height, cfg.gpu.tile_size).with_traversal(cfg.traversal);
@@ -380,21 +420,26 @@ fn render_scene_inner(
     let shard_gpu = cfg.gpu.cluster_shard();
     let mut shards = Vec::with_capacity(clusters);
     for c in 0..clusters {
-        let mut mem = MemorySystem::try_new(&shard_gpu)?;
-        mem.set_cluster_faults(cfg.faults, c as u64)?;
-        // Per-cluster units fork the fault stream under their cluster index,
-        // so fault patterns are deterministic regardless of tile scheduling.
-        let patu = PerceptionAwareTextureUnit::try_with_faults(
-            cfg.policy,
-            cfg.hash_table_capacity,
-            cfg.faults,
-            c as u64,
-        )?;
+        let mut units = Vec::with_capacity(cfgs.len());
+        let mut memory = Vec::with_capacity(cfgs.len());
+        for pc in &cfgs {
+            let mut mem = MemorySystem::try_new(&shard_gpu)?;
+            mem.set_cluster_faults(pc.faults, c as u64)?;
+            // Per-cluster units fork the fault stream under their cluster
+            // index, so fault patterns are deterministic regardless of tile
+            // scheduling — and the same whichever policies render beside.
+            units.push(PerceptionAwareTextureUnit::try_with_faults(
+                pc.policy,
+                pc.hash_table_capacity,
+                pc.faults,
+                c as u64,
+            )?);
+            memory.push((mem, TextureUnit::new(0, &shard_gpu)));
+        }
         shards.push(ClusterShard {
             cluster: c,
-            mem,
-            tex: TextureUnit::new(0, &shard_gpu),
-            patu,
+            units,
+            memory,
         });
     }
 
@@ -409,35 +454,61 @@ fn render_scene_inner(
     for i in 0..geometry.tiles.len() {
         cluster_tiles[parallel::tile_cluster(i, clusters)].push(i);
     }
+    let layouts: Vec<TileBlocks> = cluster_tiles
+        .iter()
+        .map(|tiles| TileBlocks::new(tiles, &geometry, cfg.gpu.tile_size))
+        .collect();
 
-    // Simulate each cluster independently: worker-private memory shard,
-    // texture units, framebuffer and counters — no locks or atomics on the
+    // Simulate each cluster independently: worker-private memory shards,
+    // texture units, pixels and counters — no locks or atomics on the
     // per-fragment path. `threads <= 1` runs the same code inline.
     let threads = parallel::thread_count(cfg.threads);
-    let geometry_ref = &geometry;
-    let tasks: Vec<parallel::Task<'_, ClusterOutput>> = shards
+    let (geometry_ref, cfgs_ref) = (&geometry, &cfgs[..]);
+    let tasks: Vec<parallel::Task<'_, Vec<ClusterOutput>>> = shards
         .into_iter()
         .map(|shard| {
             let tiles: &[usize] = &cluster_tiles[shard.cluster];
-            let run_cfg = *cfg;
+            let layout = &layouts[shard.cluster];
             Box::new(move || {
                 run_cluster(
                     shard,
                     tiles,
+                    layout,
                     geometry_ref,
                     workload,
-                    &run_cfg,
+                    cfg,
+                    cfgs_ref,
                     frontend,
                     temporal,
                 )
-            }) as parallel::Task<'_, ClusterOutput>
+            }) as parallel::Task<'_, Vec<ClusterOutput>>
         })
         .collect();
-    let outputs = parallel::run_tasks(threads, tasks);
+    let mut per_policy: Vec<Vec<ClusterOutput>> =
+        cfgs.iter().map(|_| Vec::with_capacity(clusters)).collect();
+    for outputs in parallel::run_tasks(threads, tasks) {
+        for (slot, out) in per_policy.iter_mut().zip(outputs) {
+            slot.push(out);
+        }
+    }
+    Ok(cfgs
+        .iter()
+        .zip(per_policy)
+        .map(|(pc, outputs)| merge_clusters(pc, &geometry, &layouts, frontend, outputs))
+        .collect())
+}
 
-    // Merge in cluster order. Counters are commutative sums; the frame
-    // timer replays each cluster's finish time; framebuffer tiles are
-    // disjoint rects, stitched back per cluster.
+/// Merges one policy's cluster outputs in cluster order. Counters are
+/// commutative sums; the frame timer replays each cluster's finish time;
+/// each cluster's tiles are disjoint rects, stitched back into the frame.
+fn merge_clusters(
+    cfg: &RenderConfig,
+    geometry: &GeometryOutput,
+    layouts: &[TileBlocks],
+    frontend: u64,
+    outputs: Vec<ClusterOutput>,
+) -> FrameResult {
+    let (width, height) = (geometry.width, geometry.height);
     let mut image = Framebuffer::new(width, height, Rgba8::BLACK);
     let mut timer = FrameTimer::new(&cfg.gpu);
     timer.add_frontend_cycles(frontend);
@@ -460,21 +531,13 @@ fn render_scene_inner(
     let mut sharing = patu_core::SharingStats::new();
     let mut fault_counts = FaultCounts::default();
     let mut filter_hist = Log2Histogram::new();
-    let mut cluster_obs = Vec::with_capacity(clusters);
-    let mut cluster_attrib: Vec<ClusterAttribInput> = Vec::with_capacity(clusters);
+    let mut cluster_obs = Vec::with_capacity(outputs.len());
+    let mut cluster_attrib: Vec<ClusterAttribInput> = Vec::with_capacity(outputs.len());
     let mut tile_stats: Vec<TileApproxStats> = Vec::with_capacity(geometry.tiles.len());
     let mut temporal_counts = TemporalCounts::default();
-    let tile_size = cfg.gpu.tile_size;
     for (c, out) in outputs.into_iter().enumerate() {
         timer.merge_cluster(c, out.finish);
-        for &ti in &cluster_tiles[c] {
-            let tile = &geometry.tiles[ti];
-            let x0 = tile.tx * tile_size;
-            let y0 = tile.ty * tile_size;
-            let w = tile_size.min(width - x0);
-            let h = tile_size.min(height - y0);
-            image.copy_rect_from(&out.image, x0, y0, w, h);
-        }
+        layouts[c].stitch(&out.pixels, &mut image);
         side.accumulate(&out.side);
         filter_latency += out.filter_latency;
         filter_requests += out.filter_requests;
@@ -569,7 +632,7 @@ fn render_scene_inner(
         None
     };
 
-    Ok(FrameResult {
+    FrameResult {
         image,
         stats,
         approx,
@@ -578,7 +641,7 @@ fn render_scene_inner(
         degraded,
         telemetry,
         tile_stats,
-    })
+    }
 }
 
 /// Per-cluster inputs to the critical-path cycle attribution: the cluster's
@@ -639,19 +702,21 @@ fn assemble_attribution(frontend: u64, total: u64, clusters: &[ClusterAttribInpu
     attrib
 }
 
-/// One cluster's worker-private simulation state: its slice of the memory
-/// hierarchy, its texture units, and its fault streams. Built serially
+/// One cluster's worker-private simulation state, per policy: its
+/// prediction unit (with its fault stream), and its slice of the memory
+/// hierarchy with the texture unit in front of it. Built serially
 /// (construction is fallible), then moved into the worker.
 struct ClusterShard {
     cluster: usize,
-    mem: MemorySystem,
-    tex: TextureUnit,
-    patu: PerceptionAwareTextureUnit,
+    units: Vec<PerceptionAwareTextureUnit>,
+    memory: Vec<(MemorySystem, TextureUnit)>,
 }
 
-/// Everything a cluster worker produces; merged in cluster order.
+/// Everything a cluster worker produces for one policy; merged in cluster
+/// order.
 struct ClusterOutput {
-    image: Framebuffer,
+    /// The cluster's tiles only, laid out by its [`TileBlocks`].
+    pixels: Vec<Rgba8>,
     finish: u64,
     filter_latency: u64,
     filter_requests: u64,
@@ -671,6 +736,56 @@ struct ClusterOutput {
     decisions: DecisionAttrib,
     tiles: Vec<TileApproxStats>,
     temporal: TemporalCounts,
+}
+
+/// Where a cluster's tiles sit in its pixel buffer: each tile's rect, back
+/// to back in the order the cluster renders them. A cluster's image per
+/// policy then holds its own tiles only, not a whole frame.
+struct TileBlocks {
+    /// Per tile, in render order: `(x0, y0, w, h, offset)`.
+    rects: Vec<(u32, u32, u32, u32, usize)>,
+    pixels: usize,
+}
+
+impl TileBlocks {
+    fn new(tiles: &[usize], geometry: &GeometryOutput, tile_size: u32) -> TileBlocks {
+        let mut rects = Vec::with_capacity(tiles.len());
+        let mut pixels = 0usize;
+        for &ti in tiles {
+            let tile = &geometry.tiles[ti];
+            let (x0, y0) = (tile.tx * tile_size, tile.ty * tile_size);
+            let w = tile_size.min(geometry.width - x0);
+            let h = tile_size.min(geometry.height - y0);
+            rects.push((x0, y0, w, h, pixels));
+            pixels += (w as usize) * (h as usize);
+        }
+        TileBlocks { rects, pixels }
+    }
+
+    /// A cleared buffer for one policy's pixels.
+    fn buffer(&self) -> Vec<Rgba8> {
+        vec![Rgba8::BLACK; self.pixels]
+    }
+
+    /// Index of frame pixel `(x, y)` inside tile `slot`'s block.
+    #[inline]
+    fn index(&self, slot: usize, x: u32, y: u32) -> usize {
+        let (x0, y0, w, _, offset) = self.rects[slot];
+        offset + ((y - y0) as usize) * (w as usize) + (x - x0) as usize
+    }
+
+    /// Copies tile `slot`'s rect of `src` into its block.
+    fn blit(&self, slot: usize, src: &Framebuffer, pixels: &mut [Rgba8]) {
+        let (x0, y0, w, h, offset) = self.rects[slot];
+        src.read_rect(x0, y0, w, h, &mut pixels[offset..offset + (w * h) as usize]);
+    }
+
+    /// Writes every block back to its rect of the frame.
+    fn stitch(&self, pixels: &[Rgba8], image: &mut Framebuffer) {
+        for &(x0, y0, w, h, offset) in &self.rects {
+            image.write_rect(x0, y0, w, h, &pixels[offset..offset + (w * h) as usize]);
+        }
+    }
 }
 
 /// Reusable per-tile quad-outcome accumulator: a flat `(fragments,
@@ -716,43 +831,345 @@ impl QuadScratch {
     }
 }
 
-/// Simulates one cluster's statically assigned tiles end to end. Pure
-/// function of its inputs — every mutable structure is worker-private — so
-/// it runs identically inline or on a worker thread.
+/// One policy's state inside a cluster worker: everything its outcome
+/// depends on except its prediction unit, which the shared kernel takes
+/// as a slice beside the other policies' units.
+struct PolicyRun<'a> {
+    cfg: &'a RenderConfig,
+    mem: MemorySystem,
+    tex: TextureUnit,
+    timer: FrameTimer,
+    pixels: Vec<Rgba8>,
+    quads: QuadScratch,
+    divergence: DivergenceStats,
+    filter_latency: u64,
+    filter_requests: u64,
+    wasted_addr_taps: u64,
+    degraded: bool,
+    filter_hist: Log2Histogram,
+    shade_cycles: u64,
+    temporal: TemporalCounts,
+    tiles: Vec<TileApproxStats>,
+    obs: Collector,
+    trace: bool,
+    // The tile in flight.
+    start: u64,
+    texture_done: u64,
+    tile_demoted: u64,
+    faults_before: FaultCounts,
+}
+
+impl<'a> PolicyRun<'a> {
+    fn new(
+        cfg: &'a RenderConfig,
+        (mut mem, mut tex): (MemorySystem, TextureUnit),
+        unit: &mut PerceptionAwareTextureUnit,
+        cluster: usize,
+        frontend: u64,
+        layout: &TileBlocks,
+    ) -> PolicyRun<'a> {
+        let mut timer = FrameTimer::new(&cfg.gpu);
+        timer.add_frontend_cycles(frontend);
+        let obs = Collector::new(cfg.telemetry, Track::Cluster(cluster as u32));
+        let trace = obs.is_enabled();
+        if trace {
+            mem.set_telemetry(true);
+            tex.set_telemetry(true);
+            unit.set_telemetry(true);
+        }
+        PolicyRun {
+            cfg,
+            mem,
+            tex,
+            timer,
+            pixels: layout.buffer(),
+            quads: QuadScratch::new(cfg.gpu.tile_size),
+            divergence: DivergenceStats::new(),
+            filter_latency: 0,
+            filter_requests: 0,
+            wasted_addr_taps: 0,
+            degraded: false,
+            filter_hist: Log2Histogram::new(),
+            shade_cycles: 0,
+            temporal: TemporalCounts::default(),
+            tiles: Vec::with_capacity(layout.rects.len()),
+            obs,
+            trace,
+            start: 0,
+            texture_done: 0,
+            tile_demoted: 0,
+            faults_before: FaultCounts::default(),
+        }
+    }
+
+    fn event(&mut self, cycle: u64, cluster: usize, ti: usize, kind: EventKind) {
+        self.obs.event(Event {
+            cycle,
+            cluster: cluster as u32,
+            tile: ti as u32,
+            kind,
+        });
+    }
+
+    /// Sequence mode: carries a reused or repredicted tile forward from the
+    /// previous frame instead of rendering it.
+    #[allow(clippy::too_many_arguments)]
+    fn blit_tile(
+        &mut self,
+        cluster: usize,
+        ti: usize,
+        tile: &Tile,
+        slot: usize,
+        layout: &TileBlocks,
+        prev: &Framebuffer,
+        class: TileClass,
+        stored: TileDecision,
+    ) {
+        let start = self.timer.begin_tile_on(cluster);
+        if self.trace {
+            self.event(start, cluster, ti, EventKind::TileBegin);
+        }
+        layout.blit(slot, prev, &mut self.pixels);
+        let (_, _, w, h, _) = layout.rects[slot];
+        let mut cost = (u64::from(w) * u64::from(h)).div_ceil(REUSE_PIXELS_PER_CYCLE) + 1;
+        if class == TileClass::Repredict {
+            cost += stored.fragments.div_ceil(REPREDICT_FRAGS_PER_CYCLE) + 1;
+            self.temporal.tiles_repredicted += 1;
+        } else {
+            self.temporal.tiles_reused += 1;
+        }
+        self.timer.end_tile(cluster, cost, start);
+        self.temporal.reuse_cycles += cost;
+        self.tiles.push(TileApproxStats {
+            tile: ti as u32,
+            tx: tile.tx,
+            ty: tile.ty,
+            fragments: stored.fragments,
+            demoted: stored.demoted,
+        });
+        if self.trace {
+            let end = self.timer.cluster_cycles(cluster);
+            self.obs
+                .span_node("raster::tile", start, end, 0, "tile", ti as u64);
+            self.event(end, cluster, ti, EventKind::TileEnd);
+        }
+    }
+
+    fn begin_tile(&mut self, unit: &PerceptionAwareTextureUnit, cluster: usize, ti: usize) {
+        let start = self.timer.begin_tile_on(cluster);
+        // Watchdog: a tile starting past the budget means injected stalls
+        // (or sheer load) blew the frame time. Degrade the rest of this
+        // cluster's stream to the cheapest real filtering instead of piling
+        // on.
+        if let Some(budget) = self.cfg.cycle_budget {
+            if start > budget {
+                if self.trace && !self.degraded {
+                    self.event(start, cluster, ti, EventKind::WatchdogTrip);
+                    if self.obs.dump_count() == 0 {
+                        self.obs.dump("watchdog_trip", start, ti as u32);
+                    }
+                }
+                self.degraded = true;
+            }
+        }
+        if self.trace {
+            let mut f = self.mem.fault_counts();
+            f.accumulate(&unit.fault_counts());
+            self.faults_before = f;
+            self.event(start, cluster, ti, EventKind::TileBegin);
+        }
+        self.start = start;
+        self.texture_done = start;
+        self.tile_demoted = 0;
+    }
+
+    /// The fragment's policy: degraded clusters demote everything to
+    /// trilinear; foveation loosens the knob with eccentricity (scaled
+    /// threshold, same two-stage flow).
+    fn policy_for(&self, x: u32, y: u32, width: u32, height: u32) -> FilterPolicy {
+        if self.degraded {
+            return FilterPolicy::NoAf;
+        }
+        let policy = self.cfg.policy;
+        match (self.cfg.foveation, policy.threshold()) {
+            (Some(fov), Some(base)) => {
+                policy.with_threshold(base * fov.threshold_scale(x, y, width, height))
+            }
+            _ => policy,
+        }
+    }
+
+    /// Accounts one filtered fragment: its request timing, decision and
+    /// shaded pixel.
+    #[allow(clippy::too_many_arguments)]
+    fn fragment(
+        &mut self,
+        timing: patu_gpu::texture_unit::RequestTiming,
+        decision: PolicyDecision,
+        frag: &Fragment,
+        shaded: Rgba8,
+        slot: usize,
+        layout: &TileBlocks,
+        tile_origin: (u32, u32),
+    ) {
+        self.filter_latency += timing.latency;
+        self.filter_requests += 1;
+        self.filter_hist.record(timing.latency);
+        self.texture_done = self.texture_done.max(timing.completion);
+        self.wasted_addr_taps += u64::from(decision.wasted_addr_taps);
+        let demoted = decision.is_approximated();
+        self.tile_demoted += u64::from(demoted);
+        self.quads
+            .record(frag.x, frag.y, tile_origin.0, tile_origin.1, demoted);
+        self.pixels[layout.index(slot, frag.x, frag.y)] = shaded;
+    }
+
+    fn end_tile(
+        &mut self,
+        unit: &PerceptionAwareTextureUnit,
+        cluster: usize,
+        ti: usize,
+        tile: &Tile,
+    ) {
+        self.quads.flush(&mut self.divergence);
+        let start = self.start;
+        let shading = self.timer.shading_cycles(tile.fragments.len() as u64);
+        self.timer.end_tile(cluster, shading, self.texture_done);
+        self.shade_cycles += shading;
+        self.tiles.push(TileApproxStats {
+            tile: ti as u32,
+            tx: tile.tx,
+            ty: tile.ty,
+            fragments: tile.fragments.len() as u64,
+            demoted: self.tile_demoted,
+        });
+        if !self.trace {
+            return;
+        }
+        let end = self.timer.cluster_cycles(cluster);
+        let tile_span = self
+            .obs
+            .span_node("raster::tile", start, end, 0, "tile", ti as u64);
+        if shading > 0 {
+            self.obs.span_node(
+                "raster::tile::shade",
+                start,
+                start + shading,
+                tile_span,
+                "",
+                0,
+            );
+        }
+        if self.texture_done > start {
+            self.obs.span_node(
+                "raster::tile::texture",
+                start,
+                self.texture_done,
+                tile_span,
+                "",
+                0,
+            );
+        }
+        self.event(end, cluster, ti, EventKind::TileEnd);
+        // Per-tile fault attribution: diff the cumulative counters across
+        // the tile and pin each increment on this tile.
+        let mut after = self.mem.fault_counts();
+        after.accumulate(&unit.fault_counts());
+        let delta = after.delta(&self.faults_before);
+        if delta.is_zero() {
+            return;
+        }
+        for (site, count) in delta.sites() {
+            if count > 0 {
+                self.event(end, cluster, ti, EventKind::Fault { site, count });
+            }
+        }
+        if delta.fallbacks > 0 {
+            let count = delta.fallbacks;
+            self.event(end, cluster, ti, EventKind::Fallback { count });
+            if self.obs.dump_count() == 0 {
+                self.obs.dump("fault_fallback", end, ti as u32);
+            }
+        }
+    }
+
+    fn finish(mut self, unit: &PerceptionAwareTextureUnit, cluster: usize) -> ClusterOutput {
+        let mut side = MemSideEffects {
+            bandwidth: self.mem.bandwidth(),
+            events: self.mem.events(),
+        };
+        side.events.accumulate(&self.tex.events());
+        let mut faults = self.mem.fault_counts();
+        faults.accumulate(&unit.fault_counts());
+        if self.trace {
+            let obs = &mut self.obs;
+            obs.add("tiles", self.tiles.len() as u64);
+            obs.add("filter::requests", self.filter_requests);
+            obs.merge_hist("mem::fetch_latency", self.mem.fetch_latency_hist());
+            obs.merge_hist("mem::miss_penalty", self.mem.miss_penalty_hist());
+            obs.merge_hist("tex::queue_wait", self.tex.queue_wait_hist());
+            obs.merge_hist("patu::af_taps", unit.tap_hist());
+        }
+        ClusterOutput {
+            pixels: self.pixels,
+            finish: self.timer.cluster_cycles(cluster),
+            filter_latency: self.filter_latency,
+            filter_requests: self.filter_requests,
+            wasted_addr_taps: self.wasted_addr_taps,
+            hash_accesses: unit.hash_accesses(),
+            degraded: self.degraded,
+            divergence: self.divergence,
+            approx: unit.approx_stats(),
+            sharing: unit.sharing_stats(),
+            side,
+            faults,
+            filter_hist: self.filter_hist,
+            obs: self.obs,
+            shade_cycles: self.shade_cycles,
+            tex_work_cycles: self.tex.attrib_work_cycles(),
+            mem_attrib: self.mem.attrib_cycles(),
+            decisions: unit.decision_attrib(),
+            tiles: self.tiles,
+            temporal: self.temporal,
+        }
+    }
+}
+
+/// Simulates one cluster's statically assigned tiles end to end, for every
+/// policy in `cfgs` at once. Pure function of its inputs — every mutable
+/// structure is worker-private — so it runs identically inline or on a
+/// worker thread. Each tile is traversed once: its material runs fill one
+/// [`SoaBatch`] whose footprints, stage-2 keys and texel samples serve
+/// every policy, while each policy keeps its own units, timer, watchdog,
+/// telemetry and pixels.
+#[allow(clippy::too_many_arguments)]
 fn run_cluster(
-    mut shard: ClusterShard,
+    shard: ClusterShard,
     tiles: &[usize],
+    layout: &TileBlocks,
     geometry: &GeometryOutput,
     workload: &Workload,
     cfg: &RenderConfig,
+    cfgs: &[RenderConfig],
     frontend: u64,
     temporal: Option<&SeqCtx<'_>>,
-) -> ClusterOutput {
-    let cluster = shard.cluster;
+) -> Vec<ClusterOutput> {
+    let ClusterShard {
+        cluster,
+        mut units,
+        memory,
+    } = shard;
     let (width, height) = (geometry.width, geometry.height);
-    let mut timer = FrameTimer::new(&cfg.gpu);
-    timer.add_frontend_cycles(frontend);
-    let mut image = Framebuffer::new(width, height, Rgba8::BLACK);
+    let tile_size = cfg.gpu.tile_size;
+    let mut runs: Vec<PolicyRun<'_>> = cfgs
+        .iter()
+        .zip(memory)
+        .zip(&mut units)
+        .map(|((pc, mem), unit)| PolicyRun::new(pc, mem, unit, cluster, frontend, layout))
+        .collect();
     let mut batch = SoaBatch::new();
-    let mut quads = QuadScratch::new(cfg.gpu.tile_size);
-    let mut divergence = DivergenceStats::new();
-    let mut filter_latency = 0u64;
-    let mut filter_requests = 0u64;
-    let mut wasted_addr_taps = 0u64;
-    let mut degraded = false;
-    let mut filter_hist = Log2Histogram::new();
-    let mut shade_cycles = 0u64;
-    let mut temporal_counts = TemporalCounts::default();
-    let mut tile_stats: Vec<TileApproxStats> = Vec::with_capacity(tiles.len());
-    let mut obs = Collector::new(cfg.telemetry, Track::Cluster(cluster as u32));
-    let trace = obs.is_enabled();
-    if trace {
-        shard.mem.set_telemetry(true);
-        shard.tex.set_telemetry(true);
-        shard.patu.set_telemetry(true);
-    }
 
-    for &ti in tiles {
+    for (slot, &ti) in tiles.iter().enumerate() {
         let tile = &geometry.tiles[ti];
         if let Some(seq) = temporal {
             // Sequence mode: re-key both fault streams so this tile's
@@ -760,162 +1177,65 @@ fn run_cluster(
             // tile then consumes no stream state, and reuse cannot shift
             // the faults of any tile rendered after it — the property the
             // determinism grid asserts under fault injection.
-            shard.mem.rekey_faults(&[u64::from(seq.frame), ti as u64]);
-            shard.patu.rekey_faults(&[u64::from(seq.frame), ti as u64]);
+            let tags = [u64::from(seq.frame), ti as u64];
+            for (run, unit) in runs.iter_mut().zip(&mut units) {
+                run.mem.rekey_faults(&tags);
+                unit.rekey_faults(&tags);
+            }
             let class = seq.plan.class(tile.tx, tile.ty);
-            if class != TileClass::Rerender {
-                if let Some(prev) = seq.prev {
-                    let start = timer.begin_tile_on(cluster);
-                    if trace {
-                        obs.event(Event {
-                            cycle: start,
-                            cluster: cluster as u32,
-                            tile: ti as u32,
-                            kind: EventKind::TileBegin,
-                        });
-                    }
-                    let x0 = tile.tx * cfg.gpu.tile_size;
-                    let y0 = tile.ty * cfg.gpu.tile_size;
-                    let w = cfg.gpu.tile_size.min(width - x0);
-                    let h = cfg.gpu.tile_size.min(height - y0);
-                    image.copy_rect_from(prev, x0, y0, w, h);
-                    let stored = seq.store.decision(tile.tx, tile.ty).unwrap_or_default();
-                    let mut cost =
-                        (u64::from(w) * u64::from(h)).div_ceil(REUSE_PIXELS_PER_CYCLE) + 1;
-                    if class == TileClass::Repredict {
-                        cost += stored.fragments.div_ceil(REPREDICT_FRAGS_PER_CYCLE) + 1;
-                        temporal_counts.tiles_repredicted += 1;
-                    } else {
-                        temporal_counts.tiles_reused += 1;
-                    }
-                    timer.end_tile(cluster, cost, start);
-                    temporal_counts.reuse_cycles += cost;
-                    tile_stats.push(TileApproxStats {
-                        tile: ti as u32,
-                        tx: tile.tx,
-                        ty: tile.ty,
-                        fragments: stored.fragments,
-                        demoted: stored.demoted,
-                    });
-                    if trace {
-                        let end = timer.cluster_cycles(cluster);
-                        obs.span_node("raster::tile", start, end, 0, "tile", ti as u64);
-                        obs.event(Event {
-                            cycle: end,
-                            cluster: cluster as u32,
-                            tile: ti as u32,
-                            kind: EventKind::TileEnd,
-                        });
-                    }
-                    continue;
+            if let (true, Some(prev)) = (class != TileClass::Rerender, seq.prev) {
+                let stored = seq.store.decision(tile.tx, tile.ty).unwrap_or_default();
+                for run in &mut runs {
+                    run.blit_tile(cluster, ti, tile, slot, layout, prev, class, stored);
                 }
+                continue;
             }
-            temporal_counts.tiles_rerendered += 1;
-        }
-        let start = timer.begin_tile_on(cluster);
-        // Watchdog: a tile starting past the budget means injected stalls
-        // (or sheer load) blew the frame time. Degrade the rest of this
-        // cluster's stream to the cheapest real filtering instead of piling
-        // on.
-        if let Some(budget) = cfg.cycle_budget {
-            if start > budget {
-                if trace && !degraded {
-                    obs.event(Event {
-                        cycle: start,
-                        cluster: cluster as u32,
-                        tile: ti as u32,
-                        kind: EventKind::WatchdogTrip,
-                    });
-                    if obs.dump_count() == 0 {
-                        obs.dump("watchdog_trip", start, ti as u32);
-                    }
-                }
-                degraded = true;
+            for run in &mut runs {
+                run.temporal.tiles_rerendered += 1;
             }
         }
-        let faults_before = if trace {
-            let mut f = shard.mem.fault_counts();
-            f.accumulate(&shard.patu.fault_counts());
-            f
-        } else {
-            FaultCounts::default()
-        };
-        if trace {
-            obs.event(Event {
-                cycle: start,
-                cluster: cluster as u32,
-                tile: ti as u32,
-                kind: EventKind::TileBegin,
-            });
+        for (run, unit) in runs.iter_mut().zip(&units) {
+            run.begin_tile(unit, cluster, ti);
         }
-        let mut texture_done = start;
-        let mut tile_demoted = 0u64;
-        let tile_x0 = tile.tx * cfg.gpu.tile_size;
-        let tile_y0 = tile.ty * cfg.gpu.tile_size;
-
-        // Per-fragment policy: degraded clusters demote everything to
-        // trilinear; foveation loosens the knob with eccentricity (scaled
-        // threshold, same two-stage flow).
-        let policy_for = |x: u32, y: u32| -> FilterPolicy {
-            if degraded {
-                return FilterPolicy::NoAf;
-            }
-            match cfg.foveation {
-                None => cfg.policy,
-                Some(fov) => match cfg.policy.threshold() {
-                    Some(base) => cfg
-                        .policy
-                        .with_threshold(base * fov.threshold_scale(x, y, width, height)),
-                    None => cfg.policy,
-                },
-            }
-        };
+        let origin = (tile.tx * tile_size, tile.ty * tile_size);
 
         match cfg.batching {
             BatchMode::Scalar => {
-                for frag in &tile.fragments {
-                    let tex = &workload.textures()[frag.material];
-                    let fp = Footprint::from_derivatives(
-                        frag.duv_dx,
-                        frag.duv_dy,
-                        tex.width(),
-                        tex.height(),
-                        cfg.gpu.max_aniso,
-                    );
-                    let outcome = shard.patu.filter_with(
-                        policy_for(frag.x, frag.y),
-                        tex,
-                        frag.uv,
-                        &fp,
-                        cfg.address_mode,
-                    );
-
-                    // Timing: replay the performed fetches through the
-                    // texture unit (index 0 of this cluster's private shard).
-                    let request = TextureRequest::new(
-                        outcome
-                            .record
-                            .taps
-                            .iter()
-                            .map(|t| t.addresses.clone())
-                            .collect(),
-                    );
-                    let timing = shard.tex.process(&request, &mut shard.mem, start);
-                    filter_latency += timing.latency;
-                    filter_requests += 1;
-                    filter_hist.record(timing.latency);
-                    texture_done = texture_done.max(timing.completion);
-                    wasted_addr_taps += u64::from(outcome.decision.wasted_addr_taps);
-
-                    let demoted = outcome.decision.is_approximated();
-                    tile_demoted += u64::from(demoted);
-                    quads.record(frag.x, frag.y, tile_x0, tile_y0, demoted);
-
-                    // Fragment shading applies the material's (possibly
-                    // non-linear) response to the filtered texel — the
-                    // paper's vanished-effects mechanism lives here.
-                    let shaded = workload.shader(frag.material).apply(outcome.color());
-                    image.put(frag.x, frag.y, shaded);
+                for (run, unit) in runs.iter_mut().zip(&mut units) {
+                    for frag in &tile.fragments {
+                        let tex = &workload.textures()[frag.material];
+                        let fp = Footprint::from_derivatives(
+                            frag.duv_dx,
+                            frag.duv_dy,
+                            tex.width(),
+                            tex.height(),
+                            cfg.gpu.max_aniso,
+                        );
+                        let outcome = unit.filter_with(
+                            run.policy_for(frag.x, frag.y, width, height),
+                            tex,
+                            frag.uv,
+                            &fp,
+                            cfg.address_mode,
+                        );
+                        // Timing: replay the performed fetches through the
+                        // texture unit (index 0 of this cluster's private
+                        // shard).
+                        let request = TextureRequest::new(
+                            outcome
+                                .record
+                                .taps
+                                .iter()
+                                .map(|t| t.addresses.clone())
+                                .collect(),
+                        );
+                        let timing = run.tex.process(&request, &mut run.mem, run.start);
+                        // Fragment shading applies the material's (possibly
+                        // non-linear) response to the filtered texel — the
+                        // paper's vanished-effects mechanism lives here.
+                        let shaded = workload.shader(frag.material).apply(outcome.color());
+                        run.fragment(timing, outcome.decision, frag, shaded, slot, layout, origin);
+                    }
                 }
             }
             BatchMode::Soa => {
@@ -923,169 +1243,50 @@ fn run_cluster(
                 // form one SoA batch, in traversal order — batching changes
                 // layout, never ordering, so outputs stay bit-identical to
                 // the scalar path.
-                let frags = &tile.fragments;
-                let mut i = 0;
-                while i < frags.len() {
-                    let material = frags[i].material;
-                    let mut j = i + 1;
-                    while j < frags.len() && frags[j].material == material {
-                        j += 1;
-                    }
-                    let run = &frags[i..j];
-                    let tex = &workload.textures()[material];
+                for frags in tile.fragments.chunk_by(|a, b| a.material == b.material) {
+                    let tex = &workload.textures()[frags[0].material];
+                    let shader = workload.shader(frags[0].material);
                     batch.clear();
-                    for frag in run {
+                    for frag in frags {
                         batch.push(frag.x, frag.y, frag.uv, frag.duv_dx, frag.duv_dy);
                     }
-                    shard.patu.filter_batch(
+                    filter_batch_shared(
+                        &mut units,
                         tex,
                         cfg.address_mode,
                         cfg.gpu.max_aniso,
                         &mut batch,
-                        |lane| policy_for(run[lane].x, run[lane].y),
+                        |u, lane| runs[u].policy_for(frags[lane].x, frags[lane].y, width, height),
                     );
-
-                    for (lane, frag) in run.iter().enumerate() {
-                        // Timing: replay the batch's contiguous fetch buffer
-                        // through the flat texture-unit path.
-                        let timing = shard.tex.process_flat(
-                            batch.tap_addresses(lane),
-                            u64::from(batch.taps(lane)),
-                            &mut shard.mem,
-                            start,
-                        );
-                        filter_latency += timing.latency;
-                        filter_requests += 1;
-                        filter_hist.record(timing.latency);
-                        texture_done = texture_done.max(timing.completion);
-                        let decision = batch.decision(lane);
-                        wasted_addr_taps += u64::from(decision.wasted_addr_taps);
-
-                        let demoted = decision.is_approximated();
-                        tile_demoted += u64::from(demoted);
-                        quads.record(frag.x, frag.y, tile_x0, tile_y0, demoted);
-
-                        let shaded = workload.shader(frag.material).apply(batch.color(lane));
-                        image.put(frag.x, frag.y, shaded);
-                    }
-                    i = j;
-                }
-            }
-        }
-
-        quads.flush(&mut divergence);
-        let shading = timer.shading_cycles(tile.fragments.len() as u64);
-        timer.end_tile(cluster, shading, texture_done);
-        shade_cycles += shading;
-        tile_stats.push(TileApproxStats {
-            tile: ti as u32,
-            tx: tile.tx,
-            ty: tile.ty,
-            fragments: tile.fragments.len() as u64,
-            demoted: tile_demoted,
-        });
-
-        if trace {
-            let end = timer.cluster_cycles(cluster);
-            let tile_span = obs.span_node("raster::tile", start, end, 0, "tile", ti as u64);
-            if shading > 0 {
-                obs.span_node(
-                    "raster::tile::shade",
-                    start,
-                    start + shading,
-                    tile_span,
-                    "",
-                    0,
-                );
-            }
-            if texture_done > start {
-                obs.span_node(
-                    "raster::tile::texture",
-                    start,
-                    texture_done,
-                    tile_span,
-                    "",
-                    0,
-                );
-            }
-            obs.event(Event {
-                cycle: end,
-                cluster: cluster as u32,
-                tile: ti as u32,
-                kind: EventKind::TileEnd,
-            });
-            // Per-tile fault attribution: diff the cumulative counters
-            // across the tile and pin each increment on this tile.
-            let mut after = shard.mem.fault_counts();
-            after.accumulate(&shard.patu.fault_counts());
-            let delta = after.delta(&faults_before);
-            if !delta.is_zero() {
-                for (site, count) in delta.sites() {
-                    if count > 0 {
-                        obs.event(Event {
-                            cycle: end,
-                            cluster: cluster as u32,
-                            tile: ti as u32,
-                            kind: EventKind::Fault { site, count },
-                        });
-                    }
-                }
-                if delta.fallbacks > 0 {
-                    obs.event(Event {
-                        cycle: end,
-                        cluster: cluster as u32,
-                        tile: ti as u32,
-                        kind: EventKind::Fallback {
-                            count: delta.fallbacks,
-                        },
-                    });
-                    if obs.dump_count() == 0 {
-                        obs.dump("fault_fallback", end, ti as u32);
+                    for (u, run) in runs.iter_mut().enumerate() {
+                        for (lane, frag) in frags.iter().enumerate() {
+                            // Timing: replay the lane's slice of the batch's
+                            // contiguous fetch buffer through the flat
+                            // texture-unit path.
+                            let out = batch.outcome(u, lane);
+                            let timing = run.tex.process_flat(
+                                batch.tap_addresses_of(u, lane),
+                                u64::from(out.taps),
+                                &mut run.mem,
+                                run.start,
+                            );
+                            let shaded = shader.apply(out.color);
+                            run.fragment(timing, out.decision, frag, shaded, slot, layout, origin);
+                        }
                     }
                 }
             }
         }
+
+        for (run, unit) in runs.iter_mut().zip(&units) {
+            run.end_tile(unit, cluster, ti, tile);
+        }
     }
 
-    let mut side = MemSideEffects {
-        bandwidth: shard.mem.bandwidth(),
-        events: shard.mem.events(),
-    };
-    side.events.accumulate(&shard.tex.events());
-    let mut faults = shard.mem.fault_counts();
-    faults.accumulate(&shard.patu.fault_counts());
-
-    if trace {
-        obs.add("tiles", tiles.len() as u64);
-        obs.add("filter::requests", filter_requests);
-        obs.merge_hist("mem::fetch_latency", shard.mem.fetch_latency_hist());
-        obs.merge_hist("mem::miss_penalty", shard.mem.miss_penalty_hist());
-        obs.merge_hist("tex::queue_wait", shard.tex.queue_wait_hist());
-        obs.merge_hist("patu::af_taps", shard.patu.tap_hist());
-    }
-
-    ClusterOutput {
-        image,
-        finish: timer.cluster_cycles(cluster),
-        filter_latency,
-        filter_requests,
-        wasted_addr_taps,
-        hash_accesses: shard.patu.hash_accesses(),
-        degraded,
-        divergence,
-        approx: shard.patu.approx_stats(),
-        sharing: shard.patu.sharing_stats(),
-        side,
-        faults,
-        filter_hist,
-        obs,
-        shade_cycles,
-        tex_work_cycles: shard.tex.attrib_work_cycles(),
-        mem_attrib: shard.mem.attrib_cycles(),
-        decisions: shard.patu.decision_attrib(),
-        tiles: tile_stats,
-        temporal: temporal_counts,
-    }
+    runs.into_iter()
+        .zip(&units)
+        .map(|(run, unit)| run.finish(unit, cluster))
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,6 +5,12 @@
 //! thread counts and fault injection, plus under foveated threshold
 //! modulation and watchdog degradation.
 //!
+//! The same holds for [`render_policies`], the one traversal that renders
+//! several policies at once: each of its results equals that policy
+//! rendered alone, by the scalar oracle and by the batched path, telemetry
+//! included — also with the policy list reversed or holding a duplicate,
+//! which would expose state leaking between policies.
+//!
 //! Also pins the sampled-MSSIM estimator's error bound against the full
 //! computation on every seed scene (DESIGN.md §13).
 
@@ -12,7 +18,7 @@ use patu_core::FilterPolicy;
 use patu_gpu::FaultConfig;
 use patu_quality::{SampledSsimConfig, SsimConfig};
 use patu_scenes::{game_names, Workload};
-use patu_sim::render::{render_frame, BatchMode, FrameResult, RenderConfig};
+use patu_sim::render::{render_frame, render_policies, BatchMode, FrameResult, RenderConfig};
 
 fn assert_bit_identical(soa: &FrameResult, scalar: &FrameResult, context: &str) {
     assert_eq!(
@@ -121,6 +127,139 @@ fn batched_telemetry_is_bit_identical_too() {
         sc.stage_totals(),
         "telemetry stage tree differs"
     );
+}
+
+/// The policy set the shared-traversal tests render together.
+const SHARED_POLICIES: [FilterPolicy; 6] = [
+    FilterPolicy::Baseline,
+    FilterPolicy::NoAf,
+    FilterPolicy::SampleArea { threshold: 0.4 },
+    FilterPolicy::SampleAreaTxds { threshold: 0.4 },
+    FilterPolicy::Patu { threshold: 0.4 },
+    FilterPolicy::Patu { threshold: 0.9 },
+];
+
+/// Renders `policies` in one traversal under `cfg` and checks every result
+/// against that policy rendered alone: in full (telemetry included) against
+/// the batched `render_frame`, and against the scalar oracle on everything
+/// the two paths share.
+fn assert_shared_matches_alone(
+    workload: &Workload,
+    frame: u32,
+    cfg: RenderConfig,
+    policies: &[FilterPolicy],
+    context: &str,
+) {
+    let shared = render_policies(workload, frame, &cfg, policies).unwrap();
+    assert_eq!(
+        shared.len(),
+        policies.len(),
+        "one result per policy: {context}"
+    );
+    for (result, &policy) in shared.iter().zip(policies) {
+        let context = format!("{context}, policy {policy:?}");
+        let alone = RenderConfig { policy, ..cfg };
+        let batched = render_frame(workload, frame, &alone).unwrap();
+        assert_bit_identical(result, &batched, &context);
+        assert_eq!(
+            result.tile_stats, batched.tile_stats,
+            "tile stats: {context}"
+        );
+        assert_eq!(result.telemetry, batched.telemetry, "telemetry: {context}");
+        let scalar =
+            render_frame(workload, frame, &alone.with_batching(BatchMode::Scalar)).unwrap();
+        assert_bit_identical(result, &scalar, &format!("{context}, scalar oracle"));
+        assert_eq!(
+            result.tile_stats, scalar.tile_stats,
+            "tile stats: {context}"
+        );
+        match (&result.telemetry, &scalar.telemetry) {
+            (Some(a), Some(b)) => {
+                assert_eq!(a.counters, b.counters, "telemetry counters: {context}");
+                assert_eq!(a.stage_totals(), b.stage_totals(), "stage tree: {context}");
+            }
+            (None, None) => {}
+            _ => panic!("telemetry presence differs: {context}"),
+        }
+    }
+}
+
+#[test]
+fn shared_traversal_matches_each_policy_alone() {
+    let workload = Workload::build("doom3", (192, 160)).unwrap();
+    for faults in [FaultConfig::disabled(), FaultConfig::uniform(42, 0.05)] {
+        for threads in [1usize, 4] {
+            let cfg = RenderConfig::new(FilterPolicy::Baseline)
+                .with_faults(faults)
+                .with_threads(threads);
+            let context = format!(
+                "faults {faulty}, threads {threads}",
+                faulty = !faults.is_disabled()
+            );
+            assert_shared_matches_alone(&workload, 0, cfg, &SHARED_POLICIES, &context);
+        }
+    }
+}
+
+#[test]
+fn shared_traversal_matches_under_foveation_budget_and_spans() {
+    use patu_obs::{TelemetryConfig, TraceLevel};
+    let workload = Workload::build("grid", (192, 160)).unwrap();
+    let base = RenderConfig::new(FilterPolicy::Baseline).with_threads(2);
+    let cases = [
+        (
+            "foveated",
+            base.with_foveation(patu_sim::Foveation::default()),
+        ),
+        ("1-cycle budget", base.with_cycle_budget(1)),
+        (
+            "spans telemetry, faults",
+            base.with_telemetry(TelemetryConfig::with_level(TraceLevel::Spans))
+                .with_faults(FaultConfig::uniform(42, 0.05)),
+        ),
+    ];
+    for (context, cfg) in cases {
+        assert_shared_matches_alone(&workload, 1, cfg, &SHARED_POLICIES, context);
+    }
+    let degraded = render_policies(&workload, 1, &cases[1].1, &SHARED_POLICIES).unwrap();
+    assert!(
+        degraded.iter().all(|r| r.degraded),
+        "every policy trips the watchdog"
+    );
+    // A budget only the slower policies blow: each watchdog trips on its
+    // own cycle stream, mid-frame, while the others render in full.
+    let noaf = render_frame(
+        &workload,
+        1,
+        &RenderConfig {
+            policy: FilterPolicy::NoAf,
+            ..base
+        },
+    )
+    .unwrap();
+    let budget = base.with_cycle_budget(noaf.stats.cycles);
+    assert_shared_matches_alone(&workload, 1, budget, &SHARED_POLICIES, "NoAf-sized budget");
+    let mixed = render_policies(&workload, 1, &budget, &SHARED_POLICIES).unwrap();
+    assert!(
+        mixed[0].degraded && !mixed[1].degraded,
+        "Baseline trips, NoAf does not"
+    );
+}
+
+#[test]
+fn shared_traversal_is_independent_of_policy_order_and_duplicates() {
+    let workload = Workload::build("doom3", (192, 160)).unwrap();
+    let cfg = RenderConfig::new(FilterPolicy::Baseline).with_faults(FaultConfig::uniform(42, 0.05));
+    let mut reversed = SHARED_POLICIES;
+    reversed.reverse();
+    assert_shared_matches_alone(&workload, 2, cfg, &reversed, "reversed");
+    let duplicated = [
+        FilterPolicy::Patu { threshold: 0.4 },
+        FilterPolicy::Baseline,
+        FilterPolicy::Patu { threshold: 0.4 },
+    ];
+    assert_shared_matches_alone(&workload, 2, cfg, &duplicated, "duplicated");
+    assert!(render_policies(&workload, 2, &cfg, &[]).unwrap().is_empty());
 }
 
 #[test]

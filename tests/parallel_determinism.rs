@@ -9,7 +9,10 @@
 use patu_core::FilterPolicy;
 use patu_gpu::FaultConfig;
 use patu_scenes::Workload;
-use patu_sim::experiment::{design_points, run_policies, temporal_stability, ExperimentConfig};
+use patu_sim::experiment::{
+    design_points, run_policies, temporal_stability, threshold_sweep, AggregateResult,
+    ExperimentConfig,
+};
 use patu_sim::render::{render_frame, FrameResult, RenderConfig};
 
 fn thread_counts() -> Vec<usize> {
@@ -80,10 +83,41 @@ fn frame_outputs_bit_identical_across_thread_counts() {
     }
 }
 
+fn assert_aggregates_identical(r: &AggregateResult, o: &AggregateResult, context: &str) {
+    assert_eq!(r.label, o.label, "labels differ: {context}");
+    assert_eq!(r.stats, o.stats, "aggregate stats differ: {context}");
+    assert_eq!(r.approx, o.approx, "approx differs: {context}");
+    assert_eq!(r.sharing, o.sharing, "sharing differs: {context}");
+    assert_eq!(r.divergence, o.divergence, "divergence differs: {context}");
+    assert_eq!(
+        r.mssim.to_bits(),
+        o.mssim.to_bits(),
+        "mssim not bit-identical: {context} ({} vs {})",
+        r.mssim,
+        o.mssim
+    );
+    assert_eq!(
+        r.energy_joules.to_bits(),
+        o.energy_joules.to_bits(),
+        "energy not bit-identical: {context}"
+    );
+    assert_eq!(
+        r.mean_cycles.to_bits(),
+        o.mean_cycles.to_bits(),
+        "mean cycles not bit-identical: {context}"
+    );
+    assert_eq!(
+        r.mean_filter_latency.to_bits(),
+        o.mean_filter_latency.to_bits(),
+        "mean filter latency not bit-identical: {context}"
+    );
+}
+
 #[test]
 fn aggregate_sweeps_bit_identical_across_thread_counts() {
     let workload = Workload::build("grid", (160, 128)).unwrap();
     let points = design_points(0.4);
+    let thresholds = [0.2, 0.6];
     for faults in [FaultConfig::disabled(), FaultConfig::uniform(7, 0.05)] {
         let cfg = |threads: usize| {
             ExperimentConfig {
@@ -95,41 +129,23 @@ fn aggregate_sweeps_bit_identical_across_thread_counts() {
             .with_threads(threads)
         };
         let reference = run_policies(&workload, &points, &cfg(1)).unwrap();
+        let (sweep_base, sweep) = threshold_sweep(&workload, &thresholds, &cfg(1)).unwrap();
         for threads in [2usize, 4] {
+            let faulty = !faults.is_disabled();
             let run = run_policies(&workload, &points, &cfg(threads)).unwrap();
             assert_eq!(reference.len(), run.len());
             for (r, o) in reference.iter().zip(&run) {
-                let context = format!(
-                    "policy {}, faults {}, threads {threads}",
-                    r.label,
-                    !faults.is_disabled()
-                );
-                assert_eq!(r.stats, o.stats, "aggregate stats differ: {context}");
-                assert_eq!(r.approx, o.approx, "approx differs: {context}");
-                assert_eq!(r.sharing, o.sharing, "sharing differs: {context}");
-                assert_eq!(r.divergence, o.divergence, "divergence differs: {context}");
-                assert_eq!(
-                    r.mssim.to_bits(),
-                    o.mssim.to_bits(),
-                    "mssim not bit-identical: {context} ({} vs {})",
-                    r.mssim,
-                    o.mssim
-                );
-                assert_eq!(
-                    r.energy_joules.to_bits(),
-                    o.energy_joules.to_bits(),
-                    "energy not bit-identical: {context}"
-                );
-                assert_eq!(
-                    r.mean_cycles.to_bits(),
-                    o.mean_cycles.to_bits(),
-                    "mean cycles not bit-identical: {context}"
-                );
-                assert_eq!(
-                    r.mean_filter_latency.to_bits(),
-                    o.mean_filter_latency.to_bits(),
-                    "mean filter latency not bit-identical: {context}"
-                );
+                let context = format!("policy {}, faults {faulty}, threads {threads}", r.label);
+                assert_aggregates_identical(r, o, &context);
+            }
+            let (base, points) = threshold_sweep(&workload, &thresholds, &cfg(threads)).unwrap();
+            let context = format!("sweep baseline, faults {faulty}, threads {threads}");
+            assert_aggregates_identical(&sweep_base, &base, &context);
+            assert_eq!(sweep.len(), points.len());
+            for ((rt, r), (ot, o)) in sweep.iter().zip(&points) {
+                assert_eq!(rt.to_bits(), ot.to_bits());
+                let context = format!("sweep θ={rt}, faults {faulty}, threads {threads}");
+                assert_aggregates_identical(r, o, &context);
             }
         }
     }
