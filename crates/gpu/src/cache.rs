@@ -4,6 +4,8 @@
 //! tracks real tag state, so locality effects — including the extra reuse
 //! PATU creates by sampling approximated pixels from AF's mip level
 //! (Sec. V-C(2)) — show up as measured hit-rate changes, not assumptions.
+//! Each set stores only its tags, in recency order: LRU replacement needs
+//! the order of a set's lines, not a timestamp per way.
 
 use patu_texture::TexelAddress;
 
@@ -32,13 +34,10 @@ impl CacheStats {
     }
 }
 
-/// One cache way: a tag plus an LRU timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Way {
-    tag: u64,
-    last_used: u64,
-    valid: bool,
-}
+/// The tag of an empty way. No line has it: [`Cache::try_new`] requires
+/// each way to span at least two bytes (`num_sets * line_size >= 2`), so
+/// every tag is at most `u64::MAX / 2`.
+const EMPTY: u64 = u64::MAX;
 
 /// How an address splits into line, set and tag. Each divisor that is a
 /// power of two becomes a shift (and the set index a mask); any other stays
@@ -83,11 +82,14 @@ impl Indexing {
 
 /// A set-associative, write-allocate, LRU cache over byte addresses.
 ///
-/// The ways of all sets live in one flat array, set-major. The cache also
-/// remembers where the most recent access landed: a repeat of that line (a
-/// bilinear quad's second texel on the same line as its first) is served
-/// from the memo without scanning the set, with exactly the clock, LRU
-/// stamp and statistics updates a scan would make.
+/// Each set keeps its tags in recency order, most recently used first,
+/// with empty ways at the end. A hit moves its tag to the front; a miss
+/// drops the last way (an empty one if the set has any, else the least
+/// recently used line) and puts the new tag first. Whether an access hits
+/// depends only on a set's contents and their LRU order, so this is the
+/// same cache as one that stamps each way with an access clock and evicts
+/// the first invalid way, else the oldest stamp. A repeat of a set's most
+/// recent line hits on the first compare.
 ///
 /// ```
 /// use patu_gpu::Cache;
@@ -98,13 +100,10 @@ impl Indexing {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cache {
-    ways: Vec<Way>,
+    /// Every set's tags, set-major, each set most recent first.
+    tags: Vec<u64>,
     assoc: usize,
     index: Indexing,
-    /// `(line, flat way index)` of the last access; `None` after a reset or
-    /// an invalidation, which may have dropped that line.
-    last: Option<(u64, usize)>,
-    clock: u64,
     stats: CacheStats,
 }
 
@@ -114,9 +113,10 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero or `size_bytes` is not divisible into
-    /// at least one full set (`ways * line_size`). Use [`Cache::try_new`]
-    /// for a non-panicking variant.
+    /// Panics if any parameter is zero, `size_bytes` is not divisible into
+    /// at least one full set (`ways * line_size`), or a way spans a single
+    /// byte (one set of 1-byte lines). Use [`Cache::try_new`] for a
+    /// non-panicking variant.
     pub fn new(size_bytes: u64, ways: u32, line_size: u64) -> Cache {
         assert!(
             size_bytes > 0 && ways > 0 && line_size > 0,
@@ -124,17 +124,11 @@ impl Cache {
         );
         let num_sets = size_bytes / (u64::from(ways) * line_size);
         assert!(num_sets > 0, "cache too small for its associativity");
-        let invalid = Way {
-            tag: 0,
-            last_used: 0,
-            valid: false,
-        };
+        assert!(num_sets * line_size > 1, "a way must span at least 2 bytes");
         Cache {
-            ways: vec![invalid; num_sets as usize * ways as usize],
+            tags: vec![EMPTY; num_sets as usize * ways as usize],
             assoc: ways as usize,
             index: Indexing::new(line_size, num_sets),
-            last: None,
-            clock: 0,
             stats: CacheStats::default(),
         }
     }
@@ -150,7 +144,8 @@ impl Cache {
         if size_bytes == 0 || ways == 0 || line_size == 0 {
             return Err(err);
         }
-        if size_bytes / (u64::from(ways) * line_size) == 0 {
+        let num_sets = size_bytes / (u64::from(ways) * line_size);
+        if num_sets == 0 || num_sets * line_size < 2 {
             return Err(err);
         }
         Ok(Cache::new(size_bytes, ways, line_size))
@@ -166,75 +161,65 @@ impl Cache {
         self.index.line_size
     }
 
-    /// Flat index range of `set`'s ways.
+    /// The line holding `addr`.
     #[inline]
-    fn set_ways(&self, set: usize) -> std::ops::Range<usize> {
-        set * self.assoc..(set + 1) * self.assoc
+    pub(crate) fn line(&self, addr: TexelAddress) -> u64 {
+        self.index.line(addr)
     }
 
-    /// Flat index of the valid way of `set` holding `tag`, if any.
+    /// The tags of `line`'s set, and `line`'s tag.
     #[inline]
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let ways = self.set_ways(set);
-        let base = ways.start;
-        self.ways[ways]
-            .iter()
-            .position(|w| w.valid && w.tag == tag)
-            .map(|i| base + i)
+    fn set_of(&mut self, line: u64) -> (&mut [u64], u64) {
+        let (set, tag) = self.index.set_and_tag(line);
+        (
+            &mut self.tags[set * self.assoc..(set + 1) * self.assoc],
+            tag,
+        )
     }
 
     /// Looks up (and on miss, fills) the line containing `addr`.
     /// Returns `true` on hit.
     pub fn access(&mut self, addr: TexelAddress) -> bool {
-        self.clock += 1;
+        self.access_line(self.index.line(addr))
+    }
+
+    /// [`Cache::access`] by line number.
+    #[inline]
+    pub(crate) fn access_line(&mut self, line: u64) -> bool {
         self.stats.accesses += 1;
-        let line = self.index.line(addr);
-        if let Some((last_line, way)) = self.last {
-            if last_line == line {
-                self.ways[way].last_used = self.clock;
+        let (ways, tag) = self.set_of(line);
+        if ways[0] == tag {
+            self.stats.hits += 1;
+            return true;
+        }
+        // Put the tag first and move each tag before it one way back: a
+        // hit stops where the tag was, a miss drops the last way.
+        let mut carry = tag;
+        for way in ways.iter_mut() {
+            let held = std::mem::replace(way, carry);
+            if held == tag {
                 self.stats.hits += 1;
                 return true;
             }
+            carry = held;
         }
-        let (set, tag) = self.index.set_and_tag(line);
-        let ways = self.set_ways(set);
-        let base = ways.start;
-        let clock = self.clock;
-        let ways = &mut self.ways[ways];
-        let (i, hit) = match ways.iter().position(|w| w.valid && w.tag == tag) {
-            Some(i) => {
-                ways[i].last_used = clock;
-                self.stats.hits += 1;
-                (i, true)
-            }
-            // Miss: fill the LRU (or first invalid) way. Sets are non-empty
-            // by `try_new`'s geometry validation; if that were ever
-            // violated the miss is still reported, just without a fill.
-            None => match ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| if w.valid { w.last_used } else { 0 })
-            {
-                Some((i, _)) => {
-                    ways[i] = Way {
-                        tag,
-                        last_used: clock,
-                        valid: true,
-                    };
-                    (i, false)
-                }
-                None => return false,
-            },
-        };
-        self.last = Some((line, base + i));
-        hit
+        false
+    }
+
+    /// Counts `n` more accesses to the line the last access touched. That
+    /// line is already the most recent of its set, so each one hits and
+    /// only the statistics change.
+    #[inline]
+    pub(crate) fn repeat_hits(&mut self, n: u64) {
+        self.stats.accesses += n;
+        self.stats.hits += n;
     }
 
     /// Whether the line containing `addr` is currently resident (no state
     /// change, no stats update).
     pub fn probe(&self, addr: TexelAddress) -> bool {
         let (set, tag) = self.index.set_and_tag(self.index.line(addr));
-        self.find(set, tag).is_some()
+        self.tags[set * self.assoc..(set + 1) * self.assoc].contains(&tag)
     }
 
     /// Invalidates the line containing `addr` if resident, returning
@@ -242,11 +227,11 @@ impl Cache {
     /// corrupted line cannot be served, so the next access refills it from
     /// the level below (keeping hit/miss accounting consistent).
     pub fn invalidate_line(&mut self, addr: TexelAddress) -> bool {
-        let (set, tag) = self.index.set_and_tag(self.index.line(addr));
-        match self.find(set, tag) {
-            Some(way) => {
-                self.ways[way].valid = false;
-                self.last = None;
+        let (ways, tag) = self.set_of(self.index.line(addr));
+        match ways.iter().position(|&t| t == tag) {
+            Some(i) => {
+                ways.copy_within(i + 1.., i);
+                ways[ways.len() - 1] = EMPTY;
                 true
             }
             None => false,
@@ -260,11 +245,7 @@ impl Cache {
 
     /// Invalidates all lines and clears statistics.
     pub fn reset(&mut self) {
-        for way in &mut self.ways {
-            way.valid = false;
-        }
-        self.last = None;
-        self.clock = 0;
+        self.tags.fill(EMPTY);
         self.stats = CacheStats::default();
     }
 }
@@ -379,7 +360,156 @@ mod tests {
         assert!(Cache::try_new(0, 4, 64).is_err());
         assert!(Cache::try_new(1024, 0, 64).is_err());
         assert!(Cache::try_new(1024, 4, 0).is_err());
+        assert!(Cache::try_new(4, 4, 1).is_err(), "one set of 1-byte lines");
+        assert!(Cache::try_new(8, 4, 1).is_ok(), "two sets of 1-byte lines");
+        assert!(Cache::try_new(8, 4, 2).is_ok(), "one set of 2-byte lines");
         assert!(Cache::try_new(1024, 4, 64).is_ok());
+    }
+
+    /// The replacement rule the recency order stands in for: each valid
+    /// way carries the clock of its last use, and a miss fills the first
+    /// invalid way, else the way with the oldest stamp.
+    struct StampLru {
+        ways: Vec<Option<(u64, u64)>>,
+        assoc: usize,
+        line_size: u64,
+        num_sets: u64,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl StampLru {
+        fn new(size_bytes: u64, ways: u32, line_size: u64) -> StampLru {
+            let num_sets = size_bytes / (u64::from(ways) * line_size);
+            StampLru {
+                ways: vec![None; (num_sets * u64::from(ways)) as usize],
+                assoc: ways as usize,
+                line_size,
+                num_sets,
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        /// `addr`'s set and tag, by division.
+        fn locate(&mut self, addr: u64) -> (&mut [Option<(u64, u64)>], u64) {
+            let line = addr / self.line_size;
+            let set = (line % self.num_sets) as usize;
+            let ways = &mut self.ways[set * self.assoc..(set + 1) * self.assoc];
+            (ways, line / self.num_sets)
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.clock += 1;
+            self.stats.accesses += 1;
+            let clock = self.clock;
+            let (ways, tag) = self.locate(addr);
+            if let Some(way) = ways.iter_mut().flatten().find(|(t, _)| *t == tag) {
+                way.1 = clock;
+                self.stats.hits += 1;
+                return true;
+            }
+            let victim = ways.iter().position(Option::is_none).unwrap_or_else(|| {
+                (0..ways.len())
+                    .min_by_key(|&i| ways[i].map_or(0, |(_, stamp)| stamp))
+                    .unwrap_or(0)
+            });
+            ways[victim] = Some((tag, clock));
+            false
+        }
+
+        fn probe(&mut self, addr: u64) -> bool {
+            let (ways, tag) = self.locate(addr);
+            ways.iter().flatten().any(|&(t, _)| t == tag)
+        }
+
+        fn invalidate_line(&mut self, addr: u64) -> bool {
+            let (ways, tag) = self.locate(addr);
+            match ways
+                .iter()
+                .position(|w| matches!(w, Some((t, _)) if *t == tag))
+            {
+                Some(i) => {
+                    ways[i] = None;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn reset(&mut self) {
+            self.ways.fill(None);
+            self.clock = 0;
+            self.stats = CacheStats::default();
+        }
+    }
+
+    /// Drives `Cache` and the stamp-clock model with one seeded stream
+    /// over a few hot sets, each with more lines than ways so they evict:
+    /// repeats of the last line (through `repeat_hits` too), new lines,
+    /// invalidations and resets. Every hit, statistic and probe must agree.
+    fn matches_stamp_lru(num_sets: u64, ways: u32, line_size: u64, seed: u64) {
+        let size_bytes = num_sets * u64::from(ways) * line_size;
+        let mut cache = Cache::new(size_bytes, ways, line_size);
+        let mut model = StampLru::new(size_bytes, ways, line_size);
+        assert_eq!(cache.num_sets(), num_sets);
+        let mut rng = patu_gmath::DetRng::new(seed);
+        let hot_sets = num_sets.min(3);
+        let lines_per_set = 2 * u64::from(ways) + 1;
+        let line_addr = |set: u64, tag: u64| (tag * num_sets + set) * line_size;
+        let mut last = 0u64;
+        for step in 0..4_000 {
+            let op = rng.range(100);
+            let a = if op < 35 {
+                last - last % line_size + rng.range(line_size)
+            } else {
+                line_addr(rng.range(hot_sets), rng.range(lines_per_set)) + rng.range(line_size)
+            };
+            match op {
+                0..=2 => {
+                    let repeats = rng.range(4);
+                    assert_eq!(cache.access(addr(a)), model.access(a), "step {step}");
+                    cache.repeat_hits(repeats);
+                    for _ in 0..repeats {
+                        assert!(model.access(a), "step {step}: a repeat hits");
+                    }
+                }
+                3..=6 => assert_eq!(
+                    cache.invalidate_line(addr(a)),
+                    model.invalidate_line(a),
+                    "step {step}: invalidate {a:#x}"
+                ),
+                7 if rng.chance(0.2) => {
+                    cache.reset();
+                    model.reset();
+                }
+                _ => assert_eq!(
+                    cache.access(addr(a)),
+                    model.access(a),
+                    "step {step}: access {a:#x}"
+                ),
+            }
+            last = a;
+            assert_eq!(cache.stats(), model.stats, "step {step}");
+            for set in 0..hot_sets {
+                for tag in 0..lines_per_set {
+                    let p = line_addr(set, tag);
+                    assert_eq!(cache.probe(addr(p)), model.probe(p), "step {step}: {p:#x}");
+                }
+            }
+        }
+        assert!(cache.stats().hits > 0 && cache.stats().misses() > 0);
+    }
+
+    #[test]
+    fn recency_order_matches_stamp_clock_lru() {
+        for (i, ways) in [1u32, 2, 4, 8, 16].into_iter().enumerate() {
+            let seed = 0xCAC4E + i as u64;
+            matches_stamp_lru(8, ways, 64, seed);
+            matches_stamp_lru(1, ways, 64, seed);
+            // Set index, tag and line all by division.
+            matches_stamp_lru(5, ways, 48, seed);
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub enum GpuError {
     /// A cache cannot be built from the given geometry: every parameter
-    /// must be positive and `size_bytes` must hold at least one full set.
+    /// must be positive, `size_bytes` must hold at least one full set, and
+    /// each way must span at least two bytes.
     InvalidCacheGeometry {
         /// Requested capacity in bytes.
         size_bytes: u64,
@@ -52,8 +53,8 @@ impl fmt::Display for GpuError {
             } => write!(
                 f,
                 "invalid cache geometry: {size_bytes} bytes, {ways} ways, \
-                 {line_size}-byte lines (need positive parameters and at \
-                 least one full set)"
+                 {line_size}-byte lines (need positive parameters, at \
+                 least one full set and ways of at least 2 bytes)"
             ),
             GpuError::InvalidConfig { field, value } => {
                 write!(

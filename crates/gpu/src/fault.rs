@@ -200,6 +200,8 @@ impl FaultCounts {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultInjector {
     cfg: FaultConfig,
+    /// `!cfg.is_disabled()`, computed once: every draw site checks it.
+    active: bool,
     rng: DetRng,
     counts: FaultCounts,
 }
@@ -209,6 +211,7 @@ impl FaultInjector {
     pub fn new(cfg: FaultConfig) -> FaultInjector {
         FaultInjector {
             cfg,
+            active: !cfg.is_disabled(),
             rng: DetRng::new(cfg.seed),
             counts: FaultCounts::default(),
         }
@@ -225,6 +228,7 @@ impl FaultInjector {
     pub fn fork(&self, tag: u64) -> FaultInjector {
         FaultInjector {
             cfg: self.cfg,
+            active: self.active,
             rng: self.rng.fork(tag),
             counts: FaultCounts::default(),
         }
@@ -253,7 +257,7 @@ impl FaultInjector {
 
     /// Whether any fault site can fire.
     pub fn is_active(&self) -> bool {
-        !self.cfg.is_disabled()
+        self.active
     }
 
     /// Faults injected and degradations observed by this injector.

@@ -197,19 +197,24 @@ impl MemorySystem {
     ) -> (u64, FetchLevel) {
         let (latency, level) = self.fetch_texel_inner(cluster, addr, now);
         if self.telemetry {
-            self.fetch_latency_hist.record(latency);
-            self.attrib_cycles.l1 += self.l1_hit_cycles;
-            match level {
-                FetchLevel::L1 => {}
-                FetchLevel::L2 => self.attrib_cycles.l2 += self.l2_hit_cycles,
-                FetchLevel::Dram => {
-                    self.attrib_cycles.l2 += self.l2_hit_cycles;
-                    self.attrib_cycles.dram +=
-                        latency.saturating_sub(self.l1_hit_cycles + self.l2_hit_cycles);
-                }
-            }
+            self.record_fetch(latency, level);
         }
         (latency, level)
+    }
+
+    /// Telemetry for one fetch: its latency, and its cycles by level.
+    fn record_fetch(&mut self, latency: u64, level: FetchLevel) {
+        self.fetch_latency_hist.record(latency);
+        self.attrib_cycles.l1 += self.l1_hit_cycles;
+        match level {
+            FetchLevel::L1 => {}
+            FetchLevel::L2 => self.attrib_cycles.l2 += self.l2_hit_cycles,
+            FetchLevel::Dram => {
+                self.attrib_cycles.l2 += self.l2_hit_cycles;
+                self.attrib_cycles.dram +=
+                    latency.saturating_sub(self.l1_hit_cycles + self.l2_hit_cycles);
+            }
+        }
     }
 
     fn fetch_texel_inner(
@@ -222,7 +227,7 @@ impl MemorySystem {
         // Fault site: a resident line's ECC detects a bit flip. The line is
         // dropped before lookup, so the access takes the miss path and the
         // refill recovers clean data — degraded latency, correct results.
-        if self.faults.is_active() && self.faults.flip_cache_line() {
+        if self.faults.flip_cache_line() {
             // Alternate the struck level deterministically so both caches
             // exercise their recovery path under any rate.
             if self.faults.counts().cache_bitflips.is_multiple_of(2) {
@@ -235,6 +240,13 @@ impl MemorySystem {
         if self.l1[cluster].access(addr) {
             return (self.l1_hit_cycles, FetchLevel::L1);
         }
+        self.fetch_below_l1(addr, now)
+    }
+
+    /// The rest of a fetch that missed L1: the shared L2, then DRAM.
+    #[cold]
+    #[inline(never)]
+    fn fetch_below_l1(&mut self, addr: TexelAddress, now: u64) -> (u64, FetchLevel) {
         self.events.l1_misses += 1;
         self.events.l2_accesses += 1;
         if self.l2.access(addr) {
@@ -259,6 +271,79 @@ impl MemorySystem {
             self.l1_hit_cycles + self.l2_hit_cycles + dram_latency,
             FetchLevel::Dram,
         )
+    }
+
+    /// Fetches one request's texels in order through `cluster`'s L1,
+    /// issuing `ports` per cycle: the `i`-th address issues at cycle
+    /// `start + first_offset + i / ports`. Returns the worst issue offset
+    /// plus fetch latency over the request (0 for no addresses). Every
+    /// counter, fault draw and telemetry sample is the one
+    /// [`MemorySystem::fetch_texel`] at each address's issue cycle makes.
+    ///
+    /// With faults armed, each address takes `fetch_texel`, so fault
+    /// draws happen per fetch. Otherwise nothing can touch a cache between
+    /// two fetches, so an address on the same line as the one before it
+    /// is an L1 hit on that set's most recent line: it is counted without
+    /// a lookup. The fetch and access counters, and the telemetry of L1
+    /// hits, are then added once per request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cluster` is out of range.
+    pub fn fetch_request<'a>(
+        &mut self,
+        cluster: usize,
+        addresses: impl IntoIterator<Item = &'a TexelAddress>,
+        start: u64,
+        first_offset: u64,
+        ports: u64,
+    ) -> u64 {
+        let per_fetch = self.faults.is_active();
+        let l1_hit = self.l1_hit_cycles;
+        let (mut offset, mut slot) = (first_offset, 0u64);
+        let (mut worst, mut fetches, mut misses, mut repeats) = (0u64, 0u64, 0u64, 0u64);
+        let mut last_line = None;
+        for &addr in addresses {
+            let latency = if per_fetch {
+                self.fetch_texel(cluster, addr, start + offset)
+            } else {
+                fetches += 1;
+                let l1 = &mut self.l1[cluster];
+                let line = l1.line(addr);
+                if last_line == Some(line) {
+                    repeats += 1;
+                    l1_hit
+                } else {
+                    last_line = Some(line);
+                    if l1.access_line(line) {
+                        l1_hit
+                    } else {
+                        misses += 1;
+                        let (latency, level) = self.fetch_below_l1(addr, start + offset);
+                        if self.telemetry {
+                            self.record_fetch(latency, level);
+                        }
+                        latency
+                    }
+                }
+            };
+            worst = worst.max(offset + latency);
+            // Count issue slots up instead of dividing by `ports`.
+            slot += 1;
+            if slot == ports {
+                slot = 0;
+                offset += 1;
+            }
+        }
+        self.l1[cluster].repeat_hits(repeats);
+        self.events.texel_fetches += fetches;
+        self.events.l1_accesses += fetches;
+        if self.telemetry {
+            let hits = fetches - misses;
+            self.fetch_latency_hist.record_n(l1_hit, hits);
+            self.attrib_cycles.l1 += l1_hit * hits;
+        }
+        worst
     }
 
     /// Accounts off-chip traffic that bypasses the texture caches (vertex
@@ -497,6 +582,93 @@ mod tests {
         );
         m.reset();
         assert_eq!(m.attrib_cycles(), MemAttribCycles::default());
+    }
+
+    /// One fetch request: addresses, start cycle, first issue offset and
+    /// issue ports.
+    type Request = (Vec<TexelAddress>, u64, u64, u64);
+
+    /// Requests shaped like texture taps: runs of bilinear-quad texels
+    /// that share lines, neighbours in the same and nearby sets, jumps to
+    /// cold lines far beyond the L2, overlapping issue times.
+    fn request_stream(seed: u64) -> Vec<Request> {
+        let mut rng = patu_gmath::DetRng::new(seed);
+        let mut cursor = 0u64;
+        let mut now = 0u64;
+        (0..600)
+            .map(|_| {
+                let taps = 1 + rng.range(16);
+                let mut addresses = Vec::new();
+                for _ in 0..taps {
+                    cursor = match rng.range(10) {
+                        0 => rng.range(4 << 20),
+                        1..=3 => cursor + 64 * rng.range(8),
+                        _ => cursor + 4 * rng.range(4),
+                    };
+                    for level in [0, 1 << 20] {
+                        for row in [0, 1024] {
+                            let texel = level + cursor + row;
+                            addresses.extend([texel, texel + 4].map(TexelAddress::new));
+                        }
+                    }
+                }
+                now += rng.range(40);
+                (addresses, now, rng.range(8), 1 + rng.range(4))
+            })
+            .collect()
+    }
+
+    /// The request loop's reference: one `fetch_texel` per address at its
+    /// issue cycle, `start + first + i / ports`.
+    fn per_fetch(m: &mut MemorySystem, cluster: usize, request: &Request) -> u64 {
+        let (addresses, start, first, ports) = request;
+        let mut worst = 0;
+        for (i, &addr) in addresses.iter().enumerate() {
+            let offset = first + i as u64 / ports;
+            worst = worst.max(offset + m.fetch_texel(cluster, addr, start + offset));
+        }
+        worst
+    }
+
+    #[test]
+    fn request_loop_matches_per_fetch_path() {
+        let requests = request_stream(0xFE7C);
+        let faults = FaultConfig::uniform(3, 0.05);
+        for (armed, telemetry) in [(false, false), (true, false), (false, true), (true, true)] {
+            let (mut batched, mut single) = (mem(), mem());
+            for m in [&mut batched, &mut single] {
+                if armed {
+                    m.set_cluster_faults(faults, 1).unwrap();
+                }
+                m.set_telemetry(telemetry);
+            }
+            for (i, request) in requests.iter().enumerate() {
+                let cluster = i % 2;
+                let (addresses, start, first, ports) = request;
+                assert_eq!(
+                    batched.fetch_request(cluster, addresses, *start, *first, *ports),
+                    per_fetch(&mut single, cluster, request),
+                    "request {i}, faults {armed}, telemetry {telemetry}"
+                );
+            }
+            let e = batched.events();
+            assert_eq!(e, single.events());
+            assert!(e.l1_misses > 0 && e.l2_misses > 0 && e.dram_reads > 0);
+            assert_eq!(batched.bandwidth(), single.bandwidth());
+            for cluster in 0..2 {
+                assert_eq!(batched.l1[cluster].stats(), single.l1[cluster].stats());
+                assert_eq!(batched.l1_hit_rate(cluster), single.l1_hit_rate(cluster));
+            }
+            assert_eq!(batched.l2.stats(), single.l2.stats());
+            assert_eq!(batched.l2_hit_rate(), single.l2_hit_rate());
+            assert_eq!(batched.dram.stats(), single.dram.stats());
+            assert_eq!(batched.fault_counts(), single.fault_counts());
+            assert_eq!(armed, batched.fault_counts().faults_injected() > 0);
+            assert_eq!(batched.fetch_latency_hist(), single.fetch_latency_hist());
+            assert_eq!(batched.miss_penalty_hist(), single.miss_penalty_hist());
+            assert_eq!(batched.attrib_cycles(), single.attrib_cycles());
+            assert_eq!(telemetry, !batched.fetch_latency_hist().is_empty());
+        }
     }
 
     #[test]

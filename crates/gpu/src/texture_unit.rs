@@ -18,36 +18,6 @@ use patu_texture::TexelAddress;
 /// (paper Sec. V-D).
 const QUAD_PIPELINES: u64 = 4;
 
-/// Issue cycles of a request's texel fetches, `ports` per cycle starting
-/// at `first`: the `i`-th call returns `first + i / ports`, counted up
-/// instead of divided. `ports` must be positive ([`GpuConfig::validate`]).
-struct IssueClock {
-    cycle: u64,
-    slot: u64,
-    ports: u64,
-}
-
-impl IssueClock {
-    fn new(first: u64, ports: u64) -> IssueClock {
-        IssueClock {
-            cycle: first,
-            slot: 0,
-            ports,
-        }
-    }
-
-    #[inline]
-    fn tick(&mut self) -> u64 {
-        let cycle = self.cycle;
-        self.slot += 1;
-        if self.slot == self.ports {
-            self.slot = 0;
-            self.cycle += 1;
-        }
-        cycle
-    }
-}
-
 /// The filtering work for one pixel, produced by the filtering policy
 /// (baseline AF, TF-only, or a PATU decision).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -145,9 +115,6 @@ impl TextureUnit {
         mem: &mut MemorySystem,
         now: u64,
     ) -> RequestTiming {
-        let taps = req.tap_count() as u64;
-        let texels = req.texel_count() as u64;
-
         // Address ALUs compute one tap's 8 addresses per loop (Sec. V-B):
         // ceil(8 / address_alus) cycles per tap.
         let addr_cycles = req
@@ -155,49 +122,15 @@ impl TextureUnit {
             .iter()
             .map(|t| (t.len() as u64).div_ceil(self.address_alus))
             .sum::<u64>();
-
-        let start = now.max(self.busy_until);
-        if self.telemetry {
-            self.queue_wait_hist.record(start - now);
-        }
-
-        // Texel fetches issue `fetch_ports` per cycle; the request waits for
-        // the slowest outstanding fetch.
-        let mut issue = IssueClock::new(addr_cycles, self.fetch_ports);
-        let mut fetch_latency = 0u64;
-        for tap in &req.taps {
-            for &addr in tap {
-                let issue_offset = issue.tick();
-                let lat = mem.fetch_texel(self.cluster, addr, start + issue_offset);
-                fetch_latency = fetch_latency.max(issue_offset + lat);
-            }
-        }
-
-        let filter_cycles = taps * self.cycles_per_trilinear;
-        let latency = addr_cycles + fetch_latency + filter_cycles;
-        if self.telemetry {
-            self.attrib_work_cycles += addr_cycles + filter_cycles;
-        }
-
-        // Pipeline occupancy: the bottleneck stage gates throughput. The
-        // unit runs four filtering pipelines in parallel (one per quad pixel,
-        // Sec. V-D), so sustained throughput is 4 requests deep.
-        let issue_cycles = texels.div_ceil(self.fetch_ports.max(1));
-        let bottleneck = addr_cycles.max(filter_cycles).max(issue_cycles).max(1);
-        let occupancy = bottleneck.div_ceil(QUAD_PIPELINES);
-        self.busy_until = start + occupancy.max(1);
-
-        self.events.trilinear_ops += taps;
-        self.events.address_calc_ops += texels;
-
-        // Results return in request order, like the hardware pipeline.
-        let completion = (start + latency).max(self.last_completion);
-        self.last_completion = completion;
-
-        RequestTiming {
-            latency: completion - now,
-            completion,
-        }
+        let (taps, texels) = (req.tap_count() as u64, req.texel_count() as u64);
+        self.issue(
+            taps,
+            texels,
+            addr_cycles,
+            req.taps.iter().flatten(),
+            mem,
+            now,
+        )
     }
 
     /// Flat-layout form of [`TextureUnit::process`] for the batched
@@ -217,21 +150,35 @@ impl TextureUnit {
         let texels = addresses.len() as u64;
         let per_tap = texels.checked_div(taps).unwrap_or(0);
         debug_assert_eq!(per_tap * taps, texels, "uniform tap width");
-
         let addr_cycles = taps * per_tap.div_ceil(self.address_alus);
+        self.issue(taps, texels, addr_cycles, addresses, mem, now)
+    }
 
+    /// The pipeline timing both request layouts share: `taps` taps of
+    /// `texels` addresses in all, computed in `addr_cycles`.
+    fn issue<'a>(
+        &mut self,
+        taps: u64,
+        texels: u64,
+        addr_cycles: u64,
+        addresses: impl IntoIterator<Item = &'a TexelAddress>,
+        mem: &mut MemorySystem,
+        now: u64,
+    ) -> RequestTiming {
         let start = now.max(self.busy_until);
         if self.telemetry {
             self.queue_wait_hist.record(start - now);
         }
 
-        let mut issue = IssueClock::new(addr_cycles, self.fetch_ports);
-        let mut fetch_latency = 0u64;
-        for &addr in addresses {
-            let issue_offset = issue.tick();
-            let lat = mem.fetch_texel(self.cluster, addr, start + issue_offset);
-            fetch_latency = fetch_latency.max(issue_offset + lat);
-        }
+        // Texel fetches issue `fetch_ports` per cycle once the addresses
+        // are computed; the request waits for the slowest outstanding fetch.
+        let fetch_latency = mem.fetch_request(
+            self.cluster,
+            addresses,
+            start,
+            addr_cycles,
+            self.fetch_ports,
+        );
 
         let filter_cycles = taps * self.cycles_per_trilinear;
         let latency = addr_cycles + fetch_latency + filter_cycles;
@@ -239,6 +186,9 @@ impl TextureUnit {
             self.attrib_work_cycles += addr_cycles + filter_cycles;
         }
 
+        // Pipeline occupancy: the bottleneck stage gates throughput. The
+        // unit runs four filtering pipelines in parallel (one per quad pixel,
+        // Sec. V-D), so sustained throughput is 4 requests deep.
         let issue_cycles = texels.div_ceil(self.fetch_ports.max(1));
         let bottleneck = addr_cycles.max(filter_cycles).max(issue_cycles).max(1);
         let occupancy = bottleneck.div_ceil(QUAD_PIPELINES);
@@ -247,6 +197,7 @@ impl TextureUnit {
         self.events.trilinear_ops += taps;
         self.events.address_calc_ops += texels;
 
+        // Results return in request order, like the hardware pipeline.
         let completion = (start + latency).max(self.last_completion);
         self.last_completion = completion;
 
@@ -437,10 +388,19 @@ mod tests {
 
     #[test]
     fn issue_clock_counts_what_the_division_computed() {
+        // Warm fetches all hit L1, so the worst fetch is the last one to
+        // issue: `first + (n - 1) / ports` plus the 1-cycle L1 latency.
+        let addresses: Vec<TexelAddress> = (0..40).map(|i| TexelAddress::new(i * 4)).collect();
         for ports in 1..=5u64 {
-            let mut issue = IssueClock::new(7, ports);
-            for i in 0..40u64 {
-                assert_eq!(issue.tick(), 7 + i / ports, "ports {ports} fetch {i}");
+            for n in 1..=addresses.len() {
+                let (_, mut mem) = unit();
+                let _ = mem.fetch_request(0, &addresses, 0, 0, 1);
+                let worst = mem.fetch_request(0, &addresses[..n], 50, 7, ports);
+                assert_eq!(
+                    worst,
+                    7 + (n as u64 - 1) / ports + 1,
+                    "ports {ports}, {n} fetches"
+                );
             }
         }
     }

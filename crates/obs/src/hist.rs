@@ -62,9 +62,19 @@ impl Log2Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.buckets[Log2Histogram::bucket(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of `value`; the histogram is the one `n`
+    /// calls of [`Log2Histogram::record`] build.
+    #[inline]
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Log2Histogram::bucket(value)] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -200,6 +210,18 @@ mod tests {
         assert_eq!(h.p50(), 0);
         assert_eq!(h.mean(), 0.0);
         assert!(h.nonzero_buckets().is_empty());
+    }
+
+    #[test]
+    fn record_n_matches_repeated_record() {
+        let (mut bulk, mut single) = (Log2Histogram::new(), Log2Histogram::new());
+        for (value, n) in [(7, 3), (0, 2), (1000, 0), (1, 5), (u64::MAX / 2, 3)] {
+            bulk.record_n(value, n);
+            for _ in 0..n {
+                single.record(value);
+            }
+            assert_eq!(bulk, single, "{n} × {value}");
+        }
     }
 
     #[test]
