@@ -389,16 +389,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--record" => record = true,
             "--html" => html = true,
             "-o" if out_path.is_none() => {
-                out_path = Some(args.next().ok_or(ArgError {
+                out_path = Some(args.next().ok_or_else(|| ArgError {
                     arg,
-                    accepted: USAGE,
+                    accepted: USAGE.into(),
                 })?)
             }
             a if !a.starts_with('-') && input.is_none() => input = Some(arg),
             _ => {
                 return Err(ArgError {
                     arg,
-                    accepted: USAGE,
+                    accepted: USAGE.into(),
                 }
                 .into())
             }

@@ -1,11 +1,12 @@
 //! # patu-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! PATU paper (HPCA 2018). Each `fig*`/`table*` binary in `src/bin` prints
-//! the same rows/series the paper reports, alongside the paper's published
-//! value where one exists, so EXPERIMENTS.md can record paper-vs-measured.
+//! PATU paper (HPCA 2018). The `paper` binary runs the [`paper`]
+//! experiments by name: each prints the same rows/series the paper
+//! reports, alongside the paper's published value where one exists, so
+//! EXPERIMENTS.md can record paper-vs-measured.
 //!
-//! The figure, table and ablation binaries accept ([`RunOptions`]):
+//! `paper` accepts experiment names (or `all`) and ([`RunOptions`]):
 //!
 //! * `--full` — run at the paper's Table II resolutions (slow). The default
 //!   "fast" profile halves each dimension (quarter area), which preserves
@@ -23,6 +24,7 @@
 
 pub mod knobs;
 pub mod micro;
+pub mod paper;
 
 pub use knobs::{KnobError, Knobs};
 
@@ -40,7 +42,7 @@ pub struct ArgError {
     /// The rejected argument (for `--frames`, the flag and its value).
     pub arg: String,
     /// What the binary accepts instead.
-    pub accepted: &'static str,
+    pub accepted: String,
 }
 
 impl fmt::Display for ArgError {
@@ -72,7 +74,7 @@ pub fn no_args() -> Result<(), ArgError> {
     match std::env::args().nth(1) {
         Some(arg) => Err(ArgError {
             arg,
-            accepted: "no arguments",
+            accepted: "no arguments".into(),
         }),
         None => Ok(()),
     }
@@ -115,7 +117,7 @@ impl RunOptions {
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<RunOptions, ArgError> {
         let reject = |arg| ArgError {
             arg,
-            accepted: RUN_FLAGS,
+            accepted: RUN_FLAGS.into(),
         };
         let mut opts = RunOptions::default();
         let mut args = args.into_iter();
@@ -175,13 +177,6 @@ pub fn pct_delta(ratio: f64) -> String {
 /// Formats a 0–1 fraction as a percentage.
 pub fn pct(fraction: f64) -> String {
     format!("{:.1}%", fraction * 100.0)
-}
-
-/// Prints the standard paper-vs-measured footer line.
-pub fn paper_note(figure: &str, claim: &str) {
-    println!("\n[{figure}] paper reports: {claim}");
-    println!("(absolute numbers differ — our substrate is a synthetic simulator;");
-    println!(" the comparison point is the trend/direction. See EXPERIMENTS.md.)");
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 //! workspace actually uses, and it keeps a full-workspace run linear.
 
 use crate::diag::Diagnostic;
-use crate::lexer::{ident, is_path_sep, punct, Tok, TokKind};
+use crate::lexer::{ident, is_path_sep, matching_close, punct, Tok, TokKind};
 use crate::resolve::{FileIndex, FnItem};
 use std::collections::BTreeMap;
 
@@ -287,43 +287,11 @@ fn call_paren(toks: &[Tok], i: usize) -> Option<usize> {
     if punct(toks, i + 1, '(') {
         return Some(i + 1);
     }
-    if is_path_sep(toks, i + 1) && punct(toks, i + 3, '<') {
-        let mut depth = 0usize;
-        let mut j = i + 3;
-        while j < toks.len() {
-            if punct(toks, j, '<') {
-                depth += 1;
-            } else if punct(toks, j, '>') && !punct(toks, j - 1, '-') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            j += 1;
-        }
-        if punct(toks, j + 1, '(') {
-            return Some(j + 1);
-        }
+    if !is_path_sep(toks, i + 1) || !punct(toks, i + 3, '<') {
+        return None;
     }
-    None
-}
-
-/// Index just past the `)` matching the `(` at `open`.
-fn close_paren(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        if punct(toks, i, '(') {
-            depth += 1;
-        } else if punct(toks, i, ')') {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-        i += 1;
-    }
-    i
+    let after = matching_close(toks, i + 3) + 1;
+    punct(toks, after, '(').then_some(after)
 }
 
 /// Whether an absolute call path is one of the ordered-merge partition
@@ -380,20 +348,7 @@ fn closure_regions(toks: &[Tok], open: usize, close: usize) -> Vec<(usize, usize
                 }
                 k += 1;
                 let end = if punct(toks, k, '{') {
-                    let mut d = 0usize;
-                    let mut m = k;
-                    while m < toks.len() {
-                        if punct(toks, m, '{') {
-                            d += 1;
-                        } else if punct(toks, m, '}') {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        m += 1;
-                    }
-                    m
+                    matching_close(toks, k)
                 } else {
                     // Expression body: to the `,`/`)` closing this arg.
                     let mut d = 0usize;
@@ -467,7 +422,7 @@ fn partition_regions(toks: &[Tok], idx: &FileIndex, body: (usize, usize)) -> Vec
                     if is_partition_api(&resolved)
                         && (name == "run_tasks" || name == "run_indexed" || name == "map_rows")
                     {
-                        let close = close_paren(toks, open);
+                        let close = matching_close(toks, open);
                         regions.extend(closure_regions(toks, open, close));
                     }
                 }
@@ -696,7 +651,7 @@ pub fn analyze_fn(
                 );
             } else if !NOT_CALLS.contains(&name) {
                 if let Some(open) = call_paren(toks, i) {
-                    let close = close_paren(toks, open);
+                    let close = matching_close(toks, open);
                     let method = punct(toks, i.wrapping_sub(1), '.');
                     let target = if method {
                         if COMMON_METHODS.contains(&name) || DRAW_METHODS.contains(&name) {
@@ -808,7 +763,7 @@ fn classify_let(
             && ident(toks, k + 3) == Some("new")
         {
             if let Some(open) = call_paren(toks, k + 3) {
-                let close = close_paren(toks, open);
+                let close = matching_close(toks, open);
                 if contains_draw(toks, open, close) {
                     push(
                         "det-rng-discipline",
@@ -1045,26 +1000,13 @@ fn scan_fold_sink(
     // thread-tainted (directly or via the vec's size expression).
     if let Some((vec_taint, _)) = float_vecs.get(name) {
         if punct(toks, i + 1, '[') {
-            let mut d = 0usize;
-            let mut j = i + 1;
+            let j = matching_close(toks, i + 1).min(body.1);
             let mut idx_taint: Option<Taint> = *vec_taint;
-            while j < body.1 {
-                if punct(toks, j, '[') {
-                    d += 1;
-                } else if punct(toks, j, ']') {
-                    d -= 1;
-                    if d == 0 {
-                        break;
-                    }
-                } else if let Some(n) = ident(toks, j) {
-                    if let Some(t) = taints.get(n) {
-                        idx_taint = Some(match (idx_taint, *t) {
-                            (Some(Taint::Thread), _) | (_, Taint::Thread) => Taint::Thread,
-                            (_, p) => p,
-                        });
-                    }
-                }
-                j += 1;
+            for t in (i + 1..j).filter_map(|k| taints.get(ident(toks, k)?)) {
+                idx_taint = Some(match (idx_taint, *t) {
+                    (Some(Taint::Thread), _) | (_, Taint::Thread) => Taint::Thread,
+                    (_, p) => p,
+                });
             }
             let accum = punct(toks, j + 1, '+') && punct(toks, j + 2, '=');
             if accum {
@@ -1120,7 +1062,7 @@ fn scan_fold_sink(
     // statement.
     if name == "chunks" && punct(toks, i.wrapping_sub(1), '.') {
         if let Some(open) = call_paren(toks, i) {
-            let close = close_paren(toks, open);
+            let close = matching_close(toks, open);
             let mut group_taint: Option<Taint> = None;
             for k in open + 1..close {
                 if let Some(n) = ident(toks, k) {
@@ -1190,7 +1132,7 @@ fn analyze_macro(
         return;
     }
     let open = i + 2;
-    let close = close_paren(toks, open);
+    let close = matching_close(toks, open);
     // The controlling literal: first Str token at top level.
     let mut literal: Option<&Tok> = None;
     let mut depth = 0usize;
@@ -1229,7 +1171,7 @@ fn analyze_macro(
             if matches!(n, "format" | "format_args") && punct(toks, j + 1, '!') {
                 let mopen = j + 2;
                 if punct(toks, mopen, '(') {
-                    let mclose = close_paren(toks, mopen);
+                    let mclose = matching_close(toks, mopen);
                     let has_float = (mopen..mclose).any(|k| {
                         toks.get(k)
                             .is_some_and(|t| t.kind == TokKind::Str && float_spec(&t.text))
@@ -1286,7 +1228,7 @@ fn fn_returns_float_string(
     // Direct: `format!("{:.N}"..)` as the trailing expression or returned.
     for k in body.0..body.1 {
         if ident(toks, k) == Some("format") && punct(toks, k + 1, '!') && punct(toks, k + 2, '(') {
-            let close = close_paren(toks, k + 2);
+            let close = matching_close(toks, k + 2);
             let has_float = (k + 2..close).any(|m| {
                 toks.get(m)
                     .is_some_and(|t| t.kind == TokKind::Str && float_spec(&t.text))

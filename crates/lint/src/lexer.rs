@@ -58,6 +58,30 @@ pub(crate) fn is_path_sep(toks: &[Tok], i: usize) -> bool {
     punct(toks, i, ':') && punct(toks, i + 1, ':')
 }
 
+/// Index of the delimiter closing the `(`, `[`, `{` or `<` at `open`
+/// (`toks.len()` if it never closes). Only that delimiter pair nests, and
+/// the `>` of a `->` (`F: Fn() -> u32`) does not close a `<`.
+pub(crate) fn matching_close(toks: &[Tok], open: usize) -> usize {
+    let (o, c) = match toks.get(open).map(|t| t.text.as_str()) {
+        Some("(") => ('(', ')'),
+        Some("[") => ('[', ']'),
+        Some("{") => ('{', '}'),
+        _ => ('<', '>'),
+    };
+    let mut depth = 0usize;
+    for i in open..toks.len() {
+        if punct(toks, i, o) {
+            depth += 1;
+        } else if punct(toks, i, c) && !(c == '>' && punct(toks, i.wrapping_sub(1), '-')) {
+            depth = depth.saturating_sub(1);
+            if depth == 0 {
+                return i;
+            }
+        }
+    }
+    toks.len()
+}
+
 /// A `// patu-lint: ...` suppression pragma found in a line comment.
 #[derive(Debug, Clone)]
 pub struct Pragma {
@@ -463,6 +487,26 @@ mod tests {
     fn char_literals_close() {
         let ids = idents(r"let c = '\n'; let q = '\''; let b = '{'; after()");
         assert!(ids.contains(&"after".to_string()));
+    }
+
+    #[test]
+    fn matching_close_pairs_one_delimiter_kind() {
+        let toks = lex("f::<Box<dyn Fn() -> u8>>(a[0], { b }) [").toks;
+        let generics = matching_close(&toks, 3);
+        assert_eq!(toks[generics + 1].text, "(", "`->` does not close a `<`");
+        let call = matching_close(&toks, generics + 1);
+        assert_eq!(
+            toks[call + 1].text,
+            "[",
+            "the call's `)` skips the `[0]` and block"
+        );
+        let block = toks.iter().position(|t| t.text == "{").unwrap();
+        assert_eq!(toks[matching_close(&toks, block)].text, "}");
+        assert_eq!(
+            matching_close(&toks, toks.len() - 1),
+            toks.len(),
+            "unclosed"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! parameter list and body token range, plus an alias→absolute-path map
 //! for resolving calls, all with zero external dependencies.
 
-use crate::lexer::{ident, is_path_sep, punct, Tok, TokKind};
+use crate::lexer::{ident, is_path_sep, matching_close, punct, Tok, TokKind};
 use std::collections::BTreeMap;
 
 /// One function parameter: the binding name (empty for tuple/struct
@@ -83,44 +83,6 @@ pub fn module_path(rel_path: &str, crates: &BTreeMap<String, String>) -> (String
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
     (format!("t::{sanitized}"), "t".to_string())
-}
-
-/// Skips a balanced `<...>` generic region starting at the `<`; `->` inside
-/// bounds (`F: Fn() -> u32`) does not close the region. Returns the index
-/// just past the matching `>`.
-fn skip_generics(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        if punct(toks, i, '<') {
-            depth += 1;
-        } else if punct(toks, i, '>') && !punct(toks, i.wrapping_sub(1), '-') {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    i
-}
-
-/// Returns the index just past the `}` matching the `{` at `open`.
-fn skip_braces(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        if punct(toks, i, '{') {
-            depth += 1;
-        } else if punct(toks, i, '}') {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    i
 }
 
 fn parse_params(toks: &[Tok], open: usize, close: usize) -> Vec<Param> {
@@ -253,7 +215,7 @@ fn use_tree(
             }
             TokKind::Punct if t.text.starts_with('{') => {
                 // Split the brace group on top-level commas; recurse.
-                let close = matching_brace(toks, i);
+                let close = matching_close(toks, i);
                 let mut depth = 0usize;
                 let mut item_start = i + 1;
                 let mut j = i + 1;
@@ -300,10 +262,6 @@ fn use_tree(
             flat.push((last.clone(), segs.join("::")));
         }
     }
-}
-
-fn matching_brace(toks: &[Tok], open: usize) -> usize {
-    skip_braces(toks, open).saturating_sub(1)
 }
 
 /// Builds the [`FileIndex`] for one lexed file.
@@ -377,7 +335,7 @@ pub fn index_file(rel_path: &str, toks: &[Tok], crates: &BTreeMap<String, String
                 let is_trait = word == "trait";
                 let mut j = i + 1;
                 if punct(toks, j, '<') {
-                    j = skip_generics(toks, j);
+                    j = matching_close(toks, j) + 1;
                 }
                 // Collect the subject type: for `impl A for B`, B wins.
                 let mut ty = String::new();
@@ -391,7 +349,7 @@ pub fn index_file(rel_path: &str, toks: &[Tok], crates: &BTreeMap<String, String
                         }
                         j += 1;
                     } else if punct(toks, j, '<') {
-                        j = skip_generics(toks, j);
+                        j = matching_close(toks, j) + 1;
                     } else {
                         j += 1;
                     }
@@ -435,43 +393,24 @@ fn parse_fn(
     let line = toks.get(fn_kw).map(|t| t.line)?;
     let mut j = fn_kw + 2;
     if punct(toks, j, '<') {
-        j = skip_generics(toks, j);
+        j = matching_close(toks, j) + 1;
     }
     if !punct(toks, j, '(') {
         return None;
     }
-    // Find the matching `)`.
-    let open = j;
-    let mut depth = 0usize;
-    while j < toks.len() {
-        if punct(toks, j, '(') {
-            depth += 1;
-        } else if punct(toks, j, ')') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        }
-        j += 1;
-    }
-    let close = j;
-    let params = parse_params(toks, open, close);
+    let close = matching_close(toks, j);
+    let params = parse_params(toks, j, close);
     // Seek the body `{` or a `;` terminator, skipping return type, where
     // clauses, and any generics inside them.
     j = close + 1;
     while j < toks.len() && !punct(toks, j, '{') && !punct(toks, j, ';') {
         if punct(toks, j, '<') {
-            j = skip_generics(toks, j);
+            j = matching_close(toks, j) + 1;
         } else {
             j += 1;
         }
     }
-    let body = if punct(toks, j, '{') {
-        let end = skip_braces(toks, j);
-        Some((j, end.saturating_sub(1)))
-    } else {
-        None
-    };
+    let body = punct(toks, j, '{').then(|| (j, matching_close(toks, j)));
     let next = match body {
         Some((_, end)) => end + 1,
         None => j + 1,

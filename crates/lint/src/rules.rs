@@ -2,7 +2,7 @@
 //! `#[cfg(test)]`-region detection, and suppression-pragma application.
 
 use crate::diag::Diagnostic;
-use crate::lexer::{self, ident, punct, Lexed, Tok, TokKind};
+use crate::lexer::{self, ident, matching_close, punct, Lexed, Tok, TokKind};
 use crate::scope::{self, Strictness};
 use std::collections::BTreeMap;
 
@@ -120,26 +120,10 @@ pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
             i += 1;
             continue;
         }
-        // Scan the attribute body to its matching `]`.
-        let mut j = open + 1;
-        let mut depth = 1usize;
-        let mut saw_cfg = false;
-        let mut saw_test = false;
-        while j < toks.len() && depth > 0 {
-            if punct(toks, j, '[') {
-                depth += 1;
-            } else if punct(toks, j, ']') {
-                depth -= 1;
-            } else if let Some(id) = ident(toks, j) {
-                if id == "cfg" {
-                    saw_cfg = true;
-                } else if id == "test" {
-                    saw_test = true;
-                }
-            }
-            j += 1;
-        }
-        if !(saw_cfg && saw_test) {
+        // The attribute body runs to its matching `]`.
+        let j = matching_close(toks, open) + 1;
+        let saw = |id| (open..j).any(|k| ident(toks, k) == Some(id));
+        if !(saw("cfg") && saw("test")) {
             i = j;
             continue;
         }
@@ -153,16 +137,7 @@ pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
         // Skip any further attributes on the same item.
         let mut k = j;
         while punct(toks, k, '#') && punct(toks, k + 1, '[') {
-            let mut d = 1usize;
-            k += 2;
-            while k < toks.len() && d > 0 {
-                if punct(toks, k, '[') {
-                    d += 1;
-                } else if punct(toks, k, ']') {
-                    d -= 1;
-                }
-                k += 1;
-            }
+            k = matching_close(toks, k + 1) + 1;
         }
         // The gated item runs to its matching `}` (or a terminating `;`).
         let mut m = k;
@@ -170,17 +145,7 @@ pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
             m += 1;
         }
         let end = if punct(toks, m, '{') {
-            let mut bd = 1usize;
-            let mut n = m + 1;
-            while n < toks.len() && bd > 0 {
-                if punct(toks, n, '{') {
-                    bd += 1;
-                } else if punct(toks, n, '}') {
-                    bd -= 1;
-                }
-                n += 1;
-            }
-            n
+            matching_close(toks, m) + 1
         } else {
             (m + 1).min(toks.len())
         };

@@ -1,7 +1,7 @@
 //! Worker-private collectors and their deterministic frame-level merge.
 
 use crate::attrib::Attribution;
-use crate::config::{TelemetryConfig, TraceLevel};
+use crate::config::{TelemetryConfig, TraceLevel, FLIGHT_DEPTH};
 use crate::hist::Log2Histogram;
 use crate::recorder::{FlightDump, FlightRecorder};
 use crate::span::{Event, Span, Track};
@@ -37,7 +37,7 @@ impl Collector {
             counters: BTreeMap::new(),
             hists: BTreeMap::new(),
             recorder: FlightRecorder::new(if cfg.level.counters_enabled() {
-                cfg.flight_depth as usize
+                FLIGHT_DEPTH as usize
             } else {
                 0
             }),

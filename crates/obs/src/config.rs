@@ -1,4 +1,5 @@
-//! Telemetry configuration: the trace level and flight-recorder depth.
+//! Telemetry configuration: the trace level, and the flight-recorder depth
+//! every enabled collector uses.
 
 /// How much the telemetry layer records.
 ///
@@ -57,8 +58,6 @@ impl TraceLevel {
 pub struct TelemetryConfig {
     /// What to record.
     pub level: TraceLevel,
-    /// Flight-recorder ring depth (events kept per cluster).
-    pub flight_depth: u32,
 }
 
 impl TelemetryConfig {
@@ -66,16 +65,12 @@ impl TelemetryConfig {
     pub fn disabled() -> TelemetryConfig {
         TelemetryConfig {
             level: TraceLevel::Off,
-            flight_depth: DEFAULT_FLIGHT_DEPTH,
         }
     }
 
-    /// A configuration at `level` with the default flight-recorder depth.
+    /// A configuration at `level`.
     pub fn with_level(level: TraceLevel) -> TelemetryConfig {
-        TelemetryConfig {
-            level,
-            flight_depth: DEFAULT_FLIGHT_DEPTH,
-        }
+        TelemetryConfig { level }
     }
 }
 
@@ -85,8 +80,9 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Default flight-recorder ring depth per cluster.
-pub const DEFAULT_FLIGHT_DEPTH: u32 = 64;
+/// Flight-recorder ring depth per cluster (events kept) whenever counters
+/// are enabled.
+pub const FLIGHT_DEPTH: u32 = 64;
 
 #[cfg(test)]
 mod tests {
@@ -124,6 +120,5 @@ mod tests {
     fn default_is_disabled() {
         let cfg = TelemetryConfig::default();
         assert_eq!(cfg.level, TraceLevel::Off);
-        assert_eq!(cfg.flight_depth, DEFAULT_FLIGHT_DEPTH);
     }
 }

@@ -608,6 +608,48 @@ mod tests {
         );
     }
 
+    /// Every field a figure reads, compared bit for bit.
+    fn same_row(a: &AggregateResult, b: &AggregateResult) -> bool {
+        a.policy == b.policy
+            && a.stats == b.stats
+            && a.approx == b.approx
+            && a.sharing == b.sharing
+            && a.divergence == b.divergence
+            && a.mssim.to_bits() == b.mssim.to_bits()
+            && a.energy_joules.to_bits() == b.energy_joules.to_bits()
+            && a.mean_cycles.to_bits() == b.mean_cycles.to_bits()
+    }
+
+    #[test]
+    fn a_policys_row_does_not_depend_on_the_policies_beside_it() {
+        // The premise of sharing one sweep between figures: a policy run
+        // alone, among the design points, or in a union with AF-off and a
+        // threshold list yields the same row.
+        let w = workload();
+        let cfg = ExperimentConfig {
+            frames: 2,
+            ..small_cfg()
+        };
+        let points = design_points(0.4);
+        let mut union = vec![("NoAF", FilterPolicy::NoAf)];
+        union.extend(points.iter().copied());
+        for t in [0.0, 0.2, 0.4, 1.0] {
+            union.push(("PATU@t", FilterPolicy::Patu { threshold: t }));
+        }
+        let in_points = run_policies(&w, &points, &cfg).unwrap();
+        let in_union = run_policies(&w, &union, &cfg).unwrap();
+        for (policy, in_union) in union.iter().zip(&in_union) {
+            let alone = run_policies(&w, &[*policy], &cfg).unwrap();
+            assert!(same_row(&alone[0], in_union), "{policy:?} alone vs union");
+            if let Some(i) = points.iter().position(|p| p.1 == policy.1) {
+                assert!(
+                    same_row(&alone[0], &in_points[i]),
+                    "{policy:?} alone vs points"
+                );
+            }
+        }
+    }
+
     #[test]
     fn fault_counters_flow_into_aggregates() {
         let w = workload();

@@ -1,16 +1,9 @@
 #!/usr/bin/env bash
-# Regenerates every table and figure of the paper with the fast profile,
-# capturing each harness binary's output under out/.
+# Regenerates every table and figure of the paper with the fast profile:
+# `paper all` prints each experiment's report and writes it to out/<name>.txt.
 # Usage: scripts/run_all_experiments.sh [--full] [--frames N]
 set -euo pipefail
 cd "$(dirname "$0")/.."
-mkdir -p out
 
-BINS=(headline table1 table2 fig04 fig05 fig06 fig07 fig08 fig12 fig17 fig18 fig19 fig20 fig21 fig22 quad_divergence \
-      ablation_table ablation_maxaniso ablation_bp ablation_oracle ablation_traversal ablation_temporal)
-for bin in "${BINS[@]}"; do
-    echo "=== $bin ==="
-    cargo run --release -q -p patu-bench --bin "$bin" -- "$@" | tee "out/$bin.txt"
-    echo
-done
+cargo run --release -q -p patu-bench --bin paper -- all "$@"
 echo "all outputs written to out/*.txt"
