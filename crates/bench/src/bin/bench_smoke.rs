@@ -6,14 +6,17 @@
 //!
 //! Ratios, not absolute nanoseconds: CI machines differ in clock speed, but
 //! fast-path / slow-path quotients measured on the same machine in the same
-//! process are stable. Each pair gets up to [`ATTEMPTS`] measurements and
-//! passes on the first one under its limit — a genuine regression fails
-//! every attempt, while scheduler noise does not repeat. The gate also
+//! process are stable. Each sample of a pair times both kernels back to
+//! back and the gate reads the median per-sample ratio
+//! ([`micro::interleaved_ratio`]), so host load that comes and goes slows
+//! both sides of a ratio together. Each pair gets up to [`ATTEMPTS`]
+//! measurements and passes on the first one under its limit — a genuine
+//! regression fails every attempt, while scheduler noise does not repeat. The gate also
 //! enforces the absolute design floors regardless of what the baselines
 //! recorded: batched ≤ 0.5× scalar (≥ 2× speedup) and sampled ≤ 0.2× full
 //! (≥ 5× speedup).
 
-use patu_bench::micro;
+use patu_bench::micro::{self, Body};
 use patu_core::{FilterPolicy, PerceptionAwareTextureUnit, SoaBatch};
 use patu_gmath::Vec2;
 use patu_obs::json::{self, Json};
@@ -53,8 +56,9 @@ fn recorded_median(text: &str, label: &str) -> Option<f64> {
         .as_num()
 }
 
-/// One fresh fast/slow measurement of the filtering pair (ns medians).
-fn filtering_pair(attempt: usize) -> (f64, f64) {
+/// One fresh measurement of the filtering pair: batched over scalar time
+/// per lane.
+fn filtering_ratio() -> f64 {
     let tex = Texture::with_mips(procedural::composite(512, 512, 0xBE), 0);
     let uv = Vec2::new(0.37, 0.61);
     let fp = Footprint::from_derivatives(
@@ -65,15 +69,13 @@ fn filtering_pair(attempt: usize) -> (f64, f64) {
         16,
     );
     let policy = FilterPolicy::Patu { threshold: 0.4 };
-    let mut group = micro::group(&format!("smoke_filtering_{attempt}"));
-    group.bench_batched(
-        "scalar_n8",
+    let scalar = Body::batched(
+        1,
         || PerceptionAwareTextureUnit::new(policy),
         |mut unit| unit.filter(&tex, black_box(uv), &fp, AddressMode::Wrap),
     );
     const LANES: usize = 64;
-    group.bench_batched_scaled(
-        "batched_n8",
+    let batched = Body::batched(
         LANES as u64,
         || {
             let unit = PerceptionAwareTextureUnit::new(policy);
@@ -95,42 +97,31 @@ fn filtering_pair(attempt: usize) -> (f64, f64) {
             black_box(batch.color(LANES - 1))
         },
     );
-    let r = group.results();
-    (r[1].median_ns, r[0].median_ns)
+    micro::interleaved_ratio(batched, scalar)
 }
 
-/// One fresh fast/slow measurement of the SSIM pair (ns medians).
-fn ssim_pair(attempt: usize) -> (f64, f64) {
+/// One fresh measurement of the SSIM pair: sampled over full scan time.
+fn ssim_ratio() -> f64 {
     let a = gradient(512, 0);
     let b = gradient(512, 11);
-    let mut group = micro::group(&format!("smoke_ssim_{attempt}"));
-    group.bench("full_512", || {
+    let full = Body::looped(|| {
         SsimConfig::default()
             .with_threads(1)
             .mssim(black_box(&a), black_box(&b))
     });
     let sampled =
         SampledSsimConfig::new(0x55A9).with_fraction(patu_quality::sampled::DEFAULT_FRACTION);
-    group.bench("sampled_512", || {
-        sampled.mssim_sampled(black_box(&a), black_box(&b))
-    });
-    let r = group.results();
-    (r[1].median_ns, r[0].median_ns)
+    let sampled = Body::looped(|| sampled.mssim_sampled(black_box(&a), black_box(&b)));
+    micro::interleaved_ratio(sampled, full)
 }
 
 /// Retries `measure` up to [`ATTEMPTS`] times; passes on the first ratio
 /// under both the regression limit and the absolute floor.
-fn gate(
-    name: &str,
-    recorded_ratio: f64,
-    floor: f64,
-    mut measure: impl FnMut(usize) -> (f64, f64),
-) -> bool {
+fn gate(name: &str, recorded_ratio: f64, floor: f64, measure: impl Fn() -> f64) -> bool {
     let limit = recorded_ratio * SLACK + ABS_MARGIN;
     let mut worst = f64::INFINITY;
     for attempt in 1..=ATTEMPTS {
-        let (fast, slow) = measure(attempt);
-        let ratio = fast / slow;
+        let ratio = measure();
         worst = worst.min(ratio);
         if ratio <= limit && ratio <= floor {
             println!(
@@ -186,9 +177,9 @@ fn main() -> ExitCode {
         "filtering batched/scalar",
         filtering_recorded,
         0.5,
-        filtering_pair,
+        filtering_ratio,
     );
-    ok &= gate("ssim sampled/full", ssim_recorded, 0.2, ssim_pair);
+    ok &= gate("ssim sampled/full", ssim_recorded, 0.2, ssim_ratio);
 
     if ok {
         println!("bench_smoke: all perf gates hold");

@@ -100,30 +100,8 @@ impl Group {
     /// takes [`SAMPLES`] timed samples and records median/p10/p90 ns/iter.
     /// The result is passed through `black_box` so the optimizer cannot
     /// delete the body.
-    pub fn bench<T>(&mut self, label: &str, mut f: impl FnMut() -> T) {
-        for _ in 0..3 {
-            black_box(f());
-        }
-        let mut iters = 1u64;
-        loop {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            if start.elapsed() >= TARGET || iters >= MAX_ITERS {
-                break;
-            }
-            iters *= 2;
-        }
-        let mut samples = [0.0f64; SAMPLES];
-        for sample in &mut samples {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            *sample = start.elapsed().as_nanos() as f64 / iters as f64;
-        }
-        self.record(label, &mut samples, iters);
+    pub fn bench<T>(&mut self, label: &str, f: impl FnMut() -> T) {
+        self.measure(label, Body::looped(f));
     }
 
     /// Like [`Group::bench`] but re-creates fresh state with `setup` before
@@ -146,30 +124,17 @@ impl Group {
         &mut self,
         label: &str,
         lanes: u64,
-        mut setup: impl FnMut() -> S,
-        mut f: impl FnMut(S) -> T,
+        setup: impl FnMut() -> S,
+        f: impl FnMut(S) -> T,
     ) {
-        let lanes = lanes.max(1);
-        for _ in 0..3 {
-            black_box(f(setup()));
-        }
-        let mut run = |iters: u64| {
-            let mut elapsed = Duration::ZERO;
-            for _ in 0..iters {
-                let state = setup();
-                let start = Instant::now();
-                black_box(f(state));
-                elapsed += start.elapsed();
-            }
-            elapsed
-        };
-        let mut iters = 1u64;
-        while run(iters) < TARGET && iters < MAX_ITERS {
-            iters *= 2;
-        }
+        self.measure(label, Body::batched(lanes, setup, f));
+    }
+
+    fn measure(&mut self, label: &str, mut body: Body<'_>) {
+        let iters = body.calibrate();
         let mut samples = [0.0f64; SAMPLES];
         for sample in &mut samples {
-            *sample = run(iters).as_nanos() as f64 / (iters * lanes) as f64;
+            *sample = body.ns_per_item(iters);
         }
         self.record(label, &mut samples, iters);
     }
@@ -213,6 +178,81 @@ impl Group {
             Err(e) => eprintln!("  could not write {}: {e}", path.display()),
         }
     }
+}
+
+/// A timed body: runs a given number of iterations and reports their wall
+/// time, with the number of work items one iteration processes.
+pub struct Body<'a> {
+    run: Box<dyn FnMut(u64) -> Duration + 'a>,
+    items: u64,
+}
+
+impl<'a> Body<'a> {
+    /// `f` called back to back, one item per call.
+    pub fn looped<T>(mut f: impl FnMut() -> T + 'a) -> Body<'a> {
+        Body {
+            run: Box::new(move |iters| {
+                let start = Instant::now();
+                for _ in 0..iters {
+                    black_box(f());
+                }
+                start.elapsed()
+            }),
+            items: 1,
+        }
+    }
+
+    /// `f` on fresh state from `setup` per call, `items` work items per
+    /// call; only `f` is timed.
+    pub fn batched<S, T>(
+        items: u64,
+        mut setup: impl FnMut() -> S + 'a,
+        mut f: impl FnMut(S) -> T + 'a,
+    ) -> Body<'a> {
+        Body {
+            run: Box::new(move |iters| {
+                let mut elapsed = Duration::ZERO;
+                for _ in 0..iters {
+                    let state = setup();
+                    let start = Instant::now();
+                    black_box(f(state));
+                    elapsed += start.elapsed();
+                }
+                elapsed
+            }),
+            items: items.max(1),
+        }
+    }
+
+    /// Warms the body up, then doubles the iteration count until one pass
+    /// takes [`TARGET`] wall time (capped at [`MAX_ITERS`]).
+    fn calibrate(&mut self) -> u64 {
+        (self.run)(3);
+        let mut iters = 1u64;
+        while (self.run)(iters) < TARGET && iters < MAX_ITERS {
+            iters *= 2;
+        }
+        iters
+    }
+
+    /// One timed sample of `iters` iterations, in ns per item.
+    fn ns_per_item(&mut self, iters: u64) -> f64 {
+        (self.run)(iters).as_nanos() as f64 / (iters * self.items) as f64
+    }
+}
+
+/// The per-item time of `fast` over that of `slow`, as the median of
+/// [`SAMPLES`] per-sample ratios. Each body calibrates its own iteration
+/// count; each sample then times both back to back, so load that comes and
+/// goes on the host slows both sides of a ratio instead of one.
+pub fn interleaved_ratio(mut fast: Body<'_>, mut slow: Body<'_>) -> f64 {
+    let (fast_iters, slow_iters) = (fast.calibrate(), slow.calibrate());
+    let mut ratios = [0.0f64; SAMPLES];
+    for ratio in &mut ratios {
+        *ratio = fast.ns_per_item(fast_iters) / slow.ns_per_item(slow_iters);
+    }
+    ratios.sort_by(f64::total_cmp);
+    quantile(&ratios, 0.5)
 }
 
 /// The workspace root (two levels above this crate's manifest).
@@ -264,6 +304,21 @@ mod tests {
         );
         assert_eq!(setups, bodies, "one setup per measured body");
         assert!(bodies >= 4, "at least warmup plus one measured iteration");
+    }
+
+    #[test]
+    fn interleaved_ratio_compares_per_item_time() {
+        // The same body at 1 and at 4 items per call: a quarter the time
+        // per item.
+        let spin = || {
+            let mut x = 0u64;
+            for i in 0..2_000u64 {
+                x = black_box(x.wrapping_mul(31).wrapping_add(i));
+            }
+            x
+        };
+        let ratio = interleaved_ratio(Body::batched(4, || (), |()| spin()), Body::looped(spin));
+        assert!(ratio > 0.1 && ratio < 0.6, "ratio {ratio}");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The AF-SSIM formulas: Eq. (5), (6), (8), (9) and (10) of the paper.
 
+use std::sync::LazyLock;
+
 /// The SSIM stabilization constant `C1 = (K1 · L)²` normalized to unit
 /// dynamic range (`K1 = 0.01`, `L = 1`), as used in the reduced Eq. (5).
 pub const C1: f64 = 0.0001;
@@ -63,10 +65,53 @@ pub fn entropy(p: &[f64]) -> f64 {
     entropy_of(p.iter().copied())
 }
 
-/// [`entropy`] over probabilities streamed in order, for callers that hold
-/// counts rather than a probability vector.
-pub(crate) fn entropy_of(p: impl Iterator<Item = f64>) -> f64 {
-    p.filter(|&pi| pi > 0.0).map(|pi| -pi * pi.log2()).sum()
+/// [`entropy`] over probabilities streamed in order.
+fn entropy_of(p: impl Iterator<Item = f64>) -> f64 {
+    p.filter(|&pi| pi > 0.0).map(entropy_term).sum()
+}
+
+/// One event's share of the entropy, `-p·log2(p)`.
+#[inline]
+fn entropy_term(p: f64) -> f64 {
+    -p * p.log2()
+}
+
+/// Totals up to which entropy terms and `log2(N)` are read from
+/// [`TABLES`]: one pixel streams at most 16 AF taps.
+const TABULATED: usize = 16;
+
+/// Entropy terms and sample-size norms, computed once by the same
+/// expressions as the formulas, so a table entry is bit-equal to what the
+/// formula would return.
+struct Tables {
+    /// `terms[total][count]` = `entropy_term(count / total)`.
+    terms: [[f64; TABULATED + 1]; TABULATED + 1],
+    /// `log2[n]` = `log2(n)`.
+    log2: [f64; TABULATED + 1],
+}
+
+static TABLES: LazyLock<Tables> = LazyLock::new(|| {
+    let mut terms = [[0.0; TABULATED + 1]; TABULATED + 1];
+    for (total, row) in terms.iter_mut().enumerate().skip(1) {
+        for (count, term) in row.iter_mut().enumerate().take(total + 1).skip(1) {
+            *term = entropy_term(count as f64 / total as f64);
+        }
+    }
+    Tables {
+        terms,
+        log2: std::array::from_fn(|n| (n as f64).log2()),
+    }
+});
+
+/// [`entropy`] of the distribution `counts / total`, for callers that hold
+/// counts rather than a probability vector: the same terms summed in the
+/// same order, read from a table for totals up to 16. Every count must be
+/// at most `total`, and `total` positive.
+pub(crate) fn entropy_of_counts(counts: impl Iterator<Item = u64>, total: u64) -> f64 {
+    match TABLES.terms.get(total as usize) {
+        Some(row) => counts.filter(|&c| c > 0).map(|c| row[c as usize]).sum(),
+        None => entropy_of(counts.map(|c| c as f64 / total as f64)),
+    }
 }
 
 /// Eq. (9): texel distribution similarity,
@@ -94,7 +139,10 @@ pub(crate) fn txds_from_entropy(entropy: f64, n: u32) -> f64 {
     if n == 1 {
         return 1.0;
     }
-    let norm = f64::from(n).log2();
+    let norm = match TABLES.log2.get(n as usize) {
+        Some(&norm) => norm,
+        None => f64::from(n).log2(),
+    };
     (1.0 - entropy / norm).clamp(0.0, 1.0)
 }
 
@@ -189,6 +237,49 @@ mod tests {
         let expected = -(0.6 * 0.6f64.log2() + 2.0 * 0.2 * 0.2f64.log2());
         assert!((e - expected).abs() < 1e-12);
         assert!(e > 0.0 && e < 3.0f64.log2());
+    }
+
+    #[test]
+    fn tables_are_bit_equal_to_the_formulas() {
+        for total in 1..=TABULATED {
+            for count in 1..=total {
+                let p = count as f64 / total as f64;
+                assert_eq!(
+                    TABLES.terms[total][count].to_bits(),
+                    (-p * p.log2()).to_bits(),
+                    "term {count}/{total}"
+                );
+            }
+        }
+        for n in 1..=TABULATED {
+            assert_eq!(
+                TABLES.log2[n].to_bits(),
+                f64::from(n as u32).log2().to_bits(),
+                "log2({n})"
+            );
+        }
+    }
+
+    #[test]
+    fn counts_entropy_matches_the_probability_vector_past_the_table() {
+        for counts in [&[15u64, 15, 3][..], &[9, 8], &[1; 17], &[2, 0, 5]] {
+            let total: u64 = counts.iter().sum();
+            let p: Vec<f64> = counts.iter().map(|&c| c as f64 / total as f64).collect();
+            assert_eq!(
+                entropy_of_counts(counts.iter().copied(), total).to_bits(),
+                entropy(&p).to_bits(),
+                "{counts:?}"
+            );
+        }
+        for n in [1u32, 2, 16, 17, 64] {
+            let norm = f64::from(n).log2();
+            let formula = if n == 1 {
+                1.0
+            } else {
+                (1.0 - 1.5 / norm).clamp(0.0, 1.0)
+            };
+            assert_eq!(txds_from_entropy(1.5, n).to_bits(), formula.to_bits());
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::policy::{FilterMode, FilterPolicy, PolicyDecision};
 use crate::unit::PerceptionAwareTextureUnit;
 use patu_gmath::Vec2;
 use patu_texture::{
-    sampler::{bilinear_addresses, sample_trilinear_into},
+    sampler::{bilinear_address_set, sample_trilinear_into},
     AddressMode, Footprint, Rgba8, TexelAddress, Texture,
 };
 
@@ -126,7 +126,7 @@ impl LaneScratch {
             let tf_level = lane.fp.tf_lod.floor() as u32;
             self.tap_keys.clear();
             self.tap_keys.extend(self.offsets.iter().map(|&t| {
-                TapKey::new(bilinear_addresses(
+                TapKey::from_sorted(bilinear_address_set(
                     lane.tex,
                     uv + axis * t,
                     tf_level,
@@ -185,8 +185,8 @@ impl LaneScratch {
             }
             self.tap_colors.push(color);
             if with_keys {
-                let quad = bilinear_addresses(lane.tex, uv, tf_level, lane.mode);
-                self.tap_keys.push(TapKey::new(quad));
+                let quad = bilinear_address_set(lane.tex, uv, tf_level, lane.mode);
+                self.tap_keys.push(TapKey::from_sorted(quad));
             }
         }
         self.keys_ready = true;

@@ -41,6 +41,20 @@ pub(crate) struct TapKey {
 }
 
 impl TapKey {
+    /// The key of a bilinear quad whose distinct addresses are already
+    /// sorted: the first `len` entries of `set`, as
+    /// [`patu_texture::sampler::bilinear_address_set`] returns them.
+    #[inline]
+    pub(crate) fn from_sorted((set, len): ([TexelAddress; 4], usize)) -> TapKey {
+        TapKey {
+            set,
+            len: len as u8,
+        }
+    }
+
+    /// The key of a quad's 4 addresses in fetch order: sorted, then
+    /// deduplicated: the reference [`TapKey::from_sorted`] must match.
+    #[cfg(test)]
     pub(crate) fn new(mut set: [TexelAddress; 4]) -> TapKey {
         set.sort_unstable();
         let mut len = 0;
@@ -228,11 +242,7 @@ impl TexelAddressTable {
             // `probability_vector` is empty here.
             return crate::afssim::entropy(&[]);
         }
-        crate::afssim::entropy_of(
-            self.entries
-                .iter()
-                .map(|e| f64::from(e.count) / total as f64),
-        )
+        crate::afssim::entropy_of_counts(self.entries.iter().map(|e| u64::from(e.count)), total)
     }
 
     /// Number of distinct texel sets observed.
@@ -290,6 +300,38 @@ mod tests {
 
     fn set(base: u64) -> Vec<TexelAddress> {
         (0..8).map(|i| TexelAddress::new(base + i * 4)).collect()
+    }
+
+    #[test]
+    fn sorted_quad_key_matches_the_sorted_fetch_order() {
+        use patu_gmath::Vec2;
+        use patu_texture::sampler::{bilinear_address_set, bilinear_addresses};
+        use patu_texture::{AddressMode, Rgba8, Texture};
+        // 4×2 base: its mip chain ends in a 2×1 and a 1×1 level, where
+        // folded columns and rows collapse onto each other.
+        let texels = (0..8).map(|i| Rgba8::new(i, 0, 0, 255)).collect();
+        let tex = Texture::with_mips((4, 2, texels), 0x4000);
+        let mut checked = 0;
+        for mode in [AddressMode::Wrap, AddressMode::Clamp, AddressMode::Mirror] {
+            for level in 0..tex.mip_count() {
+                // Sample points inside, on and past every edge.
+                for iy in -6..=6 {
+                    for ix in -6..=6 {
+                        let uv = Vec2::new(ix as f32 * 0.2 + 0.01, iy as f32 * 0.2 - 0.03);
+                        let sorted =
+                            TapKey::from_sorted(bilinear_address_set(&tex, uv, level, mode));
+                        let reference = TapKey::new(bilinear_addresses(&tex, uv, level, mode));
+                        assert_eq!(
+                            sorted.as_slice(),
+                            reference.as_slice(),
+                            "{mode:?} level {level} uv {uv:?}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 3 * 3 * 13 * 13);
     }
 
     #[test]

@@ -4,20 +4,30 @@
 //! and governor can be unit-tested against a cheap synthetic plant
 //! ([`SyntheticService`]) while sessions run the real simulator
 //! ([`SimFrameService`]). Both are deterministic: a [`RenderKey`] fully
-//! identifies the work, results are cached by key, and batch fan-out goes
-//! through `patu_sim::parallel::run_indexed` — so serve outputs are
+//! identifies the work and results are cached by key, so serve outputs are
 //! bit-identical across thread counts.
+//!
+//! The governor snaps θ onto a few buckets, and a session can only ever
+//! dispatch at the buckets between its floor and its base threshold. So
+//! [`SimFrameService`] renders all of a `(scene, frame)`'s reachable
+//! buckets, with the 16×AF SSIM baseline, in one shared
+//! `patu_sim::render::render_policies_faulted` traversal on the first miss
+//! of that frame, each bucket under its own per-key fault stream. Every
+//! frame is bit-identical to rendering its key alone; the traversal shares
+//! the geometry, footprints, stage-2 keys and texel samples.
 
 use crate::error::ServeError;
+use crate::governor::reachable_buckets;
 use crate::workload::ServeConfig;
 use patu_core::FilterPolicy;
 use patu_gpu::FaultConfig;
 use patu_quality::{GrayImage, SampledSsimConfig};
 use patu_scenes::Workload;
-use patu_sim::render::{render_frame, render_sequence, RenderConfig};
-use patu_sim::{parallel, SimError};
+use patu_sim::render::{render_policies_faulted, render_sequence, RenderConfig};
+use patu_sim::{parallel, FrameResult, SimError};
 use patu_temporal::{TemporalConfig, TileStore};
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// FNV-1a over a byte stream: the cheap content hash used as the
 /// bit-identity witness on delivered frames, and to fork per-key fault
@@ -115,11 +125,24 @@ pub trait FrameService {
 
 /// The real backend: every key renders through the full PATU simulator.
 ///
-/// Caches are keyed by [`RenderKey`] (policy renders) and `(scene, frame)`
-/// (16×AF baselines for SSIM), both `BTreeMap`s. Uncached keys in a batch
-/// fan out through `parallel::run_indexed` with the inner render pinned
-/// serial — the same sharded-ownership/ordered-merge discipline as the
-/// simulator itself, so results are independent of the thread count.
+/// A miss on key `(scene, frame, bucket)` renders, in one shared
+/// traversal ([`render_policies_faulted`]), the frame's 16×AF baseline
+/// (unless its luma is cached) and every *reachable* bucket of that
+/// `(scene, frame)` not rendered yet — the buckets the session's governor
+/// can dispatch at ([`reachable_buckets`]). Each result is bit-identical to
+/// rendering its key alone, so serving ahead never changes a delivered
+/// frame; it shares the geometry, footprints, stage-2 keys and texel
+/// samples of up to `1 + reachable` renders. A key outside the reachable
+/// set renders on its own miss only.
+///
+/// Results live in two `BTreeMap`s keyed by [`RenderKey`]: keys a caller
+/// asked for, and keys rendered ahead of a request (moved over on their
+/// first request, so [`SimFrameService::distinct_renders`] counts requested
+/// keys). A baseline's luma is kept while a reachable bucket of its
+/// `(scene, frame)` is still unrendered. Misses of different
+/// `(scene, frame)`s fan out through `parallel::run_indexed`, and every
+/// render is bit-identical across thread counts, so results are
+/// independent of the thread count.
 pub struct SimFrameService {
     workloads: Vec<Workload>,
     base_policy: FilterPolicy,
@@ -129,6 +152,8 @@ pub struct SimFrameService {
     /// The sampled-SSIM mode, [`ServeConfig::ssim_sample`] (`None` = full
     /// MSSIM).
     ssim_mode: Option<f64>,
+    /// The buckets the session's governor can dispatch at.
+    reachable: RangeInclusive<u32>,
     /// Cross-frame reuse policy. With mode `off` (the default) serving is
     /// byte-identical to a build without the temporal subsystem.
     temporal: TemporalConfig,
@@ -136,10 +161,28 @@ pub struct SimFrameService {
     /// walks a scene's frames in order at a stable governor bucket keeps
     /// hitting the same store, so consecutive frames blit coherent tiles.
     stores: BTreeMap<(usize, u32), TileStore>,
-    baselines: BTreeMap<(usize, u32), (GrayImage, u64)>,
+    /// 16×AF baseline luma per `(scene, frame)` rendered so far; `None`
+    /// once every reachable bucket of it has rendered.
+    baselines: BTreeMap<(usize, u32), Option<GrayImage>>,
+    /// Keys a caller has asked for.
     rendered: BTreeMap<RenderKey, ServedFrame>,
+    /// Keys rendered ahead of any request.
+    ahead: BTreeMap<RenderKey, ServedFrame>,
     baseline_cycles: u64,
 }
+
+/// One `(scene, frame)`'s share of a miss: the buckets to render and
+/// whether its baseline renders beside them.
+struct Group {
+    scene: usize,
+    frame: u32,
+    buckets: Vec<u32>,
+    baseline: bool,
+}
+
+/// What one group's traversal produced: the baseline's luma and cycles if
+/// it rendered, and a served frame per bucket.
+type GroupOutput = (Option<(GrayImage, u64)>, Vec<(RenderKey, ServedFrame)>);
 
 impl SimFrameService {
     /// Builds the service for a session: one [`Workload`] per configured
@@ -179,16 +222,19 @@ impl SimFrameService {
             faults: cfg.faults,
             threads: parallel::thread_count(cfg.threads),
             ssim_mode: cfg.ssim_sample,
+            reachable: reachable_buckets(cfg),
             temporal,
             stores: BTreeMap::new(),
             baselines: BTreeMap::new(),
             rendered: BTreeMap::new(),
+            ahead: BTreeMap::new(),
             baseline_cycles: 0,
         })
     }
 
-    /// Renders the cache has absorbed so far — the knob for asserting the
-    /// governor's quantization actually bounds distinct render work.
+    /// Distinct keys requested so far — the knob for asserting the
+    /// governor's quantization actually bounds distinct render work. Keys
+    /// rendered ahead count once a caller asks for them.
     pub fn distinct_renders(&self) -> usize {
         self.rendered.len()
     }
@@ -196,7 +242,8 @@ impl SimFrameService {
     /// Simulated cycles spent rendering 16×AF SSIM baselines — reference
     /// work on the analysis track, *not* on any serving GPU's clock. This
     /// is the source for the attribution profiler's `ssim_baseline` stage
-    /// (excluded from the render-path conservation sum).
+    /// (excluded from the render-path conservation sum). Each
+    /// `(scene, frame)` counts once.
     pub fn baseline_cycles(&self) -> u64 {
         self.baseline_cycles
     }
@@ -211,37 +258,186 @@ impl SimFrameService {
         Ok(())
     }
 
-    /// Fills the 16×AF baseline cache for every `(scene, frame)` the batch
-    /// needs, fanning uncached renders out across workers.
-    fn fill_baselines(&mut self, keys: &[RenderKey]) -> Result<(), ServeError> {
-        let mut need: Vec<(usize, u32)> = keys
+    fn is_served(&self, key: &RenderKey) -> bool {
+        self.rendered.contains_key(key) || self.ahead.contains_key(key)
+    }
+
+    fn has_luma(&self, id: (usize, u32)) -> bool {
+        matches!(self.baselines.get(&id), Some(Some(_)))
+    }
+
+    /// The one render path of [`FrameService::serve`] and
+    /// [`FrameService::calibrate`]. With `ahead`, a miss on a reachable
+    /// key also renders its `(scene, frame)`'s other unrendered reachable
+    /// buckets; without it, only the keys asked for render.
+    fn serve_keys(
+        &mut self,
+        keys: &[RenderKey],
+        ahead: bool,
+    ) -> Result<Vec<ServedFrame>, ServeError> {
+        for key in keys {
+            self.check_scene(key)?;
+        }
+        let mut need: Vec<RenderKey> = keys
             .iter()
-            .map(|k| (k.scene, k.frame))
-            .filter(|id| !self.baselines.contains_key(id))
+            .copied()
+            .filter(|k| !self.is_served(k))
             .collect();
         need.sort_unstable();
         need.dedup();
-        if need.is_empty() {
+        if !need.is_empty() {
+            let groups = self.plan(&need, ahead);
+            self.render_groups(groups)?;
+            if !self.temporal.mode.is_off() {
+                self.serve_sequences(&need)?;
+            }
+            self.release_baselines(&need);
+        }
+        let mut out = Vec::with_capacity(keys.len());
+        for key in keys {
+            if let Some(frame) = self.ahead.remove(key) {
+                self.rendered.insert(*key, frame);
+            }
+            match self.rendered.get(key) {
+                Some(frame) => out.push(*frame),
+                None => {
+                    return Err(ServeError::UnknownScene {
+                        index: key.scene,
+                        scenes: self.workloads.len(),
+                    })
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Groups the missed keys `need` by `(scene, frame)`. A group renders
+    /// its baseline if the luma is not cached, and its missed keys — plus,
+    /// with `ahead`, every unrendered reachable bucket beside a reachable
+    /// miss. On the temporal path the chains render the keys, so groups
+    /// carry baselines only.
+    fn plan(&self, need: &[RenderKey], ahead: bool) -> Vec<Group> {
+        let chains = !self.temporal.mode.is_off();
+        let mut by_frame: BTreeMap<(usize, u32), Vec<u32>> = BTreeMap::new();
+        for key in need {
+            let buckets = by_frame.entry((key.scene, key.frame)).or_default();
+            if chains {
+                continue;
+            }
+            buckets.push(key.bucket);
+            if ahead && self.reachable.contains(&key.bucket) {
+                buckets.extend(
+                    self.reachable
+                        .clone()
+                        .filter(|&bucket| !self.is_served(&RenderKey { bucket, ..*key })),
+                );
+            }
+        }
+        by_frame
+            .into_iter()
+            .map(|((scene, frame), mut buckets)| {
+                buckets.sort_unstable();
+                buckets.dedup();
+                Group {
+                    scene,
+                    frame,
+                    buckets,
+                    baseline: !self.has_luma((scene, frame)),
+                }
+            })
+            .filter(|g| g.baseline || !g.buckets.is_empty())
+            .collect()
+    }
+
+    /// Renders every group in one [`render_policies_faulted`] traversal
+    /// each, groups fanned out across workers. The baseline is the
+    /// *reference*: rendered clean (no fault injection), so SSIM always
+    /// compares against the same ground truth. Each key renders under its
+    /// own fault stream, forked per render key rather than per job, so
+    /// cache hits and misses see identical pixels.
+    fn render_groups(&mut self, groups: Vec<Group>) -> Result<(), ServeError> {
+        if groups.is_empty() {
             return Ok(());
         }
-        let workloads = &self.workloads;
-        let results: Vec<Result<(GrayImage, u64, u64), SimError>> =
-            parallel::run_indexed(self.threads.min(need.len()), need.len(), |i| {
-                let (scene, frame) = need[i];
-                // The baseline is the *reference*: rendered clean (no fault
-                // injection) and serial, so SSIM always compares against the
-                // same ground truth.
-                let cfg = RenderConfig::new(FilterPolicy::Baseline).with_threads(1);
-                let result = render_frame(&workloads[scene], frame, &cfg)?;
-                let hash = hash_image(&result);
-                Ok((result.luma(), hash, result.stats.cycles))
+        let outer = self.threads.min(groups.len());
+        let inner = (self.threads / outer).max(1);
+        let (workloads, baselines) = (&self.workloads, &self.baselines);
+        let (base_policy, steps, faults, ssim_mode) =
+            (self.base_policy, self.steps, self.faults, self.ssim_mode);
+        let results: Vec<Result<GroupOutput, SimError>> =
+            parallel::run_indexed(outer, groups.len(), |i| {
+                let g = &groups[i];
+                let keys: Vec<RenderKey> = g
+                    .buckets
+                    .iter()
+                    .map(|&bucket| RenderKey {
+                        scene: g.scene,
+                        frame: g.frame,
+                        bucket,
+                    })
+                    .collect();
+                let mut variants = Vec::with_capacity(keys.len() + 1);
+                if g.baseline {
+                    variants.push((FilterPolicy::Baseline, FaultConfig::disabled()));
+                }
+                variants.extend(keys.iter().map(|key| {
+                    let faults = FaultConfig {
+                        seed: faults.seed ^ key.mix(),
+                        ..faults
+                    };
+                    (base_policy.with_threshold(key.theta(steps)), faults)
+                }));
+                let cfg = RenderConfig::new(FilterPolicy::Baseline).with_threads(inner);
+                let mut results =
+                    render_policies_faulted(&workloads[g.scene], g.frame, &cfg, &variants)?
+                        .into_iter();
+                let baseline = if g.baseline {
+                    results.next().map(|r| (r.luma(), r.stats.cycles))
+                } else {
+                    None
+                };
+                let luma = match &baseline {
+                    Some((luma, _)) => Some(luma),
+                    None => baselines.get(&(g.scene, g.frame)).and_then(Option::as_ref),
+                };
+                let frames = keys
+                    .into_iter()
+                    .zip(results)
+                    .map(|(key, r)| (key, served_frame(key, &r, luma, ssim_mode)))
+                    .collect();
+                Ok((baseline, frames))
             });
-        for (id, result) in need.into_iter().zip(results) {
-            let (luma, hash, cycles) = result?;
-            self.baseline_cycles += cycles;
-            self.baselines.insert(id, (luma, hash));
+        for (g, result) in groups.iter().zip(results) {
+            let (baseline, frames) = result?;
+            if let Some((luma, cycles)) = baseline {
+                // A baseline rendered again after its luma was released
+                // repeats cycles already counted.
+                if self
+                    .baselines
+                    .insert((g.scene, g.frame), Some(luma))
+                    .is_none()
+                {
+                    self.baseline_cycles += cycles;
+                }
+            }
+            self.ahead.extend(frames);
         }
         Ok(())
+    }
+
+    /// Drops the baseline luma of each `(scene, frame)` in `keys` whose
+    /// reachable buckets have all rendered: no later reachable miss
+    /// compares against it.
+    fn release_baselines(&mut self, keys: &[RenderKey]) {
+        for key in keys {
+            let done = self
+                .reachable
+                .clone()
+                .all(|bucket| self.is_served(&RenderKey { bucket, ..*key }));
+            if let (true, Some(luma)) = (done, self.baselines.get_mut(&(key.scene, key.frame))) {
+                *luma = None;
+            }
+        }
     }
 
     /// The temporal serve path: uncached keys group into `(scene, bucket)`
@@ -286,31 +482,49 @@ impl SimFrameService {
             let results = render_sequence(&self.workloads[scene], &frames, &cfg, &mut store)?;
             self.stores.insert((scene, bucket), store);
             for (key, result) in keys.into_iter().zip(results) {
-                let ssim = match self.baselines.get(&(key.scene, key.frame)) {
-                    Some((luma, _)) => f64::from(
-                        SampledSsimConfig {
-                            fraction: self.ssim_mode,
-                            ..SampledSsimConfig::new(key.mix())
-                        }
-                        .mssim_sampled(luma, &result.luma()),
-                    ),
-                    None => 0.0,
-                };
-                self.rendered.insert(
-                    key,
-                    ServedFrame {
-                        cycles: result.stats.cycles.max(1),
-                        ssim,
-                        image_hash: hash_image(&result),
-                    },
-                );
+                let luma = self
+                    .baselines
+                    .get(&(key.scene, key.frame))
+                    .and_then(Option::as_ref);
+                let frame = served_frame(key, &result, luma, self.ssim_mode);
+                self.ahead.insert(key, frame);
             }
         }
         Ok(())
     }
 }
 
-fn hash_image(result: &patu_sim::FrameResult) -> u64 {
+/// What serving `key` delivered as `result`: its cycles, image hash and
+/// SSIM against the `baseline` luma. The sampled estimator is seeded per
+/// render key: the stratified plan is a pure function of the key and the
+/// frame size, so cache hits and misses — and any thread count — report
+/// the same number.
+fn served_frame(
+    key: RenderKey,
+    result: &FrameResult,
+    baseline: Option<&GrayImage>,
+    ssim_mode: Option<f64>,
+) -> ServedFrame {
+    let ssim = match baseline {
+        Some(luma) => f64::from(
+            SampledSsimConfig {
+                fraction: ssim_mode,
+                ..SampledSsimConfig::new(key.mix())
+            }
+            .mssim_sampled(luma, &result.luma()),
+        ),
+        // Unreachable (the baseline renders first), but degrade to "no
+        // quality claim" instead of panicking.
+        None => 0.0,
+    };
+    ServedFrame {
+        cycles: result.stats.cycles.max(1),
+        ssim,
+        image_hash: hash_image(result),
+    }
+}
+
+fn hash_image(result: &FrameResult) -> u64 {
     fnv1a(
         0,
         result
@@ -323,79 +537,19 @@ fn hash_image(result: &patu_sim::FrameResult) -> u64 {
 
 impl FrameService for SimFrameService {
     fn serve(&mut self, keys: &[RenderKey]) -> Result<Vec<ServedFrame>, ServeError> {
-        for key in keys {
-            self.check_scene(key)?;
-        }
-        self.fill_baselines(keys)?;
-        let mut need: Vec<RenderKey> = keys
-            .iter()
-            .copied()
-            .filter(|k| !self.rendered.contains_key(k))
-            .collect();
-        need.sort_unstable();
-        need.dedup();
-        if !need.is_empty() && !self.temporal.mode.is_off() {
-            self.serve_sequences(&need)?;
-        } else if !need.is_empty() {
-            let workloads = &self.workloads;
-            let baselines = &self.baselines;
-            let base_policy = self.base_policy;
-            let steps = self.steps;
-            let faults = self.faults;
-            let ssim_mode = self.ssim_mode;
-            let results: Vec<Result<ServedFrame, SimError>> =
-                parallel::run_indexed(self.threads.min(need.len()), need.len(), |i| {
-                    let key = need[i];
-                    let policy = base_policy.with_threshold(key.theta(steps));
-                    // Fault streams fork per render key, not per job, so
-                    // cache hits and misses see identical pixels.
-                    let faults = FaultConfig {
-                        seed: faults.seed ^ key.mix(),
-                        ..faults
-                    };
-                    let cfg = RenderConfig::new(policy)
-                        .with_threads(1)
-                        .with_faults(faults);
-                    let result = render_frame(&workloads[key.scene], key.frame, &cfg)?;
-                    let ssim = match baselines.get(&(key.scene, key.frame)) {
-                        // Sampled estimator, seeded per render key: the
-                        // stratified plan is a pure function of the key and
-                        // the frame size, so cache hits and misses — and any
-                        // thread count — report the same number.
-                        Some((luma, _)) => f64::from(
-                            SampledSsimConfig {
-                                fraction: ssim_mode,
-                                ..SampledSsimConfig::new(key.mix())
-                            }
-                            .mssim_sampled(luma, &result.luma()),
-                        ),
-                        // Unreachable (fill_baselines ran), but degrade to
-                        // "no quality claim" instead of panicking.
-                        None => 0.0,
-                    };
-                    Ok(ServedFrame {
-                        cycles: result.stats.cycles.max(1),
-                        ssim,
-                        image_hash: hash_image(&result),
-                    })
-                });
-            for (key, result) in need.into_iter().zip(results) {
-                self.rendered.insert(key, result?);
-            }
-        }
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            match self.rendered.get(key) {
-                Some(frame) => out.push(*frame),
-                None => {
-                    return Err(ServeError::UnknownScene {
-                        index: key.scene,
-                        scenes: self.workloads.len(),
-                    })
-                }
-            }
-        }
-        Ok(out)
+        self.serve_keys(keys, true)
+    }
+
+    /// Renders the calibration key and its baseline only: set-up renders
+    /// no bucket a job has not asked for.
+    fn calibrate(&mut self, bucket: u32) -> Result<u64, ServeError> {
+        let key = RenderKey {
+            scene: 0,
+            frame: 0,
+            bucket,
+        };
+        let served = self.serve_keys(&[key], false)?;
+        Ok(served.first().map_or(1, |s| s.cycles.max(1)))
     }
 }
 
@@ -486,6 +640,129 @@ mod tests {
         let c = s.calibrate(4).expect("calibrates");
         let direct = s.serve(&[key(0, 0, 4)]).expect("serves")[0].cycles;
         assert_eq!(c, direct);
+    }
+
+    fn doom3() -> ServeConfig {
+        ServeConfig {
+            scenes: vec!["doom3".to_string()],
+            resolution: (96, 64),
+            ..ServeConfig::default()
+        }
+    }
+
+    /// `key` rendered alone under its per-key fault stream, scored against
+    /// `baseline`, a clean render of the same frame.
+    fn lone(cfg: &ServeConfig, key: RenderKey, baseline: &FrameResult) -> ServedFrame {
+        use patu_sim::render::render_frame;
+        let w = Workload::build(&cfg.scenes[key.scene], cfg.resolution).expect("builds");
+        let policy = FilterPolicy::Patu {
+            threshold: key.theta(cfg.governor_steps),
+        };
+        let faults = FaultConfig {
+            seed: cfg.faults.seed ^ key.mix(),
+            ..cfg.faults
+        };
+        let rc = RenderConfig::new(policy)
+            .with_threads(1)
+            .with_faults(faults);
+        let result = render_frame(&w, key.frame, &rc).expect("renders");
+        let ssim = SampledSsimConfig {
+            fraction: cfg.ssim_sample,
+            ..SampledSsimConfig::new(key.mix())
+        }
+        .mssim_sampled(&baseline.luma(), &result.luma());
+        ServedFrame {
+            cycles: result.stats.cycles.max(1),
+            ssim: f64::from(ssim),
+            image_hash: hash_image(&result),
+        }
+    }
+
+    fn clean_baseline(cfg: &ServeConfig, scene: usize, frame: u32) -> FrameResult {
+        let w = Workload::build(&cfg.scenes[scene], cfg.resolution).expect("builds");
+        let rc = RenderConfig::new(FilterPolicy::Baseline).with_threads(1);
+        patu_sim::render::render_frame(&w, frame, &rc).expect("renders")
+    }
+
+    #[test]
+    fn shared_traversal_serves_what_lone_renders_serve() {
+        let reference = clean_baseline(&doom3(), 0, 1);
+        for faults in [FaultConfig::disabled(), FaultConfig::uniform(77, 0.02)] {
+            for threads in [1, 4] {
+                let cfg = ServeConfig {
+                    faults,
+                    threads: Some(threads),
+                    ..doom3()
+                };
+                let mut s = SimFrameService::new(&cfg).expect("builds");
+                assert_eq!(s.reachable, 2..=8, "governor floor 0.25 to base 1.0");
+                s.serve(&[key(0, 1, 3)]).expect("renders");
+                assert_eq!(
+                    s.ahead.len(),
+                    6,
+                    "the other reachable buckets rendered ahead"
+                );
+                assert_eq!(s.baseline_cycles(), reference.stats.cycles);
+                assert!(
+                    matches!(s.baselines.get(&(0, 1)), Some(None)),
+                    "luma released once every reachable bucket rendered"
+                );
+                for bucket in s.reachable.clone() {
+                    let k = key(0, 1, bucket);
+                    let served = s.serve(&[k]).expect("recalls")[0];
+                    assert_eq!(
+                        served,
+                        lone(&cfg, k, &reference),
+                        "{faults:?} threads {threads} {k:?}"
+                    );
+                }
+                assert_eq!(s.distinct_renders(), 7);
+                assert!(s.ahead.is_empty());
+                // Outside the reachable set a key renders on its own miss,
+                // its baseline again, without counting its cycles twice.
+                let outside = key(0, 1, 0);
+                let served = s.serve(&[outside]).expect("renders")[0];
+                assert_eq!(served, lone(&cfg, outside, &reference));
+                assert_eq!(s.baseline_cycles(), reference.stats.cycles);
+                assert!(s.ahead.is_empty(), "nothing rendered ahead of it");
+            }
+        }
+    }
+
+    #[test]
+    fn calibrate_renders_only_its_key_and_the_baseline() {
+        let cfg = doom3();
+        let mut s = SimFrameService::new(&cfg).expect("builds");
+        let cycles = s.calibrate(8).expect("calibrates");
+        assert_eq!(s.distinct_renders(), 1);
+        assert!(s.ahead.is_empty(), "no bucket rendered ahead");
+        assert!(s.has_luma((0, 0)), "luma kept for the unrendered buckets");
+        let reference = clean_baseline(&cfg, 0, 0);
+        assert_eq!(cycles, lone(&cfg, key(0, 0, 8), &reference).cycles);
+        assert_eq!(s.baseline_cycles(), reference.stats.cycles);
+        // The first job's miss renders the rest of the reachable set.
+        s.serve(&[key(0, 0, 5)]).expect("renders");
+        assert_eq!(s.distinct_renders(), 2);
+        assert_eq!(s.ahead.len(), 5);
+        assert!(!s.has_luma((0, 0)));
+        assert_eq!(
+            s.baseline_cycles(),
+            reference.stats.cycles,
+            "baseline cached"
+        );
+    }
+
+    #[test]
+    fn governor_off_renders_only_the_base_bucket() {
+        let cfg = ServeConfig {
+            governor: false,
+            ..doom3()
+        };
+        let mut s = SimFrameService::new(&cfg).expect("builds");
+        assert_eq!(s.reachable, 8..=8);
+        s.serve(&[key(0, 0, 8)]).expect("renders");
+        assert!(s.ahead.is_empty());
+        assert!(!s.has_luma((0, 0)));
     }
 
     #[test]

@@ -17,12 +17,33 @@
 //! quality in the same ordered, cache-friendly steps as overload does —
 //! never by dropping contracts first.
 
+use crate::workload::ServeConfig;
 use patu_core::FilterPolicy;
 use patu_sim::ThresholdController;
+use std::ops::RangeInclusive;
 
 /// The quality floor of every serve session: the governor never pushes
 /// the threshold below this, bounding how much SSIM can be traded away.
 pub(crate) const GOVERNOR_FLOOR: f64 = 0.25;
+
+/// Maps an (already quantized) threshold onto its bucket index.
+pub(crate) fn bucket_of(theta: f64, steps: u32) -> u32 {
+    let steps = steps.max(1);
+    (theta.clamp(0.0, 1.0) * f64::from(steps)).round() as u32
+}
+
+/// Every bucket a session under `cfg` can dispatch at. The governor's
+/// controller is clamped to `[min(floor, base), base]` and snaps onto the
+/// grid, so its buckets are the closed range between those two ends; with
+/// the governor off every job renders at the base threshold.
+pub(crate) fn reachable_buckets(cfg: &ServeConfig) -> RangeInclusive<u32> {
+    let top = bucket_of(cfg.base_threshold, cfg.governor_steps);
+    if cfg.governor {
+        bucket_of(GOVERNOR_FLOOR.min(cfg.base_threshold), cfg.governor_steps)..=top
+    } else {
+        top..=top
+    }
+}
 
 /// The serving layer's outer quality controller.
 #[derive(Debug, Clone, Copy, PartialEq)]

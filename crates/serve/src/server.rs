@@ -21,7 +21,7 @@
 
 use crate::error::ServeError;
 use crate::exec::{corrupted, FrameService, RenderKey, ServedFrame};
-use crate::governor::{QualityGovernor, GOVERNOR_FLOOR};
+use crate::governor::{bucket_of, QualityGovernor, GOVERNOR_FLOOR};
 use crate::health::{self, BreakerState, CircuitBreaker, HealthModel, BROWNOUT_GAIN, HEDGE_SLACK};
 use crate::job::{CompletedJob, Job, Outcome, Tier};
 use crate::queue::{Admission, AdmissionQueue};
@@ -167,12 +167,6 @@ impl ServeReport {
 /// Scene-setup cost charged once per dispatched batch, as a fraction of
 /// the calibrated mean service time — what same-scene batching amortizes.
 pub(crate) const SETUP_FRAC: f64 = 0.2;
-
-/// Maps an (already quantized) threshold onto its bucket index.
-fn bucket_of(theta: f64, steps: u32) -> u32 {
-    let steps = steps.max(1);
-    (theta.clamp(0.0, 1.0) * f64::from(steps)).round() as u32
-}
 
 /// How one execution attempt on one GPU ended.
 enum AttemptEnd {
@@ -1048,6 +1042,55 @@ mod tests {
 
     fn conserved(s: &ServeStats) -> bool {
         s.delivered + s.shed + s.failed == s.submitted
+    }
+
+    /// A synthetic plant that records every bucket asked of it.
+    struct Recording {
+        plant: SyntheticService,
+        buckets: std::collections::BTreeSet<u32>,
+    }
+
+    impl FrameService for Recording {
+        fn serve(&mut self, keys: &[RenderKey]) -> Result<Vec<ServedFrame>, ServeError> {
+            self.buckets.extend(keys.iter().map(|k| k.bucket));
+            self.plant.serve(keys)
+        }
+    }
+
+    #[test]
+    fn sessions_request_only_reachable_buckets() {
+        let mut spread = 0;
+        for scenario in Scenario::ALL {
+            for governor in [true, false] {
+                for base_threshold in [1.0, 0.6, 0.2] {
+                    for load in [0.75, 2.0] {
+                        let cfg = ServeConfig {
+                            scenario,
+                            governor,
+                            base_threshold,
+                            load,
+                            pressure_gain: 0.4,
+                            ..cfg()
+                        };
+                        let mut service = Recording {
+                            plant: SyntheticService::new(1_000_000, cfg.governor_steps),
+                            buckets: Default::default(),
+                        };
+                        run_session(&cfg, &mut service).expect("session runs");
+                        let reachable = crate::governor::reachable_buckets(&cfg);
+                        for bucket in &service.buckets {
+                            assert!(
+                                reachable.contains(bucket),
+                                "{scenario:?} governor {governor} base {base_threshold} \
+                                 load {load}: bucket {bucket} outside {reachable:?}"
+                            );
+                        }
+                        spread = spread.max(service.buckets.len());
+                    }
+                }
+            }
+        }
+        assert!(spread > 2, "some session spans several buckets ({spread})");
     }
 
     #[test]

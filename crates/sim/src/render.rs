@@ -282,8 +282,40 @@ pub fn render_policies(
     cfg: &RenderConfig,
     policies: &[FilterPolicy],
 ) -> Result<Vec<FrameResult>, SimError> {
+    let variants: Vec<(FilterPolicy, FaultConfig)> = policies
+        .iter()
+        .map(|&policy| (policy, cfg.faults))
+        .collect();
+    render_policies_faulted(workload, index, cfg, &variants)
+}
+
+/// [`render_policies`] where each policy carries its own fault
+/// configuration in place of `cfg.faults`: one traversal renders every
+/// `(policy, faults)` pair, and each result is bit-identical to
+/// [`render_frame`] with that policy and those faults. No shared stage
+/// depends on faults — decisions, memory timing and fallbacks are each
+/// policy's own state — so a clean reference can render beside faulted
+/// variants.
+///
+/// # Errors
+///
+/// As [`render_policies`].
+pub fn render_policies_faulted(
+    workload: &Workload,
+    index: u32,
+    cfg: &RenderConfig,
+    variants: &[(FilterPolicy, FaultConfig)],
+) -> Result<Vec<FrameResult>, SimError> {
     let scene = workload.frame(index);
-    let mut results = render_scene_inner(workload, &scene, cfg, policies, None)?;
+    let cfgs: Vec<RenderConfig> = variants
+        .iter()
+        .map(|&(policy, faults)| RenderConfig {
+            policy,
+            faults,
+            ..*cfg
+        })
+        .collect();
+    let mut results = render_scene_inner(workload, &scene, cfg, cfgs, None)?;
     // `render_scene` has no frame identity (the stereo path renders derived
     // scenes); stamp it here so telemetry artifacts name the frame.
     for result in &mut results {
@@ -344,7 +376,7 @@ pub fn render_sequence(
                 prev: store.prev_image(),
                 store,
             };
-            render_scene_inner(workload, &scene, cfg, &[cfg.policy], Some(&ctx))?.swap_remove(0)
+            render_scene_inner(workload, &scene, cfg, vec![*cfg], Some(&ctx))?.swap_remove(0)
         };
         stamp_frame(&mut result, frame);
         // Refresh the store: rendered tiles contribute fresh decision
@@ -386,19 +418,20 @@ pub fn render_scene(
     scene: &patu_scenes::FrameScene,
     cfg: &RenderConfig,
 ) -> Result<FrameResult, SimError> {
-    let mut results = render_scene_inner(workload, scene, cfg, &[cfg.policy], None)?;
+    let mut results = render_scene_inner(workload, scene, cfg, vec![*cfg], None)?;
     Ok(results.swap_remove(0))
 }
 
-/// The shared frame renderer: one traversal for every policy in
-/// `policies`, one result per policy. `temporal` is `Some` only on the
+/// The shared frame renderer: one traversal for every per-policy
+/// configuration in `cfgs` (each `cfg` with its own policy and faults),
+/// one result per entry. `temporal` is `Some` only on the
 /// [`render_sequence`] path; with `None` the behavior (including fault
 /// stream positions) is byte-identical to what [`render_scene`] always did.
 fn render_scene_inner(
     workload: &Workload,
     scene: &patu_scenes::FrameScene,
     cfg: &RenderConfig,
-    policies: &[FilterPolicy],
+    cfgs: Vec<RenderConfig>,
     temporal: Option<&SeqCtx<'_>>,
 ) -> Result<Vec<FrameResult>, SimError> {
     // Fallible setup happens serially, before any worker spawns, so
@@ -407,10 +440,6 @@ fn render_scene_inner(
     // (a zero tile size included) before the tiler sees it, and catches
     // degenerate geometry that shard clamping would otherwise mask.
     MemorySystem::try_new(&cfg.gpu)?;
-    let cfgs: Vec<RenderConfig> = policies
-        .iter()
-        .map(|&policy| RenderConfig { policy, ..*cfg })
-        .collect();
     let (width, height) = workload.resolution();
     let pipeline =
         Pipeline::with_tile_size(width, height, cfg.gpu.tile_size).with_traversal(cfg.traversal);

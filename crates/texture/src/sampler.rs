@@ -78,6 +78,23 @@ pub fn sample_nearest(
     (lvl.texel(tx, ty), tex.folded_address(lvl, tx, ty))
 }
 
+/// `v.floor()` as an integer and as a float: bit-identical to
+/// `(v.floor() as i64, v.floor())` for every input. Below 2^23 in
+/// magnitude, where an `f32` can have a fraction, it floors in integer
+/// arithmetic instead of calling `floorf`; the sign copy keeps
+/// `floor(-0.0) == -0.0`.
+#[inline]
+fn floor(v: f32) -> (i64, f32) {
+    if v.abs() < 8_388_608.0 {
+        let t = v as i64;
+        let t = t - i64::from(t as f32 > v);
+        (t, (t as f32).copysign(v))
+    } else {
+        let f = v.floor();
+        (f as i64, f)
+    }
+}
+
 /// The 2×2 texel quad a bilinear tap reads on one mip level, with its two
 /// columns and two rows folded by the address mode once. Both the texel
 /// colors and their addresses are read from this one resolution, so they
@@ -99,9 +116,8 @@ impl<'a> Quad<'a> {
         // Texel centers sit at integer + 0.5.
         let x = uv.x * w as f32 - 0.5;
         let y = uv.y * h as f32 - 0.5;
-        let x0 = x.floor();
-        let y0 = y.floor();
-        let (ix, iy) = (x0 as i64, y0 as i64);
+        let (ix, x0) = floor(x);
+        let (iy, y0) = floor(y);
         Quad {
             lvl,
             xs: [mode.apply(ix, w), mode.apply(ix + 1, w)],
@@ -144,6 +160,23 @@ impl<'a> Quad<'a> {
         self.coords()
             .map(|(tx, ty)| tex.folded_address(self.lvl, tx, ty))
     }
+
+    /// The quad's distinct addresses in ascending order, and their count.
+    /// Within a level an address grows with `(y, x)`, so the folded rows
+    /// and columns, each ordered and deduplicated, give the order.
+    #[inline]
+    fn address_set(&self, tex: &Texture) -> ([TexelAddress; 4], usize) {
+        let ordered = |[a, b]: [u32; 2]| ([a.min(b), a.max(b)], 1 + usize::from(a != b));
+        let (xs, nx) = ordered(self.xs);
+        let (ys, ny) = ordered(self.ys);
+        let mut set = [TexelAddress::default(); 4];
+        for (j, &ty) in ys[..ny].iter().enumerate() {
+            for (i, &tx) in xs[..nx].iter().enumerate() {
+                set[j * nx + i] = tex.folded_address(self.lvl, tx, ty);
+            }
+        }
+        (set, nx * ny)
+    }
 }
 
 /// The 4 texel addresses a bilinear tap at `uv` on `level` would fetch,
@@ -158,6 +191,18 @@ pub fn bilinear_addresses(
     mode: AddressMode,
 ) -> [TexelAddress; 4] {
     Quad::resolve(tex, uv, level, mode).addresses(tex)
+}
+
+/// The distinct addresses of [`bilinear_addresses`] in ascending order —
+/// the first `len` entries of the returned array — built without a sort.
+/// PATU's stage-2 hash table compares taps by this normalized set.
+pub fn bilinear_address_set(
+    tex: &Texture,
+    uv: Vec2,
+    level: u32,
+    mode: AddressMode,
+) -> ([TexelAddress; 4], usize) {
+    Quad::resolve(tex, uv, level, mode).address_set(tex)
 }
 
 /// Bilinear sample of one mip level: 4 texels, weights from the fractional
@@ -351,6 +396,40 @@ mod tests {
         let tex = Texture::single_level((2, 1, vec![Rgba8::BLACK, Rgba8::WHITE]), 0);
         let (out, _) = sample_bilinear(&tex, Vec2::new(0.5, 0.5), 0, AddressMode::Clamp);
         assert!((i32::from(out.r) - 128).abs() <= 1, "got {}", out.r);
+    }
+
+    #[test]
+    fn integer_floor_is_bit_identical_to_floorf() {
+        let mut values = vec![
+            0.0f32,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            -1.5,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            8_388_607.5,
+            -8_388_607.5,
+            8_388_608.0,
+            -8_388_609.0,
+            1e19,
+            -1e19,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut rng = patu_gmath::DetRng::new(0xf100);
+        values.extend((0..4096).map(|_| (rng.next_f32() - 0.5) * 4096.0));
+        values.extend((0..1024).map(|i| i as f32 * 0.25 - 128.0));
+        for v in values {
+            let (i, f) = floor(v);
+            assert_eq!(f.to_bits(), v.floor().to_bits(), "floor({v})");
+            assert_eq!(i, v.floor() as i64, "floor({v}) as i64");
+        }
     }
 
     #[test]
