@@ -41,15 +41,16 @@ pub struct Knobs {
     pub ssim_sample: Option<f64>,
     /// `PATU_TEMPORAL`: cross-frame tile reuse for served frames.
     pub temporal: TemporalMode,
-    /// `PATU_SERVE_SCENARIO`: the chaos scenario of `serve_bench`'s sessions.
+    /// `PATU_SERVE_SCENARIO`: the chaos scenario of `paper serve_bench`'s
+    /// sessions.
     pub scenario: Scenario,
-    /// `PATU_TRACE`: the telemetry level of `trace_smoke`'s renders.
+    /// `PATU_TRACE`: the telemetry level of `paper trace_smoke`'s renders.
     pub trace: TraceLevel,
-    /// `PATU_TRACE_OUT`: where `trace_smoke` writes its JSONL and Chrome
-    /// trace (`None` = no files).
+    /// `PATU_TRACE_OUT`: where `paper trace_smoke` writes its JSONL and
+    /// Chrome trace (`None` = no files).
     pub trace_out: Option<PathBuf>,
-    /// `PATU_OBS_DUMP`: where `trace_smoke` writes its PPM maps (`None` =
-    /// no dumps).
+    /// `PATU_OBS_DUMP`: where `paper trace_smoke` writes its PPM maps
+    /// (`None` = no dumps).
     pub obs_dump: Option<PathBuf>,
 }
 

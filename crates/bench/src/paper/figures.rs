@@ -1,7 +1,7 @@
 //! The paper's abstract, tables and figures.
 
-use super::{paper_note, points, write_file, Ctx, Report};
-use crate::{micro, pct, pct_delta};
+use super::{paper_note, points, record, write_file, Ctx, Report};
+use crate::{pct, pct_delta};
 use patu_core::FilterPolicy;
 use patu_gpu::{BandwidthBreakdown, GpuConfig};
 use patu_obs::json::num_fixed;
@@ -138,10 +138,7 @@ pub(super) fn headline(ctx: &Ctx, out: &mut String) -> Report {
         patu_hist.p95(),
         patu_hist.p99(),
     );
-    // Named relative to the repository root, so the report reads the same
-    // from every checkout.
-    std::fs::write(micro::repo_root().join("BENCH_headline.json"), json)?;
-    writeln!(out, "wrote BENCH_headline.json at the repository root")?;
+    record(out, "BENCH_headline.json", json)?;
 
     paper_note(
         out,

@@ -1,14 +1,16 @@
 //! The paper's experiments: every table, figure, ablation and calibration
-//! diagnostic, run by name from the `paper` binary.
+//! diagnostic, plus the serving, chaos, temporal-reuse and telemetry
+//! harnesses, run by name from the `paper` binary.
 //!
 //! ```text
 //! cargo run --release -p patu-bench --bin paper -- <name>… | all [--full] [--frames N]
 //! ```
 //!
 //! Each experiment prints its report and also writes it to
-//! `out/<name>.txt`. Most figures are views of one per-game design-space
-//! exploration (Baseline, AF-off, the θ = 0.4 design points, PATU at
-//! θ = 0…1; paper Sec. VII), so each experiment declares the policies it
+//! `out/<name>.txt`, even when it then fails its acceptance gate. Most
+//! figures are views of one per-game design-space exploration (Baseline,
+//! AF-off, the θ = 0.4 design points, PATU at θ = 0…1; paper Sec. VII),
+//! so each experiment declares the policies it
 //! reads and [`run`] builds every game's workload once and renders the
 //! union of those policies in one [`run_policies`] call per game. Each
 //! policy's result is independent of which policies render beside it, so
@@ -16,14 +18,18 @@
 
 mod ablations;
 mod figures;
+mod serve;
+mod temporal;
+mod trace;
 
-use crate::{ArgError, Knobs, RunOptions, RUN_FLAGS};
+use crate::{micro, ArgError, Knobs, RunOptions, RUN_FLAGS};
 use patu_core::FilterPolicy;
 use patu_scenes::{default_specs, Workload, WorkloadSpec};
 use patu_sim::experiment::{design_points, run_policies, AggregateResult, ExperimentConfig};
 use std::cell::OnceCell;
 use std::error::Error;
-use std::fmt::Write;
+use std::fmt::Write as _;
+use std::path::Path;
 
 /// What an experiment returns: its report is in the `String` it was given.
 type Report = Result<(), Box<dyn Error>>;
@@ -117,14 +123,18 @@ pub const EXPERIMENTS: &[Experiment] = &[
     exp("ablation_oracle", Vec::new, ablations::oracle),
     exp("ablation_traversal", Vec::new, ablations::traversal),
     exp("ablation_temporal", Vec::new, ablations::temporal),
+    exp("serve_bench", Vec::new, serve::serve_bench),
+    exp("serve_chaos", Vec::new, serve::serve_chaos),
+    exp("temporal_bench", Vec::new, temporal::temporal_bench),
 ];
 
-/// Calibration diagnostics (DESIGN.md §5b–c) and scene snapshots, which
-/// run only by name.
+/// Calibration diagnostics (DESIGN.md §5b–c), scene snapshots and the
+/// `PATU_TRACE` telemetry run, which run only by name.
 pub const BY_NAME_ONLY: &[Experiment] = &[
     exp("diag", Vec::new, ablations::diag),
     exp("diag2", Vec::new, ablations::diag2),
     exp("render_scenes", Vec::new, ablations::render_scenes),
+    exp("trace_smoke", Vec::new, trace::trace_smoke),
 ];
 
 /// Parses `<name>… | all` plus [`RunOptions`] flags (in any order) into
@@ -179,26 +189,34 @@ pub fn parse(
     Ok((selected, opts))
 }
 
-/// Runs `experiments` in order under `opts` and `knobs`: prints each
-/// report to stdout and writes it to `out/<name>.txt`.
+/// Runs `experiments` in order under `opts` and `knobs`: writes each
+/// report to `stdout` and to `dir/<name>.txt` (`paper` passes `out`).
 ///
 /// # Errors
 ///
-/// The first experiment or file error.
-pub fn run(experiments: &[&Experiment], opts: RunOptions, knobs: Knobs) -> Report {
+/// The first experiment or file error. An experiment that fails still has
+/// the report it wrote printed and saved first.
+pub fn run(
+    experiments: &[&Experiment],
+    opts: RunOptions,
+    knobs: Knobs,
+    dir: &Path,
+    stdout: &mut impl std::io::Write,
+) -> Report {
     let ctx = Ctx {
         opts,
         knobs,
         union: union(experiments),
         games: OnceCell::new(),
     };
-    std::fs::create_dir_all("out")?;
+    std::fs::create_dir_all(dir)?;
     for e in experiments {
         eprintln!("=== {} ===", e.name);
         let mut report = String::new();
-        (e.run)(&ctx, &mut report)?;
-        print!("{report}");
-        std::fs::write(format!("out/{}.txt", e.name), &report)?;
+        let result = (e.run)(&ctx, &mut report);
+        stdout.write_all(report.as_bytes())?;
+        std::fs::write(dir.join(format!("{}.txt", e.name)), &report)?;
+        result?;
     }
     Ok(())
 }
@@ -305,6 +323,15 @@ fn write_file(path: &str, encode: impl FnOnce(&mut Vec<u8>) -> std::io::Result<(
     Ok(())
 }
 
+/// Writes `json` to `name` at the repository root and says so in `out`,
+/// naming the file relative to the root so the report reads the same from
+/// every checkout.
+fn record(out: &mut String, name: &str, json: String) -> Report {
+    std::fs::write(micro::repo_root().join(name), json)?;
+    writeln!(out, "wrote {name} at the repository root")?;
+    Ok(())
+}
+
 /// Writes the standard paper-vs-measured footer.
 fn paper_note(out: &mut String, figure: &str, claim: &str) -> Report {
     writeln!(out, "\n[{figure}] paper reports: {claim}")?;
@@ -338,14 +365,15 @@ mod tests {
         for (i, name) in names.iter().enumerate() {
             assert!(!names[..i].contains(name), "{name} is registered twice");
         }
-        assert_eq!(names.len(), 25);
+        assert_eq!(names.len(), 29);
     }
 
     #[test]
     fn all_runs_the_script_list_in_order() {
         let script = "headline table1 table2 fig04 fig05 fig06 fig07 fig08 fig12 fig17 fig18 \
                       fig19 fig20 fig21 fig22 quad_divergence ablation_table ablation_maxaniso \
-                      ablation_bp ablation_oracle ablation_traversal ablation_temporal";
+                      ablation_bp ablation_oracle ablation_traversal ablation_temporal \
+                      serve_bench serve_chaos temporal_bench";
         let (names, opts) = parse("all").unwrap();
         assert_eq!(names, script.split_whitespace().collect::<Vec<_>>());
         assert_eq!(opts, RunOptions::default());
@@ -363,7 +391,7 @@ mod tests {
             }
         );
         let (names, _) = parse("fig21 all").unwrap();
-        assert_eq!(names.len(), 22);
+        assert_eq!(names.len(), 25);
         assert_eq!(names[0], "fig21", "a name runs once, where first given");
     }
 
@@ -389,6 +417,50 @@ mod tests {
             assert_eq!(err.arg, rejected, "{args}");
             assert_eq!(err.accepted, RUN_FLAGS);
         }
+    }
+
+    #[test]
+    fn trace_smoke_runs_by_name_only() {
+        let (names, _) = parse("trace_smoke").unwrap();
+        assert_eq!(names, ["trace_smoke"]);
+        let (all, _) = parse("all").unwrap();
+        assert!(!all.contains(&"trace_smoke"));
+    }
+
+    fn failing_gate(_: &Ctx, out: &mut String) -> Report {
+        writeln!(out, "gate report")?;
+        Err("gate not met".into())
+    }
+
+    fn never_reached(_: &Ctx, out: &mut String) -> Report {
+        writeln!(out, "after the failure")?;
+        Ok(())
+    }
+
+    #[test]
+    fn a_failed_gate_still_prints_and_writes_its_report() {
+        let failing = exp("failing_gate", Vec::new, failing_gate);
+        let after = exp("after", Vec::new, never_reached);
+        let dir = std::env::temp_dir().join(format!("patu_paper_drive_{}", std::process::id()));
+        let mut stdout = Vec::new();
+        let opts = RunOptions::default();
+        let err = run(
+            &[&failing, &after],
+            opts,
+            Knobs::default(),
+            &dir,
+            &mut stdout,
+        )
+        .expect_err("the gate's error is returned");
+        assert_eq!(err.to_string(), "gate not met");
+        assert_eq!(String::from_utf8(stdout).unwrap(), "gate report\n");
+        let written = std::fs::read_to_string(dir.join("failing_gate.txt")).unwrap();
+        assert_eq!(written, "gate report\n");
+        assert!(
+            !dir.join("after.txt").exists(),
+            "the run stops at the first failure"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -120,22 +120,6 @@ impl EnergyReport {
             + self.patu_overhead_joules
             + self.static_joules
     }
-
-    /// Dynamic energy only (everything except leakage).
-    pub fn dynamic_joules(&self) -> f64 {
-        self.total_joules() - self.static_joules
-    }
-
-    /// Average power over the frame in watts, given its cycle count.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `cycles` is zero.
-    pub fn average_watts(&self, cycles: u64, frequency_hz: f64) -> f64 {
-        debug_assert!(cycles > 0, "cannot compute power over zero cycles");
-        let seconds = cycles as f64 / frequency_hz;
-        self.total_joules() / seconds
-    }
 }
 
 impl EnergyModel {
@@ -192,7 +176,7 @@ mod tests {
         let a = m.frame_energy(&stats_with(EventCounts::default(), 1_000_000));
         let b = m.frame_energy(&stats_with(EventCounts::default(), 2_000_000));
         assert!((b.static_joules / a.static_joules - 2.0).abs() < 1e-9);
-        assert_eq!(a.dynamic_joules(), 0.0);
+        assert_eq!(a.total_joules(), a.static_joules, "no events, only leakage");
     }
 
     #[test]
@@ -258,14 +242,6 @@ mod tests {
         let e_af = m.frame_energy(&stats_with(af, 1_000_000)).total_joules();
         let e_tf = m.frame_energy(&stats_with(tf, 700_000)).total_joules();
         assert!(e_tf < e_af);
-    }
-
-    #[test]
-    fn average_watts() {
-        let m = EnergyModel::default();
-        let r = m.frame_energy(&stats_with(EventCounts::default(), 1_000_000));
-        // Pure leakage: average power equals static_watts.
-        assert!((r.average_watts(1_000_000, 1e9) - 0.35).abs() < 1e-9);
     }
 
     #[test]

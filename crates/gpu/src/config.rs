@@ -127,13 +127,6 @@ impl GpuConfig {
         self
     }
 
-    /// Fragments a cluster can shade per cycle
-    /// (`shaders × simd / ops-per-fragment`).
-    pub fn fragments_per_cycle(&self) -> f64 {
-        f64::from(self.shaders_per_cluster * self.simd_width)
-            / f64::from(self.shader_ops_per_fragment)
-    }
-
     /// Per-channel DRAM bandwidth in bytes per cycle.
     pub fn dram_channel_bytes_per_cycle(&self) -> f64 {
         f64::from(self.dram_bytes_per_cycle) / f64::from(self.dram_channels)
@@ -247,15 +240,6 @@ mod tests {
         let c = GpuConfig::default().with_tc_scale(2).with_llc_scale(4);
         assert_eq!(c.tex_l1_bytes, 32 * 1024);
         assert_eq!(c.tex_l2_bytes, 512 * 1024);
-    }
-
-    #[test]
-    fn fragments_per_cycle_default() {
-        let c = GpuConfig::default();
-        assert!(
-            (c.fragments_per_cycle() - 1.0).abs() < 1e-9,
-            "64 lanes / 64 ops"
-        );
     }
 
     #[test]

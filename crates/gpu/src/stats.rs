@@ -284,20 +284,6 @@ impl FrameStats {
         }
     }
 
-    /// Records one filtering request's latency into both the running sum
-    /// and the latency histogram.
-    #[inline]
-    pub fn record_filter_latency(&mut self, latency: u64) {
-        self.filter_latency_cycles += latency;
-        self.filter_requests += 1;
-        self.filter_latency_hist.record(latency);
-    }
-
-    /// Median per-request filtering latency in cycles.
-    pub fn filter_latency_p50(&self) -> u64 {
-        self.filter_latency_hist.p50()
-    }
-
     /// 95th-percentile per-request filtering latency in cycles.
     pub fn filter_latency_p95(&self) -> u64 {
         self.filter_latency_hist.p95()
@@ -397,14 +383,12 @@ mod tests {
     fn filter_latency_percentiles_expose_the_tail() {
         let mut s = FrameStats::default();
         for _ in 0..90 {
-            s.record_filter_latency(1);
+            s.filter_latency_hist.record(1);
         }
         for _ in 0..10 {
-            s.record_filter_latency(1000);
+            s.filter_latency_hist.record(1000);
         }
-        assert_eq!(s.filter_requests, 100);
-        assert_eq!(s.filter_latency_cycles, 90 + 10 * 1000);
-        assert_eq!(s.filter_latency_p50(), 1, "median ignores the tail");
+        assert_eq!(s.filter_latency_hist.p50(), 1, "median ignores the tail");
         assert_eq!(s.filter_latency_p95(), 1000, "p95 lands in the tail bucket");
         assert_eq!(s.filter_latency_p99(), 1000);
         let mut merged = FrameStats::default();
@@ -415,7 +399,7 @@ mod tests {
             200,
             "hist merges on accumulate"
         );
-        assert_eq!(merged.filter_latency_p50(), 1);
+        assert_eq!(merged.filter_latency_hist.p50(), 1);
     }
 
     #[test]

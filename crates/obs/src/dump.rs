@@ -1,10 +1,10 @@
 //! Perceptual debug artifacts: PPM heatmaps.
 //!
-//! Telemetry-aware binaries given a dump directory (the `trace_smoke`
-//! binary's `PATU_OBS_DUMP=<dir>`) write per-frame SSIM-error heatmaps and
+//! Telemetry-aware harnesses given a dump directory (`paper trace_smoke`
+//! with `PATU_OBS_DUMP=<dir>`) write per-frame SSIM-error heatmaps and
 //! demotion-decision maps into it as binary PPMs for eyeballing where
 //! approximation error concentrates. This module owns the deterministic
-//! color ramp and image plumbing; the binaries own the data.
+//! color ramp and image plumbing; the harnesses own the data.
 
 use std::fs;
 use std::io::{self, Write};

@@ -43,8 +43,6 @@
 pub mod catalog;
 pub mod games;
 pub mod geometry;
-pub mod trace;
 
 pub use catalog::{catalog, default_specs, game_names, sequence_specs, WorkloadSpec};
 pub use games::{FrameScene, ShaderKind, Workload, WorkloadError};
-pub use trace::{ParseTraceError, Trace};

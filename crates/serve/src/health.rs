@@ -116,16 +116,6 @@ impl HealthModel {
         self.per_gpu.get(gpu).map_or(&[], Vec::as_slice)
     }
 
-    /// If `gpu` is inside an outage window at `now`, the cycle it comes
-    /// back (the window's exclusive end).
-    pub fn outage_until(&self, gpu: usize, now: u64) -> Option<u64> {
-        self.episodes(gpu)
-            .iter()
-            .filter(|e| matches!(e.kind, EpisodeKind::Outage) && e.covers(now))
-            .map(|e| e.end)
-            .max()
-    }
-
     /// The outage window covering `at`, as `(start, end)` — `start`
     /// identifies the episode (the postmortem dedup key), `end` is when
     /// the GPU actually comes back. The scheduler never sees this; only
@@ -409,12 +399,12 @@ mod tests {
     #[test]
     fn outage_queries_use_half_open_windows() {
         let m = HealthModel::new(vec![vec![outage(100, 200)], Vec::new()], 0.0, 1);
-        assert_eq!(m.outage_until(0, 99), None);
-        assert_eq!(m.outage_until(0, 100), Some(200));
-        assert_eq!(m.outage_until(0, 199), Some(200));
-        assert_eq!(m.outage_until(0, 200), None, "end is exclusive");
-        assert_eq!(m.outage_until(1, 150), None, "other GPU is healthy");
-        assert_eq!(m.outage_until(7, 150), None, "out-of-range is healthy");
+        assert_eq!(m.outage_covering(0, 99), None);
+        assert_eq!(m.outage_covering(0, 100), Some((100, 200)));
+        assert_eq!(m.outage_covering(0, 199), Some((100, 200)));
+        assert_eq!(m.outage_covering(0, 200), None, "end is exclusive");
+        assert_eq!(m.outage_covering(1, 150), None, "other GPU is healthy");
+        assert_eq!(m.outage_covering(7, 150), None, "out-of-range is healthy");
     }
 
     #[test]

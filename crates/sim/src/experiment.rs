@@ -6,7 +6,7 @@ use crate::parallel;
 use crate::render::{render_frame, render_policies, render_sequence, FrameResult, RenderConfig};
 use patu_core::FilterPolicy;
 use patu_energy::EnergyModel;
-use patu_gpu::{FaultConfig, FrameStats, GpuConfig};
+use patu_gpu::{FaultConfig, FrameStats, GpuConfig, TemporalCounts};
 use patu_obs::{FlightDump, TelemetryConfig};
 use patu_quality::SsimConfig;
 use patu_scenes::Workload;
@@ -24,8 +24,6 @@ pub struct ExperimentConfig {
     /// Fault-injection configuration applied to every rendered frame
     /// (disabled by default).
     pub faults: FaultConfig,
-    /// Optional per-frame cycle budget for the degradation watchdog.
-    pub cycle_budget: Option<u64>,
     /// Worker threads. [`run_policies`] renders each frame's clusters on
     /// them (one traversal serves every policy);
     /// [`temporal_stability`] renders its frames on them. `None` uses
@@ -45,7 +43,6 @@ impl Default for ExperimentConfig {
             frame_stride: 120,
             gpu: GpuConfig::default(),
             faults: FaultConfig::disabled(),
-            cycle_budget: None,
             threads: None,
             telemetry: TelemetryConfig::disabled(),
         }
@@ -71,13 +68,12 @@ impl ExperimentConfig {
     }
 
     /// The configuration every frame of this experiment renders under:
-    /// `policy` on the experiment's GPU, with its faults, cycle budget,
-    /// telemetry and worker threads.
+    /// `policy` on the experiment's GPU, with its faults, telemetry and
+    /// worker threads.
     pub fn render_config(&self, policy: FilterPolicy) -> RenderConfig {
         RenderConfig {
             gpu: self.gpu,
             faults: self.faults,
-            cycle_budget: self.cycle_budget,
             threads: self.threads,
             telemetry: self.telemetry,
             ..RenderConfig::new(policy)
@@ -366,14 +362,13 @@ pub fn temporal_stability_with_store(
     for pair in lumas.windows(2) {
         sum += f64::from(ssim.mssim(&pair[0], &pair[1]));
     }
-    let (mut kept, mut total) = (0u64, 0u64);
+    let mut tiles = TemporalCounts::default();
     for r in &results {
-        kept += r.stats.temporal.tiles_reused + r.stats.temporal.tiles_repredicted;
-        total += r.stats.temporal.tiles_total();
+        tiles.accumulate(&r.stats.temporal);
     }
     Ok(TemporalStabilityReport {
         stability: sum / (lumas.len() - 1) as f64,
-        reused_fraction: kept as f64 / total.max(1) as f64,
+        reused_fraction: tiles.reuse_fraction(),
     })
 }
 

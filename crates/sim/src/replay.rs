@@ -52,14 +52,6 @@ impl ReplayResult {
         let span_ticks = last - first + 1;
         self.display_ticks.len() as f64 / (span_ticks as f64 / refresh_hz)
     }
-
-    /// Fraction of displayed frames that stalled at least one refresh.
-    pub fn stall_fraction(&self) -> f64 {
-        if self.display_ticks.is_empty() {
-            return 0.0;
-        }
-        self.stalled_refreshes as f64 / self.display_ticks.len() as f64
-    }
 }
 
 impl ReplayModel {
@@ -172,7 +164,7 @@ mod tests {
         let r = m.replay(&[]);
         assert!(r.display_ticks.is_empty());
         assert_eq!(r.average_fps(60.0), 0.0);
-        assert_eq!(r.stall_fraction(), 0.0);
+        assert_eq!(r.stalled_refreshes, 0);
     }
 
     #[test]

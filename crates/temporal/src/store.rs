@@ -78,11 +78,6 @@ impl TileStore {
         &self.cfg
     }
 
-    /// Whether a committed frame is available for reuse.
-    pub fn has_frame(&self) -> bool {
-        self.prev.is_some()
-    }
-
     /// Classifies every tile of the upcoming frame against the stored one.
     /// With no stored frame (or a resolution/tiling change) everything
     /// rerenders.
@@ -251,13 +246,13 @@ mod tests {
     #[test]
     fn first_frame_rerenders_then_static_scene_reuses() {
         let mut store = TileStore::new(TemporalConfig::for_mode(TemporalMode::On));
-        assert!(!store.has_frame());
+        assert!(store.prev_image().is_none());
         let s = scene();
         let plan = store.plan(&s, 128, 96, 16);
         assert!(!plan.any_reused(), "cold store has nothing to reuse");
         let fresh = all_fresh(&plan);
         store.commit(s.clone(), image(128, 96, 7), 16, &plan, &fresh);
-        assert!(store.has_frame());
+        assert!(store.prev_image().is_some());
 
         let plan2 = store.plan(&s, 128, 96, 16);
         let (reused, _, rerendered) = plan2.counts();
@@ -285,7 +280,7 @@ mod tests {
         assert!(!store.plan(&s, 256, 192, 16).any_reused());
         assert!(!store.plan(&s, 128, 96, 8).any_reused());
         store.reset();
-        assert!(!store.has_frame());
+        assert!(store.prev_image().is_none());
         assert!(!store.plan(&s, 128, 96, 16).any_reused());
     }
 
@@ -299,7 +294,7 @@ mod tests {
         for _ in 0..(cfg.max_age as usize + 2) {
             let plan = store.plan(&s, 128, 96, 16);
             let (_, repredicted, rerendered) = plan.counts();
-            if store.has_frame() {
+            if store.prev_image().is_some() {
                 saw_repredict |= repredicted > 0;
                 saw_rerender_again |= rerendered > 0;
             }
