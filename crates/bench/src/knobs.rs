@@ -11,7 +11,6 @@
 //! |-----------------------|----------------------------------------|------------------------|
 //! | `PATU_THREADS`        | a positive integer                     | available parallelism  |
 //! | `PATU_SSIM_SAMPLE`    | `off`, or a fraction in `(0, 1)`       | 0.25                   |
-//! | `PATU_TEMPORAL`       | `off`, `on`, `aggressive`              | `off`                  |
 //! | `PATU_SERVE_SCENARIO` | a [`Scenario`] label                   | `calm`                 |
 //! | `PATU_TRACE`          | `off`, `counters`, `spans`             | `off`                  |
 //! | `PATU_TRACE_OUT`      | a directory                            | none (no files)        |
@@ -25,7 +24,6 @@ use patu_quality::SsimConfig;
 use patu_serve::Scenario;
 use patu_sim::experiment::ExperimentConfig;
 use patu_sim::render::RenderConfig;
-use patu_temporal::TemporalMode;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -39,8 +37,6 @@ pub struct Knobs {
     /// `PATU_SSIM_SAMPLE`: the sampled-MSSIM fraction served frames report
     /// (`None` = the full scan).
     pub ssim_sample: Option<f64>,
-    /// `PATU_TEMPORAL`: cross-frame tile reuse for served frames.
-    pub temporal: TemporalMode,
     /// `PATU_SERVE_SCENARIO`: the chaos scenario of `paper serve_bench`'s
     /// sessions.
     pub scenario: Scenario,
@@ -60,7 +56,6 @@ impl Default for Knobs {
         Knobs {
             threads: None,
             ssim_sample: Some(DEFAULT_FRACTION),
-            temporal: TemporalMode::Off,
             scenario: Scenario::Calm,
             trace: TraceLevel::Off,
             trace_out: None,
@@ -137,10 +132,6 @@ impl Knobs {
                     reject("PATU_SSIM_SAMPLE", v, "`off` or a fraction in (0, 1)")
                 })?)
             };
-        }
-        if let Some(v) = get("PATU_TEMPORAL") {
-            knobs.temporal = TemporalMode::parse(&v)
-                .ok_or_else(|| reject("PATU_TEMPORAL", v, "one of off | on | aggressive"))?;
         }
         if let Some(v) = get("PATU_SERVE_SCENARIO") {
             knobs.scenario = Scenario::parse(&v).ok_or_else(|| {
@@ -231,7 +222,6 @@ mod tests {
         assert_eq!(unset, Knobs::default());
         assert_eq!(unset.threads, None);
         assert_eq!(unset.ssim_sample, Some(DEFAULT_FRACTION));
-        assert_eq!(unset.temporal, TemporalMode::Off);
         assert_eq!(unset.scenario, Scenario::Calm);
         assert_eq!(unset.trace, TraceLevel::Off);
         assert_eq!(unset.trace_out, None);
@@ -239,7 +229,6 @@ mod tests {
         let names = [
             "PATU_THREADS",
             "PATU_SSIM_SAMPLE",
-            "PATU_TEMPORAL",
             "PATU_SERVE_SCENARIO",
             "PATU_TRACE",
             "PATU_TRACE_OUT",
@@ -268,19 +257,6 @@ mod tests {
         for bad in ["1.5", "1", "0", "-0.5", "NaN", "half"] {
             rejects("PATU_SSIM_SAMPLE", bad, &["off", "(0, 1)"]);
         }
-    }
-
-    #[test]
-    fn temporal_knob() {
-        for mode in [
-            TemporalMode::Off,
-            TemporalMode::On,
-            TemporalMode::Aggressive,
-        ] {
-            let knobs = with(&[("PATU_TEMPORAL", &mode.to_string())]).unwrap();
-            assert_eq!(knobs.temporal, mode);
-        }
-        rejects("PATU_TEMPORAL", "aggresive", &["off", "on", "aggressive"]);
     }
 
     #[test]

@@ -99,15 +99,6 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Parses `--full` and `--frames N` from the process arguments.
-    ///
-    /// # Errors
-    ///
-    /// See [`RunOptions::parse`].
-    pub fn from_args() -> Result<RunOptions, ArgError> {
-        RunOptions::parse(std::env::args().skip(1))
-    }
-
     /// Parses `--full` and `--frames N` (N ≥ 1) from `args`.
     ///
     /// # Errors

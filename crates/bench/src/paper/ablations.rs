@@ -12,7 +12,7 @@ use patu_obs::Table;
 use patu_raster::{Pipeline, TraversalOrder};
 use patu_scenes::Workload;
 use patu_sim::experiment::{best_point, temporal_stability, temporal_stability_with_store};
-use patu_sim::render::render_frame;
+use patu_sim::render::{render_frame, render_policies, FrameResult};
 use patu_temporal::{TemporalConfig, TemporalMode, TileStore};
 use patu_texture::{
     sample_anisotropic, sample_trilinear_record, sampler::bilinear_addresses, AddressMode,
@@ -280,6 +280,14 @@ pub(super) fn traversal(ctx: &Ctx, out: &mut String) -> Report {
         "Traversal order is orthogonal to PATU; both are locality plays on the \
          same texture hierarchy (compare with Fig. 21's cache-scaling study)."
     )?;
+    writeln!(
+        out,
+        "Morton's extra L1 misses are mostly set conflicts: texels are row-major per \
+         mip and every texture is 256 texels (1 KB) wide, so a 16-texel column band \
+         maps to 1/16 of the 16 KB L1 whether it has 4 or 16 ways, and Z-order stacks \
+         more texture rows per band than a row-major scan. A fully associative 16 KB \
+         L1 cuts hl2's Morton miss excess from +134% to +29% (EXPERIMENTS.md)."
+    )?;
     Ok(())
 }
 
@@ -357,7 +365,10 @@ pub(super) fn temporal(ctx: &Ctx, out: &mut String) -> Report {
 /// Calibration diagnostic: per-game mean AF tap count, cycles with AF
 /// on/off, filtering latency (mean and tail), L2 miss rate, texture traffic
 /// share, and the AF-off texel ratio — the quantities DESIGN.md §5b/§5c
-/// calibrate against — at fixed resolutions, whatever the profile.
+/// calibrate against — at fixed resolutions, whatever the profile. For
+/// doom3, grid and stal it then adds the SSIM-bucket histogram of the AF-on
+/// vs AF-off index map and the anisotropy (N) distribution across
+/// fragments. One traversal per game renders both policies.
 pub(super) fn diag(ctx: &Ctx, out: &mut String) -> Report {
     let mut table = Table::new(&[
         "game",
@@ -372,6 +383,8 @@ pub(super) fn diag(ctx: &Ctx, out: &mut String) -> Report {
         "texfrac",
         "texel ratio",
     ]);
+    let mut buckets = String::new();
+    let cfg = ctx.knobs.render(FilterPolicy::Baseline);
     for name in ["hl2", "doom3", "grid", "nfs", "stal", "ut3", "wolf"] {
         let res = if name == "wolf" {
             (320, 240)
@@ -379,8 +392,8 @@ pub(super) fn diag(ctx: &Ctx, out: &mut String) -> Report {
             (640, 512)
         };
         let w = Workload::build(name, res)?;
-        let base = render_frame(&w, 0, &ctx.knobs.render(FilterPolicy::Baseline))?;
-        let noaf = render_frame(&w, 0, &ctx.knobs.render(FilterPolicy::NoAf))?;
+        let frames = render_policies(&w, 0, &cfg, &[FilterPolicy::Baseline, FilterPolicy::NoAf])?;
+        let (base, noaf) = (&frames[0], &frames[1]);
         let (b, e) = (&base.stats, &base.stats.events);
         let ratio = |x: u64, y: u64| x as f64 / y as f64;
         table.row(&[
@@ -399,56 +412,60 @@ pub(super) fn diag(ctx: &Ctx, out: &mut String) -> Report {
                 ratio(noaf.stats.events.texel_fetches, e.texel_fetches)
             ),
         ]);
+        if ["doom3", "grid", "stal"].contains(&name) {
+            write_buckets(ctx, &mut buckets, &w, base, noaf)?;
+        }
     }
     out.push_str(&table.render());
+    out.push_str(&buckets);
     Ok(())
 }
 
-/// Calibration diagnostic: per-game SSIM-bucket histogram of the AF-on vs
-/// AF-off index map and the anisotropy (N) distribution across fragments.
-pub(super) fn diag2(ctx: &Ctx, out: &mut String) -> Report {
-    for name in ["doom3", "grid", "stal"] {
-        let res = (640, 512);
-        let w = Workload::build(name, res)?;
-        let on = render_frame(&w, 0, &ctx.knobs.render(FilterPolicy::Baseline))?;
-        let off = render_frame(&w, 0, &ctx.knobs.render(FilterPolicy::NoAf))?;
-        let map = ctx.knobs.ssim().ssim_map(&on.luma(), &off.luma());
-        let mut lows = [0u64; 5];
-        for &v in map.values() {
-            lows[(v.clamp(0.0, 0.999) * 5.0) as usize] += 1;
-        }
-        let frame = w.frame(0);
-        let geometry = Pipeline::new(res.0, res.1).run(&frame.meshes, &frame.camera);
-        let mut nbins = [0u64; 5];
-        let mut total = 0u64;
-        for f in geometry.fragments() {
-            let t = &w.textures()[f.material];
-            let fp =
-                Footprint::from_derivatives(f.duv_dx, f.duv_dy, t.width(), t.height(), MAX_ANISO);
-            let b = match fp.n {
-                1 => 0,
-                2 => 1,
-                3..=4 => 2,
-                5..=8 => 3,
-                _ => 4,
-            };
-            nbins[b] += 1;
-            total += 1;
-        }
-        writeln!(out, "{name}: MSSIM {:.3}", map.mean())?;
-        writeln!(
-            out,
-            "  ssim buckets [0-.2,.2-.4,.4-.6,.6-.8,.8-1]: {:?} (of {})",
-            lows,
-            map.values().len()
-        )?;
-        writeln!(
-            out,
-            "  N buckets [1,2,3-4,5-8,9-16]: {:?} pct {:?}",
-            nbins,
-            nbins.iter().map(|&b| 100 * b / total).collect::<Vec<_>>()
-        )?;
+/// `diag`'s per-game SSIM-bucket histogram of the AF-on vs AF-off index
+/// map and the anisotropy (N) distribution of frame 0's fragments.
+fn write_buckets(
+    ctx: &Ctx,
+    out: &mut String,
+    w: &Workload,
+    on: &FrameResult,
+    off: &FrameResult,
+) -> Report {
+    let map = ctx.knobs.ssim().ssim_map(&on.luma(), &off.luma());
+    let mut lows = [0u64; 5];
+    for &v in map.values() {
+        lows[(v.clamp(0.0, 0.999) * 5.0) as usize] += 1;
     }
+    let frame = w.frame(0);
+    let (width, height) = w.resolution();
+    let geometry = Pipeline::new(width, height).run(&frame.meshes, &frame.camera);
+    let mut nbins = [0u64; 5];
+    let mut total = 0u64;
+    for f in geometry.fragments() {
+        let t = &w.textures()[f.material];
+        let fp = Footprint::from_derivatives(f.duv_dx, f.duv_dy, t.width(), t.height(), MAX_ANISO);
+        let b = match fp.n {
+            1 => 0,
+            2 => 1,
+            3..=4 => 2,
+            5..=8 => 3,
+            _ => 4,
+        };
+        nbins[b] += 1;
+        total += 1;
+    }
+    writeln!(out, "{}: MSSIM {:.3}", w.name(), map.mean())?;
+    writeln!(
+        out,
+        "  ssim buckets [0-.2,.2-.4,.4-.6,.6-.8,.8-1]: {:?} (of {})",
+        lows,
+        map.values().len()
+    )?;
+    writeln!(
+        out,
+        "  N buckets [1,2,3-4,5-8,9-16]: {:?} pct {:?}",
+        nbins,
+        nbins.iter().map(|&b| 100 * b / total).collect::<Vec<_>>()
+    )?;
     Ok(())
 }
 

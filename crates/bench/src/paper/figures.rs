@@ -13,61 +13,10 @@ use patu_sim::replay::ReplayModel;
 use patu_sim::satisfaction::SatisfactionModel;
 use std::fmt::Write;
 
-/// The abstract's metrics at the conservative θ = 0.4 point, averaged
-/// over the games.
-struct Headline {
-    speedup: f64,
-    energy: f64,
-    latency: f64,
-    mssim: f64,
-}
-
-/// The design-point sweep at `threads` workers: the headline means and
-/// every game's four rows, game-major.
-fn headline_sweep(
-    ctx: &Ctx,
-    threads: usize,
-) -> Result<(Headline, Vec<AggregateResult>), Box<dyn std::error::Error>> {
-    let cfg = ctx.opts.experiment().with_threads(threads);
-    let (mut speedup, mut energy, mut latency, mut mssim) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut all = Vec::new();
-    let games = ctx.games()?;
-    for game in games {
-        let results = run_policies(&game.workload, &points(), &cfg)?;
-        let (base, patu) = (&results[0], &results[3]);
-        speedup += patu.speedup_vs(base);
-        energy += patu.energy_ratio_vs(base);
-        latency += patu.filter_latency_ratio_vs(base);
-        mssim += patu.mssim;
-        all.extend(results);
-    }
-    let games = games.len() as f64;
-    let headline = Headline {
-        speedup: speedup / games,
-        energy: energy / games,
-        latency: latency / games,
-        mssim: mssim / games,
-    };
-    Ok((headline, all))
-}
-
-/// Bit-level agreement between two sweep runs: every aggregate's stats and
-/// `f64` metrics must match exactly, not approximately.
-fn identical(a: &[AggregateResult], b: &[AggregateResult]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.stats == y.stats
-                && x.mssim.to_bits() == y.mssim.to_bits()
-                && x.energy_joules.to_bits() == y.energy_joules.to_bits()
-                && x.mean_cycles.to_bits() == y.mean_cycles.to_bits()
-                && x.mean_filter_latency.to_bits() == y.mean_filter_latency.to_bits()
-        })
-}
-
 /// The paper's abstract in one table: PATU's speedup, energy and
-/// filtering-latency reduction and MSSIM at θ = 0.4. The sweep runs at
-/// `threads = 1` and `threads = 4` to verify the two agree bit-for-bit;
-/// that flag and the metrics land in `BENCH_headline.json`. Host time is
+/// filtering-latency reduction and MSSIM at θ = 0.4, averaged over the
+/// games' design-point rows of the shared sweep, and PATU's merged
+/// filtering-latency tail; all land in `BENCH_headline.json`. Host time is
 /// the `benchmark` binary's to measure.
 pub(super) fn headline(ctx: &Ctx, out: &mut String) -> Report {
     writeln!(
@@ -75,39 +24,47 @@ pub(super) fn headline(ctx: &Ctx, out: &mut String) -> Report {
         "HEADLINE: PATU at the conservative tuning point ({})",
         ctx.opts.profile_banner()
     )?;
-    let (headline, serial_results) = headline_sweep(ctx, 1)?;
-    let (_, parallel_results) = headline_sweep(ctx, 4)?;
-    let same = identical(&serial_results, &parallel_results);
+    let patu_policy = FilterPolicy::Patu { threshold: 0.4 };
+    let (mut speedup, mut energy, mut latency, mut mssim) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    // Per-request filtering-latency distribution, merged over every game:
+    // the mean alone hides the tail that AF's texel storms create.
+    let mut base_hist = Log2Histogram::new();
+    let mut patu_hist = Log2Histogram::new();
+    let games = ctx.games()?;
+    for game in games {
+        let (base, patu) = (game.row(FilterPolicy::Baseline), game.row(patu_policy));
+        speedup += patu.speedup_vs(base);
+        energy += patu.energy_ratio_vs(base);
+        latency += patu.filter_latency_ratio_vs(base);
+        mssim += patu.mssim;
+        base_hist.accumulate(&base.stats.filter_latency_hist);
+        patu_hist.accumulate(&patu.stats.filter_latency_hist);
+    }
+    let games = games.len() as f64;
+    let (speedup, energy, latency, mssim) = (
+        speedup / games,
+        energy / games,
+        latency / games,
+        mssim / games,
+    );
 
     writeln!(
         out,
         "\nmetric                                      paper   measured"
     )?;
     for (metric, paper, measured) in [
-        ("3D rendering speedup", "+17%", pct_delta(headline.speedup)),
-        (
-            "total GPU energy reduction",
-            "11%",
-            pct(1.0 - headline.energy),
-        ),
+        ("3D rendering speedup", "+17%", pct_delta(speedup)),
+        ("total GPU energy reduction", "11%", pct(1.0 - energy)),
         (
             "texture filtering latency reduction",
             "29%",
-            pct(1.0 - headline.latency),
+            pct(1.0 - latency),
         ),
-        ("perceived quality (MSSIM)", ">=93%", pct(headline.mssim)),
+        ("perceived quality (MSSIM)", ">=93%", pct(mssim)),
     ] {
         writeln!(out, "{metric:<38} {paper:>10} {measured:>10}")?;
     }
 
-    // Per-request filtering-latency distribution, merged over every game:
-    // the mean alone hides the tail that AF's texel storms create.
-    let mut base_hist = Log2Histogram::new();
-    let mut patu_hist = Log2Histogram::new();
-    for chunk in serial_results.chunks(4) {
-        base_hist.accumulate(&chunk[0].stats.filter_latency_hist);
-        patu_hist.accumulate(&chunk[3].stats.filter_latency_hist);
-    }
     writeln!(out, "\nfilter lat.        mean      p50      p95      p99")?;
     for (label, hist) in [("baseline", &base_hist), ("patu", &patu_hist)] {
         writeln!(
@@ -120,20 +77,19 @@ pub(super) fn headline(ctx: &Ctx, out: &mut String) -> Report {
             hist.p99()
         )?;
     }
-    writeln!(out, "\nthreads 1 vs 4: outputs bit-identical: {same}")?;
 
     // Every float routes through `num_fixed`, which emits `null` instead of
     // the unparseable `inf`/`NaN` tokens (e.g. a zero-cycle frame's fps).
     let json = format!(
-        "{{\n  \"bench\": \"headline\",\n  \"outputs_bit_identical\": {same},\n  \
+        "{{\n  \"bench\": \"headline\",\n  \
          \"rendering_speedup_vs_baseline\": {},\n  \"energy_ratio\": {},\n  \
          \"filter_latency_ratio\": {},\n  \"mssim\": {},\n  \
          \"patu_filter_latency_p50\": {},\n  \"patu_filter_latency_p95\": {},\n  \
          \"patu_filter_latency_p99\": {}\n}}\n",
-        num_fixed(headline.speedup, 4),
-        num_fixed(headline.energy, 4),
-        num_fixed(headline.latency, 4),
-        num_fixed(headline.mssim, 4),
+        num_fixed(speedup, 4),
+        num_fixed(energy, 4),
+        num_fixed(latency, 4),
+        num_fixed(mssim, 4),
         patu_hist.p50(),
         patu_hist.p95(),
         patu_hist.p99(),

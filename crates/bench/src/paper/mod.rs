@@ -89,7 +89,7 @@ fn baseline_patu() -> Vec<Policy> {
 
 /// The experiments `all` runs, in order.
 pub const EXPERIMENTS: &[Experiment] = &[
-    exp("headline", Vec::new, figures::headline),
+    exp("headline", points, figures::headline),
     exp("table1", Vec::new, figures::table1),
     exp("table2", Vec::new, figures::table2),
     exp("fig04", Vec::new, figures::fig04),
@@ -128,11 +128,10 @@ pub const EXPERIMENTS: &[Experiment] = &[
     exp("temporal_bench", Vec::new, temporal::temporal_bench),
 ];
 
-/// Calibration diagnostics (DESIGN.md §5b–c), scene snapshots and the
+/// The calibration diagnostic (DESIGN.md §5b–c), scene snapshots and the
 /// `PATU_TRACE` telemetry run, which run only by name.
 pub const BY_NAME_ONLY: &[Experiment] = &[
     exp("diag", Vec::new, ablations::diag),
-    exp("diag2", Vec::new, ablations::diag2),
     exp("render_scenes", Vec::new, ablations::render_scenes),
     exp("trace_smoke", Vec::new, trace::trace_smoke),
 ];
@@ -365,7 +364,7 @@ mod tests {
         for (i, name) in names.iter().enumerate() {
             assert!(!names[..i].contains(name), "{name} is registered twice");
         }
-        assert_eq!(names.len(), 29);
+        assert_eq!(names.len(), 28);
     }
 
     #[test]
@@ -402,10 +401,11 @@ mod tests {
             ("", "(no experiment)"),
             ("--full", "(no experiment)"),
             ("fig05 ALL", "ALL"),
+            ("diag2", "diag2"),
         ] {
             let err = parse(args).unwrap_err();
             assert_eq!(err.arg, rejected, "{args}");
-            for accepted in ["all", "headline", "diag2", "render_scenes", RUN_FLAGS] {
+            for accepted in ["all", "headline", "diag", "render_scenes", RUN_FLAGS] {
                 assert!(err.accepted.contains(accepted), "{err}");
             }
         }
@@ -474,6 +474,7 @@ mod tests {
         assert_eq!(
             readers,
             [
+                "headline",
                 "fig05",
                 "fig06",
                 "fig07",
@@ -490,5 +491,7 @@ mod tests {
         // Baseline, NoAF, the two θ = 0.4 demotion-only points, and PATU
         // at 11 thresholds (θ = 0.4 shared with the design points).
         assert_eq!(union(&all).len(), 15);
+        let (headline, _) = super::parse(["headline".to_string()]).unwrap();
+        assert_eq!(union(&headline), design_points(0.4));
     }
 }

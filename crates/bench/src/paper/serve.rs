@@ -7,28 +7,26 @@
 use super::{record, Ctx, Report};
 use patu_obs::json::num_fixed;
 use patu_serve::{run_session, Scenario, ServeConfig, ServeReport, SimFrameService};
-use patu_temporal::TemporalConfig;
 use std::error::Error;
 use std::fmt::Write;
 
-/// One session under `cfg`, with `PATU_TEMPORAL` tile reuse.
-fn session(ctx: &Ctx, cfg: &ServeConfig) -> Result<ServeReport, Box<dyn Error>> {
-    let temporal = TemporalConfig::for_mode(ctx.knobs.temporal);
-    let mut service = SimFrameService::with_temporal(cfg, temporal)?;
+/// One session under `cfg`.
+fn session(cfg: &ServeConfig) -> Result<ServeReport, Box<dyn Error>> {
+    let mut service = SimFrameService::new(cfg)?;
     Ok(run_session(cfg, &mut service)?)
 }
 
 /// The loads `serve_bench` offers, as multiples of the pool's capacity.
 const LOADS: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
 
-fn load_cfg(ctx: &Ctx, load: f64, governor: bool, threads: usize) -> ServeConfig {
+fn load_cfg(ctx: &Ctx, load: f64, governor: bool) -> ServeConfig {
     ServeConfig {
         seed: 42,
         clients: 6,
         jobs_per_client: 6,
         load,
         governor,
-        threads: Some(threads),
+        threads: Some(1),
         scenario: ctx.knobs.scenario,
         ssim_sample: ctx.knobs.ssim_sample,
         ..ServeConfig::default()
@@ -39,13 +37,11 @@ struct Point {
     load: f64,
     governed: ServeReport,
     ungoverned: ServeReport,
-    bit_identical: bool,
 }
 
 /// The load sweep: under overload (load ≥ 2×) the governor must strictly
 /// lower the deadline-miss rate versus the ungoverned control while
-/// holding mean delivered SSIM at or above 0.9, and every session must be
-/// bit-identical between `threads = 1` and `threads = 4`.
+/// holding mean delivered SSIM at or above 0.9.
 pub(super) fn serve_bench(ctx: &Ctx, out: &mut String) -> Report {
     writeln!(
         out,
@@ -54,40 +50,28 @@ pub(super) fn serve_bench(ctx: &Ctx, out: &mut String) -> Report {
 
     let mut points = Vec::new();
     for load in LOADS {
-        let governed = session(ctx, &load_cfg(ctx, load, true, 1))?;
-        let wide = session(ctx, &load_cfg(ctx, load, true, 4))?;
-        let ungoverned = session(ctx, &load_cfg(ctx, load, false, 1))?;
-        let bit_identical = governed.log == wide.log
-            && governed.chrome_trace() == wide.chrome_trace()
-            && governed
-                .completed
-                .iter()
-                .zip(&wide.completed)
-                .all(|(a, b)| a.image_hash == b.image_hash);
         points.push(Point {
             load,
-            governed,
-            ungoverned,
-            bit_identical,
+            governed: session(&load_cfg(ctx, load, true))?,
+            ungoverned: session(&load_cfg(ctx, load, false))?,
         });
     }
 
     writeln!(
         out,
-        "\n{:<6} {:>12} {:>12} {:>12} {:>12} {:>10} {:>8}",
-        "load", "thrpt/Mcyc", "miss(gov)", "miss(off)", "ssim(gov)", "shed", "1==4"
+        "\n{:<6} {:>12} {:>12} {:>12} {:>12} {:>10}",
+        "load", "thrpt/Mcyc", "miss(gov)", "miss(off)", "ssim(gov)", "shed"
     )?;
     for p in &points {
         writeln!(
             out,
-            "{:<6} {:>12.3} {:>12.4} {:>12.4} {:>12.4} {:>10} {:>8}",
+            "{:<6} {:>12.3} {:>12.4} {:>12.4} {:>12.4} {:>10}",
             p.load,
             p.governed.stats.throughput(),
             p.governed.stats.miss_rate(),
             p.ungoverned.stats.miss_rate(),
             p.governed.stats.mean_ssim(),
             p.governed.stats.shed,
-            p.bit_identical,
         )?;
     }
 
@@ -97,12 +81,10 @@ pub(super) fn serve_bench(ctx: &Ctx, out: &mut String) -> Report {
             .iter()
             .all(|p| p.governed.stats.miss_rate() < p.ungoverned.stats.miss_rate());
     let quality_holds = overload.iter().all(|p| p.governed.stats.mean_ssim() >= 0.9);
-    let all_bit_identical = points.iter().all(|p| p.bit_identical);
     writeln!(
         out,
         "\ngovernor strictly lowers overload miss rate: {governor_wins}; \
-         overload mean SSIM >= 0.9: {quality_holds}; \
-         threads 1 vs 4 bit-identical: {all_bit_identical}"
+         overload mean SSIM >= 0.9: {quality_holds}"
     )?;
 
     if let Some(worst) = overload.last() {
@@ -121,13 +103,12 @@ pub(super) fn serve_bench(ctx: &Ctx, out: &mut String) -> Report {
         }
         write!(
             rows,
-            "    {{\"load\": {}, \"bit_identical\": {}, \
+            "    {{\"load\": {}, \
              \"governed\": {{\"throughput_per_mcycle\": {}, \"miss_rate\": {}, \
              \"mean_ssim\": {}, \"shed\": {}, \"degrades\": {}}}, \
              \"ungoverned\": {{\"throughput_per_mcycle\": {}, \"miss_rate\": {}, \
              \"mean_ssim\": {}, \"shed\": {}, \"degrades\": {}}}}}",
             num_fixed(p.load, 2),
-            p.bit_identical,
             num_fixed(p.governed.stats.throughput(), 4),
             num_fixed(p.governed.stats.miss_rate(), 4),
             num_fixed(p.governed.stats.mean_ssim(), 4),
@@ -142,25 +123,24 @@ pub(super) fn serve_bench(ctx: &Ctx, out: &mut String) -> Report {
     }
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"governor_wins_at_overload\": {governor_wins},\n  \
-         \"overload_mean_ssim_holds\": {quality_holds},\n  \
-         \"outputs_bit_identical\": {all_bit_identical},\n  \"points\": [\n{rows}\n  ]\n}}\n"
+         \"overload_mean_ssim_holds\": {quality_holds},\n  \"points\": [\n{rows}\n  ]\n}}\n"
     );
     record(out, "BENCH_serve.json", json)?;
 
-    if !(governor_wins && quality_holds && all_bit_identical) {
+    if !(governor_wins && quality_holds) {
         return Err("serve acceptance criteria not met".into());
     }
     Ok(())
 }
 
-fn chaos_cfg(ctx: &Ctx, scenario: Scenario, resilience: bool, threads: usize) -> ServeConfig {
+fn chaos_cfg(ctx: &Ctx, scenario: Scenario, resilience: bool) -> ServeConfig {
     ServeConfig {
         seed: 1207,
         clients: 6,
         jobs_per_client: 6,
         scenario,
         load: 1.5,
-        threads: Some(threads),
+        threads: Some(1),
         // A gentler pressure gain than the default: queue pressure alone
         // must not rail the governor to its floor, or the brownout ladder
         // (the resilient arm's capacity lever) has no headroom left to
@@ -176,7 +156,6 @@ struct Arm {
     scenario: Scenario,
     on: ServeReport,
     off: ServeReport,
-    bit_identical: bool,
 }
 
 /// Every job is delivered, shed or failed, and the session log passes the
@@ -232,8 +211,7 @@ fn stats_json(report: &ServeReport) -> String {
 /// resilience stack (retries, hedged dispatch, circuit breakers,
 /// brownout) must strictly lower the contract-violation rate versus the
 /// resilience-off control while holding mean delivered SSIM at or above
-/// 0.9, and every scenario must replay bit-identically between
-/// `threads = 1` and `threads = 4`.
+/// 0.9.
 pub(super) fn serve_chaos(ctx: &Ctx, out: &mut String) -> Report {
     writeln!(
         out,
@@ -242,31 +220,22 @@ pub(super) fn serve_chaos(ctx: &Ctx, out: &mut String) -> Report {
 
     let mut arms = Vec::new();
     for scenario in Scenario::ALL {
-        let on = session(ctx, &chaos_cfg(ctx, scenario, true, 1))?;
-        let wide = session(ctx, &chaos_cfg(ctx, scenario, true, 4))?;
-        let off = session(ctx, &chaos_cfg(ctx, scenario, false, 1))?;
+        let on = session(&chaos_cfg(ctx, scenario, true))?;
+        let off = session(&chaos_cfg(ctx, scenario, false))?;
         check_session(&on, scenario.label())?;
         check_session(&off, &format!("{} (control)", scenario.label()))?;
-        let bit_identical = on.log == wide.log
-            && on.chrome_trace() == wide.chrome_trace()
-            && on.completed == wide.completed;
-        arms.push(Arm {
-            scenario,
-            on,
-            off,
-            bit_identical,
-        });
+        arms.push(Arm { scenario, on, off });
     }
 
     writeln!(
         out,
-        "\n{:<18} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8} {:>8}",
-        "scenario", "viol(on)", "viol(off)", "ssim(on)", "retries", "hedges", "opens", "1==4"
+        "\n{:<18} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
+        "scenario", "viol(on)", "viol(off)", "ssim(on)", "retries", "hedges", "opens"
     )?;
     for a in &arms {
         writeln!(
             out,
-            "{:<18} {:>10.4} {:>10.4} {:>10.4} {:>8} {:>8} {:>8} {:>8}",
+            "{:<18} {:>10.4} {:>10.4} {:>10.4} {:>8} {:>8} {:>8}",
             a.scenario.label(),
             a.on.stats.violation_rate(),
             a.off.stats.violation_rate(),
@@ -274,11 +243,9 @@ pub(super) fn serve_chaos(ctx: &Ctx, out: &mut String) -> Report {
             a.on.stats.retries,
             a.on.stats.hedges,
             a.on.stats.breaker_opens,
-            a.bit_identical,
         )?;
     }
 
-    let all_bit_identical = arms.iter().all(|a| a.bit_identical);
     let headline = arms
         .iter()
         .find(|a| a.scenario == Scenario::HalfPoolOutage)
@@ -288,8 +255,7 @@ pub(super) fn serve_chaos(ctx: &Ctx, out: &mut String) -> Report {
     writeln!(
         out,
         "\nhalf-pool outage: resilience strictly lowers violation rate: {resilience_wins}; \
-         mean SSIM >= 0.9: {quality_holds}; \
-         threads 1 vs 4 bit-identical everywhere: {all_bit_identical}"
+         mean SSIM >= 0.9: {quality_holds}"
     )?;
 
     let mut rows = String::new();
@@ -299,10 +265,8 @@ pub(super) fn serve_chaos(ctx: &Ctx, out: &mut String) -> Report {
         }
         write!(
             rows,
-            "    {{\"scenario\": \"{}\", \"bit_identical\": {}, \
-             \"resilient\": {}, \"control\": {}}}",
+            "    {{\"scenario\": \"{}\", \"resilient\": {}, \"control\": {}}}",
             a.scenario.label(),
-            a.bit_identical,
             stats_json(&a.on),
             stats_json(&a.off),
         )?;
@@ -310,12 +274,11 @@ pub(super) fn serve_chaos(ctx: &Ctx, out: &mut String) -> Report {
     let json = format!(
         "{{\n  \"bench\": \"chaos\",\n  \"load\": 1.5,\n  \
          \"resilience_wins_half_pool\": {resilience_wins},\n  \
-         \"half_pool_mean_ssim_holds\": {quality_holds},\n  \
-         \"outputs_bit_identical\": {all_bit_identical},\n  \"scenarios\": [\n{rows}\n  ]\n}}\n"
+         \"half_pool_mean_ssim_holds\": {quality_holds},\n  \"scenarios\": [\n{rows}\n  ]\n}}\n"
     );
     record(out, "BENCH_chaos.json", json)?;
 
-    if !(resilience_wins && quality_holds && all_bit_identical) {
+    if !(resilience_wins && quality_holds) {
         return Err("chaos acceptance criteria not met".into());
     }
     Ok(())

@@ -61,17 +61,6 @@ impl Mat4 {
         m
     }
 
-    /// Rotation of `angle` radians around the X axis.
-    pub fn rotation_x(angle: f32) -> Mat4 {
-        let (s, c) = angle.sin_cos();
-        Mat4::from_cols(
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, c, s, 0.0],
-            [0.0, -s, c, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        )
-    }
-
     /// Rotation of `angle` radians around the Y axis.
     pub fn rotation_y(angle: f32) -> Mat4 {
         let (s, c) = angle.sin_cos();
@@ -79,17 +68,6 @@ impl Mat4 {
             [c, 0.0, -s, 0.0],
             [0.0, 1.0, 0.0, 0.0],
             [s, 0.0, c, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        )
-    }
-
-    /// Rotation of `angle` radians around the Z axis.
-    pub fn rotation_z(angle: f32) -> Mat4 {
-        let (s, c) = angle.sin_cos();
-        Mat4::from_cols(
-            [c, s, 0.0, 0.0],
-            [-s, c, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
             [0.0, 0.0, 0.0, 1.0],
         )
     }
@@ -126,24 +104,6 @@ impl Mat4 {
             [0.0, f, 0.0, 0.0],
             [0.0, 0.0, (far + near) / (near - far), -1.0],
             [0.0, 0.0, (2.0 * far * near) / (near - far), 0.0],
-        )
-    }
-
-    /// Orthographic projection with a `[-1, 1]` clip-space depth range.
-    pub fn orthographic(left: f32, right: f32, bottom: f32, top: f32, near: f32, far: f32) -> Mat4 {
-        let rl = right - left;
-        let tb = top - bottom;
-        let fne = far - near;
-        Mat4::from_cols(
-            [2.0 / rl, 0.0, 0.0, 0.0],
-            [0.0, 2.0 / tb, 0.0, 0.0],
-            [0.0, 0.0, -2.0 / fne, 0.0],
-            [
-                -(right + left) / rl,
-                -(top + bottom) / tb,
-                -(far + near) / fne,
-                1.0,
-            ],
         )
     }
 
@@ -189,12 +149,6 @@ impl Mat4 {
     #[inline]
     pub fn transform_point(&self, p: Vec3) -> Vec3 {
         (*self * p.extend(1.0)).truncate()
-    }
-
-    /// Transforms a direction (implicit `w = 0`).
-    #[inline]
-    pub fn transform_dir(&self, d: Vec3) -> Vec3 {
-        (*self * d.extend(0.0)).truncate()
     }
 }
 
@@ -252,30 +206,14 @@ mod tests {
     fn translation_moves_points_not_directions() {
         let t = Mat4::translation(Vec3::new(5.0, 0.0, 0.0));
         assert_eq!(t.transform_point(Vec3::ZERO), Vec3::new(5.0, 0.0, 0.0));
-        assert_eq!(
-            t.transform_dir(Vec3::new(0.0, 1.0, 0.0)),
-            Vec3::new(0.0, 1.0, 0.0)
-        );
+        let dir = Vec4::new(0.0, 1.0, 0.0, 0.0);
+        assert_eq!(t * dir, dir);
     }
 
     #[test]
     fn scale_scales() {
         let s = Mat4::scale(Vec3::new(2.0, 3.0, 4.0));
         assert_eq!(s.transform_point(Vec3::ONE), Vec3::new(2.0, 3.0, 4.0));
-    }
-
-    #[test]
-    fn rotation_z_quarter_turn() {
-        let r = Mat4::rotation_z(std::f32::consts::FRAC_PI_2);
-        let v = r * Vec4::new(1.0, 0.0, 0.0, 0.0);
-        assert!(vec4_close(v, Vec4::new(0.0, 1.0, 0.0, 0.0)));
-    }
-
-    #[test]
-    fn rotation_x_quarter_turn() {
-        let r = Mat4::rotation_x(std::f32::consts::FRAC_PI_2);
-        let v = r * Vec4::new(0.0, 1.0, 0.0, 0.0);
-        assert!(vec4_close(v, Vec4::new(0.0, 0.0, 1.0, 0.0)));
     }
 
     #[test]
@@ -337,13 +275,6 @@ mod tests {
         let proj = Mat4::perspective(1.0, 1.0, 0.1, 100.0);
         let clip = proj * Vec4::new(0.0, 0.0, -7.0, 1.0);
         assert!(approx_eq(clip.w, 7.0, 1e-5));
-    }
-
-    #[test]
-    fn orthographic_unit_cube() {
-        let o = Mat4::orthographic(-1.0, 1.0, -1.0, 1.0, 0.0, 2.0);
-        let p = (o * Vec4::new(1.0, -1.0, -2.0, 1.0)).perspective_divide();
-        assert!(vec4_close(p, Vec4::new(1.0, -1.0, 1.0, 1.0)));
     }
 
     #[test]

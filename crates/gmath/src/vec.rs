@@ -168,12 +168,6 @@ impl Vec2 {
         self.x * o.y - self.y * o.x
     }
 
-    /// Perpendicular vector, rotated +90°.
-    #[inline]
-    pub fn perp(self) -> Vec2 {
-        Vec2::new(-self.y, self.x)
-    }
-
     /// Component-wise minimum.
     #[inline]
     pub fn min(self, o: Vec2) -> Vec2 {
@@ -411,12 +405,6 @@ mod tests {
         assert_eq!(a.dot(b), 0.0);
         assert_eq!(a.cross(b), 1.0);
         assert_eq!(b.cross(a), -1.0);
-    }
-
-    #[test]
-    fn vec2_perp_is_orthogonal() {
-        let v = Vec2::new(3.0, 4.0);
-        assert_eq!(v.dot(v.perp()), 0.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Perceptual image-quality metrics for the PATU simulator: the Structural
 //! Similarity index (SSIM) of Wang et al. (2004), its mean (MSSIM) and
-//! per-pixel index maps, plus MSE/PSNR for reference.
+//! per-pixel index maps.
 //!
 //! The PATU paper (HPCA 2018) uses SSIM throughout: Eq. (1) defines the
 //! windowed SSIM between a frame rendered with 16× anisotropic filtering and
@@ -29,13 +29,11 @@
 
 pub mod gaussian;
 pub mod image;
-pub mod metrics;
 mod par;
 pub mod sampled;
 pub mod ssim;
 
 pub use gaussian::{GaussianSsimConfig, SsimComponents};
 pub use image::GrayImage;
-pub use metrics::{mse, psnr};
 pub use sampled::SampledSsimConfig;
 pub use ssim::{SsimConfig, SsimMap};

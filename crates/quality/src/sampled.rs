@@ -95,13 +95,6 @@ impl SampledSsimConfig {
         self
     }
 
-    /// Overrides the underlying SSIM window parameters.
-    #[must_use]
-    pub fn with_ssim(mut self, ssim: SsimConfig) -> SampledSsimConfig {
-        self.ssim = ssim;
-        self
-    }
-
     /// Estimates the mean SSIM between `x` and `y` from a deterministic
     /// stratified sample of window tiles (or computes it exactly when
     /// [`SampledSsimConfig::fraction`] selects the full scan).
@@ -298,10 +291,12 @@ mod tests {
         let b = gradient(96, 96, 70);
         let full = SsimConfig::default().with_threads(1).mssim(&a, &b);
         for f in [1.0, 2.0, 0.0, -0.5, f64::NAN] {
-            let est = SampledSsimConfig::new(3)
-                .with_ssim(SsimConfig::default().with_threads(1))
-                .with_fraction(f)
-                .mssim_sampled(&a, &b);
+            let est = SampledSsimConfig {
+                ssim: SsimConfig::default().with_threads(1),
+                ..SampledSsimConfig::new(3)
+            }
+            .with_fraction(f)
+            .mssim_sampled(&a, &b);
             assert_eq!(est.to_bits(), full.to_bits(), "fraction {f}");
         }
     }

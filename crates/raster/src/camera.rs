@@ -49,19 +49,6 @@ impl Camera {
         }
     }
 
-    /// Sets custom clip distances, consuming and returning the camera.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `near <= 0` or `far <= near` (checked when
-    /// the projection matrix is built).
-    #[must_use]
-    pub fn with_clip(mut self, near: f32, far: f32) -> Camera {
-        self.near = near;
-        self.far = far;
-        self
-    }
-
     /// The world-to-view matrix.
     pub fn view(&self) -> Mat4 {
         Mat4::look_at(self.eye, self.target, self.up)
@@ -95,12 +82,5 @@ mod tests {
         let cam = Camera::new(Vec3::new(0.0, 0.0, 5.0), Vec3::ZERO, 1.0, 1.0);
         let behind = cam.view_projection() * Vec3::new(0.0, 0.0, 10.0).extend(1.0);
         assert!(!Frustum::contains(behind));
-    }
-
-    #[test]
-    fn with_clip_overrides_planes() {
-        let cam = Camera::new(Vec3::ZERO, Vec3::new(0.0, 0.0, -1.0), 1.0, 1.0).with_clip(1.0, 10.0);
-        assert_eq!(cam.near, 1.0);
-        assert_eq!(cam.far, 10.0);
     }
 }

@@ -95,11 +95,6 @@ impl Mesh {
             .collect();
         Mesh::new(vertices, vec![[0, 1, 2], [0, 2, 3]], material)
     }
-
-    /// Total triangle count.
-    pub fn triangle_count(&self) -> usize {
-        self.triangles.len()
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +113,7 @@ mod tests {
             Vec2::ONE,
             0,
         );
-        assert_eq!(q.triangle_count(), 2);
+        assert_eq!(q.triangles.len(), 2);
         assert_eq!(q.vertices.len(), 4);
         // Shared diagonal 0-2.
         assert_eq!(q.triangles[0], [0, 1, 2]);

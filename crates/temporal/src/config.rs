@@ -20,17 +20,6 @@ pub enum TemporalMode {
 }
 
 impl TemporalMode {
-    /// Parses `off | on | aggressive` (surrounding whitespace ignored);
-    /// `None` for anything else.
-    pub fn parse(value: &str) -> Option<TemporalMode> {
-        match value.trim() {
-            "off" => Some(TemporalMode::Off),
-            "on" => Some(TemporalMode::On),
-            "aggressive" => Some(TemporalMode::Aggressive),
-            _ => None,
-        }
-    }
-
     /// Whether reuse is disabled entirely.
     pub fn is_off(self) -> bool {
         self == TemporalMode::Off
@@ -108,21 +97,6 @@ impl Default for TemporalConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_parse_round_trips() {
-        for mode in [
-            TemporalMode::Off,
-            TemporalMode::On,
-            TemporalMode::Aggressive,
-        ] {
-            assert_eq!(TemporalMode::parse(&mode.to_string()), Some(mode));
-        }
-        assert_eq!(TemporalMode::parse("  on "), Some(TemporalMode::On));
-        assert_eq!(TemporalMode::parse("bogus"), None);
-        assert_eq!(TemporalMode::parse("aggresive"), None);
-        assert_eq!(TemporalMode::parse(""), None);
-    }
 
     #[test]
     fn aggressive_is_looser_than_on() {

@@ -2,9 +2,9 @@
 # Benchmark sweep: runs every micro-benchmark target plus the `paper`
 # experiments that record a BENCH_*.json. Each group writes
 # BENCH_<name>.json at the repo root (micro benches: median/p10/p90 ns per
-# iteration; headline: the paper-abstract metrics plus whether the 1- and
-# 4-thread sweeps agree bit-for-bit; serve, chaos, temporal: each
-# harness's rows and acceptance gates). Host time end to end and per layer, as medians, is the
+# iteration; headline: the paper-abstract metrics and PATU's
+# filtering-latency tail; serve, chaos, temporal: each harness's rows and
+# acceptance gates). Host time end to end and per layer, as medians, is the
 # `benchmark` binary's job (BENCHMARK.json), not this script's.
 #
 # Usage: scripts/bench.sh [paper flags, e.g. --full --frames N]

@@ -2,12 +2,12 @@
 //!
 //! Runs real `patu_sim` renders through `patu_serve` over a grid of thread
 //! counts × fault rates × load levels and asserts the entire observable
-//! session — serve log, queue stats, delivered image hashes, telemetry —
+//! session — serve log, queue stats, every job's terminal record, telemetry —
 //! is bit-identical. Thread counts are pinned via the explicit
 //! `ServeConfig::threads` knob.
 
 use patu_gpu::FaultConfig;
-use patu_serve::{run_session, Scenario, ServeConfig, ServeReport, SimFrameService};
+use patu_serve::{run_session, CompletedJob, Scenario, ServeConfig, ServeReport, SimFrameService};
 
 fn base_cfg() -> ServeConfig {
     ServeConfig {
@@ -29,15 +29,15 @@ fn run(cfg: &ServeConfig) -> ServeReport {
     run_session(cfg, &mut service).expect("session runs")
 }
 
-/// Everything we compare between two runs of the same configuration. The
-/// full `ServeStats` debug form folds in every resilience counter
-/// (retries, hedges, breaker opens, outages, corrupt frames, ...).
-fn fingerprint(report: &ServeReport) -> (String, Vec<u64>, String, String) {
-    let mut hashes: Vec<u64> = report.completed.iter().map(|c| c.image_hash).collect();
-    hashes.sort_unstable();
+/// Everything we compare between two runs of the same configuration. Every
+/// job's terminal record, in completion order, carries its outcome, finish
+/// time, θ, SSIM and delivered-image hash; the full `ServeStats` debug form
+/// folds in every resilience counter (retries, hedges, breaker opens,
+/// outages, corrupt frames, ...).
+fn fingerprint(report: &ServeReport) -> (String, Vec<CompletedJob>, String, String) {
     (
         report.log.clone(),
-        hashes,
+        report.completed.clone(),
         format!("{:?}", report.stats),
         report.chrome_trace(),
     )
