@@ -116,13 +116,16 @@ fn ssim_ratio() -> f64 {
 }
 
 /// Retries `measure` up to [`ATTEMPTS`] times; passes on the first ratio
-/// under both the regression limit and the absolute floor.
+/// under both the regression limit and the absolute floor, and otherwise
+/// reports every attempt's ratio and the lowest one.
 fn gate(name: &str, recorded_ratio: f64, floor: f64, measure: impl Fn() -> f64) -> bool {
     let limit = recorded_ratio * SLACK + ABS_MARGIN;
-    let mut worst = f64::INFINITY;
+    let mut ratios = Vec::with_capacity(ATTEMPTS);
+    let mut best = f64::INFINITY;
     for attempt in 1..=ATTEMPTS {
         let ratio = measure();
-        worst = worst.min(ratio);
+        ratios.push(format!("{ratio:.3}"));
+        best = best.min(ratio);
         if ratio <= limit && ratio <= floor {
             println!(
                 "bench_smoke PASS {name}: ratio {ratio:.3} \
@@ -136,8 +139,9 @@ fn gate(name: &str, recorded_ratio: f64, floor: f64, measure: impl Fn() -> f64) 
         );
     }
     eprintln!(
-        "bench_smoke FAIL {name}: best ratio {worst:.3} \
-         (recorded {recorded_ratio:.3}, limit {limit:.3}, floor {floor:.3})"
+        "bench_smoke FAIL {name}: ratios {}, best {best:.3} \
+         (recorded {recorded_ratio:.3}, limit {limit:.3}, floor {floor:.3})",
+        ratios.join(", ")
     );
     false
 }

@@ -172,7 +172,6 @@ impl Knobs {
     pub fn ssim(&self) -> SsimConfig {
         SsimConfig {
             threads: self.threads,
-            ..SsimConfig::default()
         }
     }
 }

@@ -52,26 +52,6 @@ impl Mat4 {
         m
     }
 
-    /// Non-uniform scale.
-    pub fn scale(s: Vec3) -> Mat4 {
-        let mut m = Mat4::IDENTITY;
-        m.cols[0][0] = s.x;
-        m.cols[1][1] = s.y;
-        m.cols[2][2] = s.z;
-        m
-    }
-
-    /// Rotation of `angle` radians around the Y axis.
-    pub fn rotation_y(angle: f32) -> Mat4 {
-        let (s, c) = angle.sin_cos();
-        Mat4::from_cols(
-            [c, 0.0, -s, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [s, 0.0, c, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        )
-    }
-
     /// Right-handed view matrix looking from `eye` toward `target`.
     ///
     /// The camera looks down its local −Z, matching OpenGL conventions.
@@ -104,17 +84,6 @@ impl Mat4 {
             [0.0, f, 0.0, 0.0],
             [0.0, 0.0, (far + near) / (near - far), -1.0],
             [0.0, 0.0, (2.0 * far * near) / (near - far), 0.0],
-        )
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Mat4 {
-        let c = &self.cols;
-        Mat4::from_cols(
-            [c[0][0], c[1][0], c[2][0], c[3][0]],
-            [c[0][1], c[1][1], c[2][1], c[3][1]],
-            [c[0][2], c[1][2], c[2][2], c[3][2]],
-            [c[0][3], c[1][3], c[2][3], c[3][3]],
         )
     }
 
@@ -189,13 +158,6 @@ mod tests {
     use super::*;
     use crate::approx_eq;
 
-    fn vec4_close(a: Vec4, b: Vec4) -> bool {
-        approx_eq(a.x, b.x, 1e-5)
-            && approx_eq(a.y, b.y, 1e-5)
-            && approx_eq(a.z, b.z, 1e-5)
-            && approx_eq(a.w, b.w, 1e-5)
-    }
-
     #[test]
     fn identity_is_noop() {
         let v = Vec4::new(1.0, -2.0, 3.0, 1.0);
@@ -211,31 +173,17 @@ mod tests {
     }
 
     #[test]
-    fn scale_scales() {
-        let s = Mat4::scale(Vec3::new(2.0, 3.0, 4.0));
-        assert_eq!(s.transform_point(Vec3::ONE), Vec3::new(2.0, 3.0, 4.0));
-    }
-
-    #[test]
-    fn rotation_y_quarter_turn() {
-        let r = Mat4::rotation_y(std::f32::consts::FRAC_PI_2);
-        let v = r * Vec4::new(0.0, 0.0, -1.0, 0.0);
-        assert!(vec4_close(v, Vec4::new(-1.0, 0.0, 0.0, 0.0)));
-    }
-
-    #[test]
     fn matrix_product_composes_right_to_left() {
         let t = Mat4::translation(Vec3::new(1.0, 0.0, 0.0));
-        let s = Mat4::scale(Vec3::splat(2.0));
+        let s = Mat4::from_cols(
+            [2.0, 0.0, 0.0, 0.0],
+            [0.0, 2.0, 0.0, 0.0],
+            [0.0, 0.0, 2.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        );
         // (t * s) first scales then translates.
         let p = (t * s).transform_point(Vec3::new(1.0, 0.0, 0.0));
         assert_eq!(p, Vec3::new(3.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = Mat4::look_at(Vec3::new(1.0, 2.0, 3.0), Vec3::ZERO, Vec3::UP);
-        assert_eq!(m.transpose().transpose(), m);
     }
 
     #[test]

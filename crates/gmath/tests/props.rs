@@ -198,8 +198,8 @@ fn mat4_product_associative_on_vectors() {
     for _ in 0..CASES {
         let (t, v) = (vec3(&mut rng), vec3(&mut rng));
         let a = Mat4::translation(t);
-        let b = Mat4::rotation_y(0.7);
-        let c = Mat4::scale(Vec3::new(2.0, 2.0, 2.0));
+        let b = Mat4::look_at(Vec3::new(1.0, 2.0, 3.0), Vec3::ZERO, Vec3::UP);
+        let c = Mat4::perspective(1.0, 1.5, 0.1, 100.0);
         let lhs = ((a * b) * c) * v.extend(1.0);
         let rhs = (a * (b * c)) * v.extend(1.0);
         assert!((lhs - rhs).truncate().length() < 1e-2);

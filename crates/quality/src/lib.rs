@@ -1,8 +1,8 @@
 //! # patu-quality
 //!
-//! Perceptual image-quality metrics for the PATU simulator: the Structural
-//! Similarity index (SSIM) of Wang et al. (2004), its mean (MSSIM) and
-//! per-pixel index maps.
+//! The one perceptual metric of the PATU simulator: the Structural
+//! Similarity index (SSIM) of Wang et al. (2004) over 8×8 uniform windows,
+//! its mean (MSSIM) and per-pixel index maps.
 //!
 //! The PATU paper (HPCA 2018) uses SSIM throughout: Eq. (1) defines the
 //! windowed SSIM between a frame rendered with 16× anisotropic filtering and
@@ -10,8 +10,17 @@
 //! MSSIM; and Fig. 8's SSIM *index map* is the per-pixel visualization that
 //! motivates approximating only non-perceivable pixels.
 //!
-//! The implementation uses integral images so a full-resolution sliding
-//! window map costs O(width × height) regardless of window size.
+//! Two scans compute it, and both score each window with the same function
+//! of the window's five sums:
+//!
+//! - [`SsimConfig::mssim`] / [`SsimConfig::ssim_map`] build full-resolution
+//!   integral images, so a sliding-window map costs O(width × height);
+//! - [`SampledSsimConfig::mssim_sampled`] estimates MSSIM from a seeded,
+//!   stratified sample of window tiles (the serve layer's quality check).
+//!
+//! The window (8), `K1` (0.01), `K2` (0.03) and dynamic range (255) are
+//! fixed; the only settings are the worker count of the full scan and the
+//! sampled fraction and plan seed of the estimate.
 //!
 //! # Examples
 //!
@@ -27,13 +36,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gaussian;
 pub mod image;
 mod par;
 pub mod sampled;
 pub mod ssim;
 
-pub use gaussian::{GaussianSsimConfig, SsimComponents};
 pub use image::GrayImage;
 pub use sampled::SampledSsimConfig;
 pub use ssim::{SsimConfig, SsimMap};

@@ -5,16 +5,16 @@
 //! dominates the cost at production resolutions. The sampled estimator
 //! avoids it entirely:
 //!
-//! 1. window positions are partitioned into square tiles of
-//!    [`SampledSsimConfig::tile`] × `tile` positions, row-major;
+//! 1. window positions are partitioned into square tiles of 8 × 8
+//!    positions, row-major;
 //! 2. consecutive runs of `S = round(1 / fraction)` tiles form strata, and a
 //!    [`DetRng`] seeded with [`SampledSsimConfig::seed`] picks exactly one
 //!    tile per stratum (one draw per stratum — the plan is a pure function
 //!    of the seed and the image dimensions, so the estimate is bit-identical
 //!    across runs, machines and thread counts);
 //! 3. each sampled tile is evaluated over *local* integral images covering
-//!    only its `(tile + window − 1)²` pixel support, with the same window
-//!    arithmetic as the full map;
+//!    only its `(8 + 8 − 1)²` pixel support, scored by the same per-window
+//!    function as the full map;
 //! 4. per-window `f32` SSIM values accumulate in `f64` and the mean over
 //!    sampled windows is the estimate.
 //!
@@ -41,25 +41,24 @@
 //! runs the full computation — a fraction of 1 *is* the full scan.
 
 use crate::image::GrayImage;
-use crate::ssim::SsimConfig;
+use crate::ssim::{check_sizes, window_ssim, SsimConfig, WINDOW};
 use patu_gmath::DetRng;
 
 /// The sampled fraction [`SampledSsimConfig::new`] starts from: 1/4 of the
 /// tiles.
 ///
-/// Paired with the default 8-window tile this is the coarsest plan that
+/// Paired with the 8-window tile this is the coarsest plan that
 /// keeps the observed estimator error within 0.005 of the full MSSIM on
 /// every seed scene (see `tests/batch_equivalence.rs`).
 pub const DEFAULT_FRACTION: f64 = 0.25;
 
-/// Configuration of the stratified sampled-MSSIM estimator.
+/// Tile edge length in window positions.
+const TILE: usize = 8;
+
+/// Configuration of the stratified sampled-MSSIM estimator: the 8×8
+/// windows of [`SsimConfig`], sampled in tiles of 8 × 8 window positions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampledSsimConfig {
-    /// Window parameters shared with the full computation (and used verbatim
-    /// when the estimator falls back to the full scan).
-    pub ssim: SsimConfig,
-    /// Tile edge length in window positions (default 8).
-    pub tile: u32,
     /// Sampled fraction of tiles in `(0, 1)` ([`DEFAULT_FRACTION`] by
     /// default). `None` or a value outside `(0, 1)` runs the full
     /// computation.
@@ -70,12 +69,9 @@ pub struct SampledSsimConfig {
 }
 
 impl SampledSsimConfig {
-    /// Default estimator (8×8 windows, 8-window tiles) with the given plan
-    /// seed.
+    /// Estimator at [`DEFAULT_FRACTION`] with the given plan seed.
     pub fn new(seed: u64) -> SampledSsimConfig {
         SampledSsimConfig {
-            ssim: SsimConfig::default(),
-            tile: 8,
             fraction: Some(DEFAULT_FRACTION),
             seed,
         }
@@ -85,13 +81,6 @@ impl SampledSsimConfig {
     #[must_use]
     pub fn with_fraction(mut self, fraction: f64) -> SampledSsimConfig {
         self.fraction = Some(fraction);
-        self
-    }
-
-    /// Overrides the tile edge length (window positions per tile side).
-    #[must_use]
-    pub fn with_tile(mut self, tile: u32) -> SampledSsimConfig {
-        self.tile = tile;
         self
     }
 
@@ -105,30 +94,20 @@ impl SampledSsimConfig {
     /// that differ in size or are smaller than the window.
     pub fn mssim_sampled(&self, x: &GrayImage, y: &GrayImage) -> f32 {
         match self.fraction.and_then(sanitize) {
-            None => self.ssim.mssim(x, y),
+            None => SsimConfig::default().mssim(x, y),
             Some(fraction) => self.estimate(x, y, fraction),
         }
     }
 
     fn estimate(&self, x: &GrayImage, y: &GrayImage, fraction: f64) -> f32 {
-        assert_eq!(x.width(), y.width(), "image widths differ");
-        assert_eq!(x.height(), y.height(), "image heights differ");
-        assert!(
-            x.width() >= self.ssim.window && x.height() >= self.ssim.window,
-            "images smaller than the SSIM window"
-        );
-        let win = self.ssim.window as usize;
-        let out_w = (x.width() - self.ssim.window + 1) as usize;
-        let out_h = (x.height() - self.ssim.window + 1) as usize;
-        let tile = (self.tile.max(1)) as usize;
-        let tiles_x = out_w.div_ceil(tile);
-        let tiles_y = out_h.div_ceil(tile);
+        check_sizes(x, y);
+        let win = WINDOW as usize;
+        let out_w = (x.width() - WINDOW + 1) as usize;
+        let out_h = (x.height() - WINDOW + 1) as usize;
+        let tiles_x = out_w.div_ceil(TILE);
+        let tiles_y = out_h.div_ceil(TILE);
         let total = tiles_x * tiles_y;
         let stride = (1.0 / fraction).round().max(1.0) as usize;
-
-        let n = (win * win) as f64;
-        let c1 = f64::from((self.ssim.k1 * self.ssim.dynamic_range).powi(2));
-        let c2 = f64::from((self.ssim.k2 * self.ssim.dynamic_range).powi(2));
 
         let mut rng = DetRng::new(self.seed);
         let mut scratch = TileIntegrals::default();
@@ -138,22 +117,21 @@ impl SampledSsimConfig {
         while s < total {
             let len = (total - s).min(stride);
             let pick = s + rng.range(len as u64) as usize;
-            let wx0 = (pick % tiles_x) * tile;
-            let wy0 = (pick / tiles_x) * tile;
-            let tw = tile.min(out_w - wx0);
-            let th = tile.min(out_h - wy0);
+            let wx0 = (pick % tiles_x) * TILE;
+            let wy0 = (pick / tiles_x) * TILE;
+            let tw = TILE.min(out_w - wx0);
+            let th = TILE.min(out_h - wy0);
             scratch.build(x, y, wx0 as u32, wy0 as u32, tw + win - 1, th + win - 1);
             for wy in 0..th {
                 for wx in 0..tw {
                     let (x0, y0, x1, y1) = (wx, wy, wx + win, wy + win);
-                    let mx = scratch.win(&scratch.sx, x0, y0, x1, y1) / n;
-                    let my = scratch.win(&scratch.sy, x0, y0, x1, y1) / n;
-                    let vx = (scratch.win(&scratch.sxx, x0, y0, x1, y1) / n - mx * mx).max(0.0);
-                    let vy = (scratch.win(&scratch.syy, x0, y0, x1, y1) / n - my * my).max(0.0);
-                    let cov = scratch.win(&scratch.sxy, x0, y0, x1, y1) / n - mx * my;
-                    let ssim = ((2.0 * mx * my + c1) * (2.0 * cov + c2))
-                        / ((mx * mx + my * my + c1) * (vx + vy + c2));
-                    sum += f64::from(ssim as f32);
+                    sum += f64::from(window_ssim(
+                        scratch.win(&scratch.sx, x0, y0, x1, y1),
+                        scratch.win(&scratch.sy, x0, y0, x1, y1),
+                        scratch.win(&scratch.sxx, x0, y0, x1, y1),
+                        scratch.win(&scratch.syy, x0, y0, x1, y1),
+                        scratch.win(&scratch.sxy, x0, y0, x1, y1),
+                    ));
                 }
             }
             count += (tw * th) as u64;
@@ -275,7 +253,6 @@ mod tests {
         let full = SsimConfig::default().with_threads(1).mssim(&a, &b);
         for seed in [1, 2, 17, 99] {
             let est = SampledSsimConfig::new(seed)
-                .with_tile(8)
                 .with_fraction(0.125)
                 .mssim_sampled(&a, &b);
             assert!(
@@ -291,12 +268,9 @@ mod tests {
         let b = gradient(96, 96, 70);
         let full = SsimConfig::default().with_threads(1).mssim(&a, &b);
         for f in [1.0, 2.0, 0.0, -0.5, f64::NAN] {
-            let est = SampledSsimConfig {
-                ssim: SsimConfig::default().with_threads(1),
-                ..SampledSsimConfig::new(3)
-            }
-            .with_fraction(f)
-            .mssim_sampled(&a, &b);
+            let est = SampledSsimConfig::new(3)
+                .with_fraction(f)
+                .mssim_sampled(&a, &b);
             assert_eq!(est.to_bits(), full.to_bits(), "fraction {f}");
         }
     }
@@ -320,13 +294,16 @@ mod tests {
 
     #[test]
     fn small_images_and_tiny_tiles_work() {
-        let a = gradient(16, 12, 0);
-        let b = gradient(16, 12, 9);
-        let m = SampledSsimConfig::new(1)
-            .with_tile(4)
-            .with_fraction(0.5)
-            .mssim_sampled(&a, &b);
-        assert!(m.is_finite() && m <= 1.0 + 1e-6);
+        // Edge tiles clip to the map: 9×5 positions make one full-width
+        // tile and one a single position wide; 8×8 pixels make one window.
+        for (w, h) in [(16, 12), (8, 8)] {
+            let a = gradient(w, h, 0);
+            let b = gradient(w, h, 9);
+            let m = SampledSsimConfig::new(1)
+                .with_fraction(0.5)
+                .mssim_sampled(&a, &b);
+            assert!(m.is_finite() && m <= 1.0 + 1e-6, "{w}x{h}: {m}");
+        }
     }
 
     #[test]

@@ -2,49 +2,67 @@
 //! the paper's Eq. (1)/(2), with per-pixel index maps (Fig. 8).
 //!
 //! For each pixel, local statistics (means, variances, covariance) are
-//! gathered over a square window and combined as
+//! gathered over an 8×8 window and combined as
 //!
 //! ```text
 //! SSIM(x, y) = (2 μx μy + C1)(2 σxy + C2) / ((μx² + μy² + C1)(σx² + σy² + C2))
 //! ```
 //!
-//! with `C1 = (K1 L)²`, `C2 = (K2 L)²`, `L = 255`. Local sums are computed
-//! with integral images, so a full map costs O(W × H) for any window size.
+//! with `C1 = (K1 L)²`, `C2 = (K2 L)²`, `K1 = 0.01`, `K2 = 0.03`, `L = 255`.
+//! Local sums are computed with integral images, so a full map costs
+//! O(W × H).
 
 use crate::image::GrayImage;
 
-/// SSIM parameters.
-///
-/// The defaults follow the reference implementation: 8×8 uniform windows,
-/// `K1 = 0.01`, `K2 = 0.03`, dynamic range 255.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Window edge length in pixels: the paper's 8×8 uniform windows.
+pub(crate) const WINDOW: u32 = 8;
+/// Luminance stabilization constant factor.
+const K1: f32 = 0.01;
+/// Contrast stabilization constant factor.
+const K2: f32 = 0.03;
+/// Dynamic range of the samples (8-bit luma).
+const DYNAMIC_RANGE: f32 = 255.0;
+
+/// The SSIM of one [`WINDOW`]² window from its five sums: `Σx`, `Σy`,
+/// `Σx²`, `Σy²` and `Σxy`. The full map and the sampled estimator both
+/// score windows here, so they agree bit for bit.
+#[inline]
+pub(crate) fn window_ssim(sx: f64, sy: f64, sxx: f64, syy: f64, sxy: f64) -> f32 {
+    let n = f64::from(WINDOW * WINDOW);
+    let c1 = f64::from((K1 * DYNAMIC_RANGE).powi(2));
+    let c2 = f64::from((K2 * DYNAMIC_RANGE).powi(2));
+    let mx = sx / n;
+    let my = sy / n;
+    let vx = (sxx / n - mx * mx).max(0.0);
+    let vy = (syy / n - my * my).max(0.0);
+    let cov = sxy / n - mx * my;
+    let ssim =
+        ((2.0 * mx * my + c1) * (2.0 * cov + c2)) / ((mx * mx + my * my + c1) * (vx + vy + c2));
+    ssim as f32
+}
+
+/// Panics unless `x` and `y` have the same size and hold at least one
+/// window.
+pub(crate) fn check_sizes(x: &GrayImage, y: &GrayImage) {
+    assert_eq!(x.width(), y.width(), "image widths differ");
+    assert_eq!(x.height(), y.height(), "image heights differ");
+    assert!(
+        x.width() >= WINDOW && x.height() >= WINDOW,
+        "images smaller than the SSIM window"
+    );
+}
+
+/// SSIM settings. The window and constants are the reference
+/// implementation's and fixed (see the module docs); only the worker count
+/// is set.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SsimConfig {
-    /// Window edge length in pixels.
-    pub window: u32,
-    /// Luminance stabilization constant factor.
-    pub k1: f32,
-    /// Contrast stabilization constant factor.
-    pub k2: f32,
-    /// Dynamic range of the samples (255 for 8-bit luma).
-    pub dynamic_range: f32,
     /// Worker threads for the banded map computation. `None` uses
     /// [`std::thread::available_parallelism`]. The result is bit-identical
     /// for every thread count: window values are pure functions of shared
     /// integral images, bands concatenate in row order, and the mean is
     /// reduced serially afterwards.
     pub threads: Option<usize>,
-}
-
-impl Default for SsimConfig {
-    fn default() -> SsimConfig {
-        SsimConfig {
-            window: 8,
-            k1: 0.01,
-            k2: 0.03,
-            dynamic_range: 255.0,
-            threads: None,
-        }
-    }
 }
 
 impl SsimConfig {
@@ -66,7 +84,7 @@ pub struct SsimMap {
 }
 
 impl SsimMap {
-    /// Map width (smaller than the image by `window - 1`).
+    /// Map width (smaller than the image by the window edge minus 1: 7).
     pub fn width(&self) -> u32 {
         self.width
     }
@@ -164,12 +182,7 @@ impl SsimConfig {
     ///
     /// Panics if the images differ in size or are smaller than the window.
     pub fn ssim_map(&self, x: &GrayImage, y: &GrayImage) -> SsimMap {
-        assert_eq!(x.width(), y.width(), "image widths differ");
-        assert_eq!(x.height(), y.height(), "image heights differ");
-        assert!(
-            x.width() >= self.window && x.height() >= self.window,
-            "images smaller than the SSIM window"
-        );
+        check_sizes(x, y);
         let ones = GrayImage::filled(x.width(), x.height(), 1.0);
         let sx = Integral::of_product(x, &ones);
         let sy = Integral::of_product(y, &ones);
@@ -177,31 +190,26 @@ impl SsimConfig {
         let syy = Integral::of_product(y, y);
         let sxy = Integral::of_product(x, y);
 
-        let win = self.window as usize;
-        let n = (win * win) as f64;
-        let c1 = f64::from((self.k1 * self.dynamic_range).powi(2));
-        let c2 = f64::from((self.k2 * self.dynamic_range).powi(2));
-
-        let out_w = x.width() - self.window + 1;
-        let out_h = x.height() - self.window + 1;
+        let win = WINDOW as usize;
+        let out_w = x.width() - WINDOW + 1;
+        let out_h = x.height() - WINDOW + 1;
         // Banded over window rows: every value is a pure function of the
         // shared integrals, and bands concatenate in row order, so the map
         // is bit-identical for any worker count (see [`SsimConfig::threads`]).
         let threads = crate::par::thread_count(self.threads);
         let values = crate::par::map_rows(threads, out_h as usize, |wy| {
-            let mut row = Vec::with_capacity(out_w as usize);
-            for wx in 0..out_w as usize {
-                let (x0, y0, x1, y1) = (wx, wy, wx + win, wy + win);
-                let mx = sx.window_sum(x0, y0, x1, y1) / n;
-                let my = sy.window_sum(x0, y0, x1, y1) / n;
-                let vx = (sxx.window_sum(x0, y0, x1, y1) / n - mx * mx).max(0.0);
-                let vy = (syy.window_sum(x0, y0, x1, y1) / n - my * my).max(0.0);
-                let cov = sxy.window_sum(x0, y0, x1, y1) / n - mx * my;
-                let ssim = ((2.0 * mx * my + c1) * (2.0 * cov + c2))
-                    / ((mx * mx + my * my + c1) * (vx + vy + c2));
-                row.push(ssim as f32);
-            }
-            row
+            (0..out_w as usize)
+                .map(|wx| {
+                    let (x0, y0, x1, y1) = (wx, wy, wx + win, wy + win);
+                    window_ssim(
+                        sx.window_sum(x0, y0, x1, y1),
+                        sy.window_sum(x0, y0, x1, y1),
+                        sxx.window_sum(x0, y0, x1, y1),
+                        syy.window_sum(x0, y0, x1, y1),
+                        sxy.window_sum(x0, y0, x1, y1),
+                    )
+                })
+                .collect()
         });
         SsimMap {
             width: out_w,
@@ -406,13 +414,11 @@ mod tests {
 
     #[test]
     fn window_size_is_respected() {
-        let a = gradient(32, 32);
-        let cfg = SsimConfig {
-            window: 11,
-            ..SsimConfig::default()
-        };
-        let map = cfg.ssim_map(&a, &a.clone());
-        assert_eq!(map.width(), 22);
+        for (w, h) in [(8, 8), (9, 30), (32, 32)] {
+            let a = gradient(w, h);
+            let map = SsimConfig::default().ssim_map(&a, &a.clone());
+            assert_eq!((map.width(), map.height()), (w - 7, h - 7), "{w}x{h}");
+        }
     }
 
     #[test]

@@ -23,9 +23,9 @@ use patu_core::FilterPolicy;
 use patu_gpu::FaultConfig;
 use patu_quality::{GrayImage, SampledSsimConfig};
 use patu_scenes::Workload;
-use patu_sim::render::{render_policies_faulted, render_sequence, RenderConfig};
+use patu_sim::render::{render_policies_faulted, RenderConfig};
 use patu_sim::{parallel, FrameResult, SimError};
-use patu_temporal::{TemporalConfig, TileStore};
+use patu_temporal::TemporalConfig;
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
@@ -154,13 +154,6 @@ pub struct SimFrameService {
     ssim_mode: Option<f64>,
     /// The buckets the session's governor can dispatch at.
     reachable: RangeInclusive<u32>,
-    /// Cross-frame reuse policy. With mode `off` (the default) serving is
-    /// byte-identical to a build without the temporal subsystem.
-    temporal: TemporalConfig,
-    /// One tile-reuse chain per `(scene, bucket)`: a client whose session
-    /// walks a scene's frames in order at a stable governor bucket keeps
-    /// hitting the same store, so consecutive frames blit coherent tiles.
-    stores: BTreeMap<(usize, u32), TileStore>,
     /// 16×AF baseline luma per `(scene, frame)` rendered so far; `None`
     /// once every reachable bucket of it has rendered.
     baselines: BTreeMap<(usize, u32), Option<GrayImage>>,
@@ -193,19 +186,6 @@ impl SimFrameService {
     /// Returns [`ServeError`] for unknown scene names or an invalid base
     /// policy.
     pub fn new(cfg: &ServeConfig) -> Result<SimFrameService, ServeError> {
-        SimFrameService::with_temporal(cfg, TemporalConfig::off())
-    }
-
-    /// [`SimFrameService::new`] with cross-frame tile reuse under
-    /// `temporal` instead of off.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimFrameService::new`].
-    pub fn with_temporal(
-        cfg: &ServeConfig,
-        temporal: TemporalConfig,
-    ) -> Result<SimFrameService, ServeError> {
         let base_policy = FilterPolicy::Patu {
             threshold: cfg.base_threshold,
         };
@@ -223,13 +203,32 @@ impl SimFrameService {
             threads: parallel::thread_count(cfg.threads),
             ssim_mode: cfg.ssim_sample,
             reachable: reachable_buckets(cfg),
-            temporal,
-            stores: BTreeMap::new(),
             baselines: BTreeMap::new(),
             rendered: BTreeMap::new(),
             ahead: BTreeMap::new(),
             baseline_cycles: 0,
         })
+    }
+
+    /// [`SimFrameService::new`], for callers that name a cross-frame reuse
+    /// policy. Serving renders every key on its own, so only
+    /// [`TemporalConfig::off`] is accepted; cross-frame tile reuse lives in
+    /// `patu_sim::render::render_sequence`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidConfig`] for any mode but off; otherwise see
+    /// [`SimFrameService::new`].
+    pub fn with_temporal(
+        cfg: &ServeConfig,
+        temporal: TemporalConfig,
+    ) -> Result<SimFrameService, ServeError> {
+        if !temporal.mode.is_off() {
+            return Err(ServeError::InvalidConfig {
+                what: "temporal mode must be off",
+            });
+        }
+        SimFrameService::new(cfg)
     }
 
     /// Distinct keys requested so far — the knob for asserting the
@@ -288,9 +287,6 @@ impl SimFrameService {
         if !need.is_empty() {
             let groups = self.plan(&need, ahead);
             self.render_groups(groups)?;
-            if !self.temporal.mode.is_off() {
-                self.serve_sequences(&need)?;
-            }
             self.release_baselines(&need);
         }
         let mut out = Vec::with_capacity(keys.len());
@@ -314,16 +310,11 @@ impl SimFrameService {
     /// Groups the missed keys `need` by `(scene, frame)`. A group renders
     /// its baseline if the luma is not cached, and its missed keys — plus,
     /// with `ahead`, every unrendered reachable bucket beside a reachable
-    /// miss. On the temporal path the chains render the keys, so groups
-    /// carry baselines only.
+    /// miss.
     fn plan(&self, need: &[RenderKey], ahead: bool) -> Vec<Group> {
-        let chains = !self.temporal.mode.is_off();
         let mut by_frame: BTreeMap<(usize, u32), Vec<u32>> = BTreeMap::new();
         for key in need {
             let buckets = by_frame.entry((key.scene, key.frame)).or_default();
-            if chains {
-                continue;
-            }
             buckets.push(key.bucket);
             if ahead && self.reachable.contains(&key.bucket) {
                 buckets.extend(
@@ -345,7 +336,6 @@ impl SimFrameService {
                     baseline: !self.has_luma((scene, frame)),
                 }
             })
-            .filter(|g| g.baseline || !g.buckets.is_empty())
             .collect()
     }
 
@@ -438,59 +428,6 @@ impl SimFrameService {
                 *luma = None;
             }
         }
-    }
-
-    /// The temporal serve path: uncached keys group into `(scene, bucket)`
-    /// chains, each chain renders its frames in ascending order through
-    /// [`render_sequence`] against that chain's persistent [`TileStore`],
-    /// so a client stepping a scene at a stable governor bucket reuses
-    /// tiles across its frames. Chains process in sorted order — results
-    /// depend only on the session's key stream, never on thread count.
-    fn serve_sequences(&mut self, need: &[RenderKey]) -> Result<(), ServeError> {
-        let mut chains: BTreeMap<(usize, u32), Vec<RenderKey>> = BTreeMap::new();
-        for key in need {
-            chains
-                .entry((key.scene, key.bucket))
-                .or_default()
-                .push(*key);
-        }
-        for ((scene, bucket), mut keys) in chains {
-            keys.sort_unstable_by_key(|k| k.frame);
-            let frames: Vec<u32> = keys.iter().map(|k| k.frame).collect();
-            let policy = self.base_policy.with_threshold(keys[0].theta(self.steps));
-            // The chain forks one fault stream per (scene, bucket); inside
-            // it, `render_sequence` keys faults per (frame, tile), so a
-            // reused tile never perturbs a rerendered tile's faults.
-            let chain_faults = FaultConfig {
-                seed: self.faults.seed
-                    ^ fnv1a(
-                        0,
-                        (scene as u64)
-                            .to_le_bytes()
-                            .into_iter()
-                            .chain(bucket.to_le_bytes()),
-                    ),
-                ..self.faults
-            };
-            let cfg = RenderConfig::new(policy)
-                .with_threads(1)
-                .with_faults(chain_faults);
-            let mut store = self
-                .stores
-                .remove(&(scene, bucket))
-                .unwrap_or_else(|| TileStore::new(self.temporal));
-            let results = render_sequence(&self.workloads[scene], &frames, &cfg, &mut store)?;
-            self.stores.insert((scene, bucket), store);
-            for (key, result) in keys.into_iter().zip(results) {
-                let luma = self
-                    .baselines
-                    .get(&(key.scene, key.frame))
-                    .and_then(Option::as_ref);
-                let frame = served_frame(key, &result, luma, self.ssim_mode);
-                self.ahead.insert(key, frame);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -785,43 +722,27 @@ mod tests {
     }
 
     #[test]
-    fn temporal_service_reuses_across_frames_and_stays_deterministic() {
+    fn with_temporal_accepts_off_and_rejects_reuse() {
         use patu_temporal::TemporalMode;
-        let cfg = ServeConfig {
-            scenes: vec!["orbit".to_string()],
-            resolution: (96, 64),
-            ..ServeConfig::default()
-        };
-        let keys: Vec<RenderKey> = (0..4).map(|f| key(0, f, 3)).collect();
-        let on_cfg = TemporalConfig::for_mode(TemporalMode::On);
-        let mut on = SimFrameService::with_temporal(&cfg, on_cfg).expect("builds");
-        let served = on.serve(&keys).expect("serves");
-        let rerun = SimFrameService::with_temporal(&cfg, on_cfg)
-            .expect("builds")
-            .serve(&keys)
+        let cfg = doom3();
+        let k = key(0, 0, 3);
+        let via_off = SimFrameService::with_temporal(&cfg, TemporalConfig::off())
+            .expect("off builds")
+            .serve(&[k])
             .expect("serves");
-        assert_eq!(served, rerun, "temporal serving is deterministic");
-        assert_eq!(on.distinct_renders(), 4);
-        let cached = on.serve(&keys).expect("recalls");
-        assert_eq!(cached, served, "cache hits are bit-identical");
-        assert_eq!(on.distinct_renders(), 4, "no re-render");
-
-        // Off mode through the explicit constructor takes the legacy
-        // per-key path; later frames cost more there because nothing blits.
-        let off = SimFrameService::with_temporal(&cfg, TemporalConfig::off())
+        let via_new = SimFrameService::new(&cfg)
             .expect("builds")
-            .serve(&keys)
+            .serve(&[k])
             .expect("serves");
-        let on_cycles: u64 = served.iter().map(|f| f.cycles).sum();
-        let off_cycles: u64 = off.iter().map(|f| f.cycles).sum();
-        assert!(
-            on_cycles < off_cycles,
-            "reuse must shed serve cycles ({on_cycles} vs {off_cycles})"
-        );
-        // The cold first frame renders fully either way.
-        assert_eq!(served[0].image_hash, off[0].image_hash);
-        for f in &served {
-            assert!(f.ssim > 0.8 && f.ssim <= 1.0, "ssim {}", f.ssim);
+        assert_eq!(via_off, via_new, "off is new");
+        for mode in [TemporalMode::On, TemporalMode::Aggressive] {
+            assert!(
+                matches!(
+                    SimFrameService::with_temporal(&cfg, TemporalConfig::for_mode(mode)),
+                    Err(ServeError::InvalidConfig { .. })
+                ),
+                "{mode:?} is rejected"
+            );
         }
     }
 

@@ -17,27 +17,15 @@ pub struct TileDecision {
     /// Effective threshold in basis points (threshold × 10⁴) the tile's
     /// demotions were decided under.
     pub threshold_bp: u32,
-    /// Order-independent digest of the Txds hash-table consults behind the
-    /// tile's decisions; lets a repredict cheaply detect a stale summary.
-    pub summary: u64,
 }
 
 impl TileDecision {
-    /// Builds a decision summary, deriving the digest from the fields.
+    /// Builds a decision summary from its three fields.
     pub fn new(fragments: u64, demoted: u64, threshold_bp: u32) -> TileDecision {
-        // FNV-1a over the three fields: stable, order-defined, cheap.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in [fragments, demoted, threshold_bp as u64] {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
         TileDecision {
             fragments,
             demoted,
             threshold_bp,
-            summary: h,
         }
     }
 }
@@ -235,12 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn decision_digest_tracks_fields() {
+    fn decisions_compare_by_fields() {
         let a = TileDecision::new(10, 3, 4000);
         let b = TileDecision::new(10, 3, 4000);
         let c = TileDecision::new(10, 4, 4000);
         assert_eq!(a, b);
-        assert_ne!(a.summary, c.summary);
+        assert_ne!(a, c);
     }
 
     #[test]
