@@ -37,7 +37,7 @@ const TARGET: Duration = Duration::from_millis(20);
 const MAX_ITERS: u64 = 1 << 22;
 
 /// Timed samples per benchmark; quantiles come from this set.
-const SAMPLES: usize = 9;
+pub const SAMPLES: usize = 9;
 
 /// One benchmark's summarized measurement.
 #[derive(Debug, Clone)]
@@ -242,15 +242,14 @@ impl<'a> Body<'a> {
 }
 
 /// The per-item time of `fast` over that of `slow`, as the median of
-/// [`SAMPLES`] per-sample ratios. Each body calibrates its own iteration
-/// count; each sample then times both back to back, so load that comes and
-/// goes on the host slows both sides of a ratio instead of one.
-pub fn interleaved_ratio(mut fast: Body<'_>, mut slow: Body<'_>) -> f64 {
+/// `samples` per-sample ratios (at least one). Each body calibrates its own
+/// iteration count; each sample then times both back to back, so load that
+/// comes and goes on the host slows both sides of a ratio instead of one.
+pub fn interleaved_ratio(samples: usize, mut fast: Body<'_>, mut slow: Body<'_>) -> f64 {
     let (fast_iters, slow_iters) = (fast.calibrate(), slow.calibrate());
-    let mut ratios = [0.0f64; SAMPLES];
-    for ratio in &mut ratios {
-        *ratio = fast.ns_per_item(fast_iters) / slow.ns_per_item(slow_iters);
-    }
+    let mut ratios: Vec<f64> = (0..samples.max(1))
+        .map(|_| fast.ns_per_item(fast_iters) / slow.ns_per_item(slow_iters))
+        .collect();
     ratios.sort_by(f64::total_cmp);
     quantile(&ratios, 0.5)
 }
@@ -317,7 +316,11 @@ mod tests {
             }
             x
         };
-        let ratio = interleaved_ratio(Body::batched(4, || (), |()| spin()), Body::looped(spin));
+        let ratio = interleaved_ratio(
+            SAMPLES,
+            Body::batched(4, || (), |()| spin()),
+            Body::looped(spin),
+        );
         assert!(ratio > 0.1 && ratio < 0.6, "ratio {ratio}");
     }
 

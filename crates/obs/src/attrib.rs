@@ -21,9 +21,11 @@
 //! frame_total() == frame cycles, always.
 //! ```
 //!
-//! [`Stage::SsimBaseline`] counts analysis-track work (baseline renders for
-//! SSIM scoring) that runs off the frame's critical path; it is reported but
-//! excluded from the conservation sum.
+//! [`Stage::SsimBaseline`] is reserved for analysis-track work off the
+//! frame's critical path: it is reported and excluded from the conservation
+//! sum, but no producer adds to it. A render attributes nothing there, and
+//! the serve layer keeps its reference-render cycles in
+//! `SimFrameService::baseline_cycles`, outside any attribution.
 
 use crate::report::Table;
 
@@ -51,7 +53,8 @@ pub enum Stage {
     /// critical path (a reused tile still occupies its cluster), but orders
     /// of magnitude cheaper than the fragment→texel work it replaces.
     Reuse,
-    /// Off-critical-path analysis work: baseline renders for SSIM scoring.
+    /// Off-critical-path analysis work, excluded from conservation. No
+    /// producer adds to it; it reads 0 in every recorded attribution.
     SsimBaseline,
 }
 

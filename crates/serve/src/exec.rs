@@ -15,6 +15,11 @@
 //! of that frame, each bucket under its own per-key fault stream. Every
 //! frame is bit-identical to rendering its key alone; the traversal shares
 //! the geometry, footprints, stage-2 keys and texel samples.
+//!
+//! Live services share their scenes: [`SimFrameService::new`] takes each
+//! `(name, resolution)` from a process-wide store of [`Weak`] handles, so
+//! sessions running side by side hold one copy of each texture set, and a
+//! scene is freed with the last service that holds it.
 
 use crate::error::ServeError;
 use crate::governor::reachable_buckets;
@@ -28,6 +33,7 @@ use patu_sim::{parallel, FrameResult, SimError};
 use patu_temporal::TemporalConfig;
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// FNV-1a over a byte stream: the cheap content hash used as the
 /// bit-identity witness on delivered frames, and to fork per-key fault
@@ -144,7 +150,9 @@ pub trait FrameService {
 /// render is bit-identical across thread counts, so results are
 /// independent of the thread count.
 pub struct SimFrameService {
-    workloads: Vec<Workload>,
+    /// The session's scenes, shared with every live service that built the
+    /// same `(name, resolution)` ([`shared_scene`]).
+    workloads: Vec<Arc<Workload>>,
     base_policy: FilterPolicy,
     steps: u32,
     faults: FaultConfig,
@@ -177,9 +185,37 @@ struct Group {
 /// it rendered, and a served frame per bucket.
 type GroupOutput = (Option<(GrayImage, u64)>, Vec<(RenderKey, ServedFrame)>);
 
+/// A scene's identity: the two arguments of [`Workload::build`].
+type SceneKey = (String, (u32, u32));
+
+/// The process-wide scene store. An entry holds a [`Weak`] handle, so it
+/// keeps no scene alive: a scene lives while some service holds it, and
+/// the next build after its last holder dropped is cold again and replaces
+/// the entry.
+static SCENES: Mutex<BTreeMap<SceneKey, Weak<Workload>>> = Mutex::new(BTreeMap::new());
+
+/// The scene `name` at `resolution`: the copy a live service already
+/// holds, or a fresh [`Workload::build`]. The build runs under the store's
+/// lock, so services started together build each scene once. A [`Workload`]
+/// is immutable after its build, so sharing one cannot change a render.
+/// A failed build inserts nothing.
+fn shared_scene(name: &str, resolution: (u32, u32)) -> Result<Arc<Workload>, SimError> {
+    // The map is only written after a build succeeds, so a poisoned lock
+    // still guards a consistent map.
+    let mut scenes = SCENES.lock().unwrap_or_else(PoisonError::into_inner);
+    let key = (name.to_string(), resolution);
+    if let Some(scene) = scenes.get(&key).and_then(Weak::upgrade) {
+        return Ok(scene);
+    }
+    let scene = Arc::new(Workload::build(name, resolution).map_err(SimError::Workload)?);
+    scenes.insert(key, Arc::downgrade(&scene));
+    Ok(scene)
+}
+
 impl SimFrameService {
     /// Builds the service for a session: one [`Workload`] per configured
-    /// scene at the session resolution.
+    /// scene at the session resolution, shared with every live service
+    /// that holds the same scene.
     ///
     /// # Errors
     ///
@@ -190,11 +226,11 @@ impl SimFrameService {
             threshold: cfg.base_threshold,
         };
         base_policy.validate().map_err(SimError::from)?;
-        let mut workloads = Vec::with_capacity(cfg.scenes.len());
-        for name in &cfg.scenes {
-            let w = Workload::build(name, cfg.resolution).map_err(SimError::Workload)?;
-            workloads.push(w);
-        }
+        let workloads = cfg
+            .scenes
+            .iter()
+            .map(|name| shared_scene(name, cfg.resolution))
+            .collect::<Result<_, _>>()?;
         Ok(SimFrameService {
             workloads,
             base_policy,
@@ -239,10 +275,10 @@ impl SimFrameService {
     }
 
     /// Simulated cycles spent rendering 16×AF SSIM baselines — reference
-    /// work on the analysis track, *not* on any serving GPU's clock. This
-    /// is the source for the attribution profiler's `ssim_baseline` stage
-    /// (excluded from the render-path conservation sum). Each
-    /// `(scene, frame)` counts once.
+    /// work on the analysis track, *not* on any serving GPU's clock. Each
+    /// `(scene, frame)` counts once, so the tests read it as the witness
+    /// that each reference rendered once, however many keys compared
+    /// against it.
     pub fn baseline_cycles(&self) -> u64 {
         self.baseline_cycles
     }
@@ -780,10 +816,109 @@ mod tests {
             s.serve(&[key(5, 0, 3)]),
             Err(ServeError::UnknownScene { index: 5, .. })
         ));
+    }
+
+    /// The store's live copies of `(name, resolution)`: the strong count
+    /// of its entry, or `None` without an entry. Each store test uses a
+    /// resolution of its own, so tests running beside it hold none.
+    fn live_copies(name: &str, resolution: (u32, u32)) -> Option<usize> {
+        SCENES
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&(name.to_string(), resolution))
+            .map(Weak::strong_count)
+    }
+
+    fn store_cfg(resolution: (u32, u32)) -> ServeConfig {
+        ServeConfig {
+            resolution,
+            ..ServeConfig::default()
+        }
+    }
+
+    #[test]
+    fn services_alive_together_share_each_scene() {
+        let cfg = store_cfg((80, 48));
+        let a = SimFrameService::new(&cfg).expect("builds");
+        let b = SimFrameService::new(&cfg).expect("builds");
+        assert_eq!(a.workloads.len(), 2);
+        for (x, y) in a.workloads.iter().zip(&b.workloads) {
+            assert!(std::ptr::eq(x.textures(), y.textures()), "one copy");
+        }
+        assert_eq!(live_copies("doom3", (80, 48)), Some(2));
+        let other = SimFrameService::new(&store_cfg((80, 40))).expect("builds");
+        assert!(
+            !std::ptr::eq(a.workloads[0].textures(), other.workloads[0].textures()),
+            "another resolution is another scene"
+        );
+    }
+
+    #[test]
+    fn the_store_keeps_nothing_alive_after_the_last_holder() {
+        let (cfg, res) = (store_cfg((88, 40)), (88, 40));
+        let a = SimFrameService::new(&cfg).expect("builds");
+        let b = SimFrameService::new(&cfg).expect("builds");
+        let scene = Arc::downgrade(&a.workloads[0]);
+        drop(a);
+        assert_eq!(scene.strong_count(), 1, "b still holds it");
+        drop(b);
+        assert_eq!(scene.strong_count(), 0, "freed with its last holder");
+        assert_eq!(live_copies("doom3", res), Some(0));
+        assert_eq!(live_copies("hl2", res), Some(0));
+        let c = SimFrameService::new(&cfg).expect("builds");
+        assert_eq!(live_copies("doom3", res), Some(1), "built cold again");
+        drop(c);
+    }
+
+    #[test]
+    fn services_built_in_parallel_hold_one_copy() {
+        let cfg = store_cfg((72, 56));
+        let built = parallel::run_indexed(2, 2, |_| SimFrameService::new(&cfg));
+        let [Ok(a), Ok(b)] = &built[..] else {
+            panic!("both build");
+        };
+        for (x, y) in a.workloads.iter().zip(&b.workloads) {
+            assert!(Arc::ptr_eq(x, y), "one copy");
+        }
+        assert_eq!(live_copies("hl2", (72, 56)), Some(2));
+    }
+
+    #[test]
+    fn a_session_beside_another_holder_logs_the_same_bytes() {
+        use crate::server::run_session;
+        let cfg = ServeConfig {
+            clients: 2,
+            jobs_per_client: 6,
+            threads: Some(1),
+            ..store_cfg((64, 40))
+        };
+        let alone = {
+            let mut svc = SimFrameService::new(&cfg).expect("builds");
+            assert_eq!(live_copies("doom3", (64, 40)), Some(1), "no other holder");
+            run_session(&cfg, &mut svc).expect("runs").log
+        };
+        let holder = SimFrameService::new(&cfg).expect("builds");
+        let mut beside = SimFrameService::new(&cfg).expect("builds");
+        assert!(Arc::ptr_eq(&holder.workloads[0], &beside.workloads[0]));
+        let beside = run_session(&cfg, &mut beside).expect("runs").log;
+        assert!(!alone.is_empty());
+        assert_eq!(alone, beside, "sharing a scene changes no log byte");
+    }
+
+    #[test]
+    fn an_unknown_scene_fails_alike_and_leaves_no_entry() {
+        let res = (56, 40);
         let bad = ServeConfig {
             scenes: vec!["not-a-game".to_string()],
-            ..cfg
+            ..store_cfg(res)
         };
-        assert!(SimFrameService::new(&bad).is_err());
+        let expected = Workload::build("not-a-game", res)
+            .map_err(|e| ServeError::from(SimError::Workload(e)))
+            .err();
+        assert!(expected.is_some());
+        for _ in 0..2 {
+            assert_eq!(SimFrameService::new(&bad).err(), expected);
+            assert_eq!(live_copies("not-a-game", res), None);
+        }
     }
 }
