@@ -13,8 +13,9 @@
 //!   instead of stdout.
 //! * `patu_report --check` — the CI attribution gate: renders every
 //!   bundled scene and hard-fails unless per-frame cycle attribution
-//!   conserves (stage sums equal total frame cycles) and each scene's
-//!   top-k stage shares hold against `BENCH_attribution.json`.
+//!   conserves (stage sums equal total frame cycles), the baseline names
+//!   only known stages, and each scene's top-k stage shares hold against
+//!   `BENCH_attribution.json`.
 //! * `patu_report --record` — (re)records `BENCH_attribution.json`.
 
 use patu_bench::{micro, ArgError, Knobs};
@@ -225,12 +226,10 @@ fn dashboard(stream: &str) -> Vec<Section> {
         let rows = attrib
             .shares_x10000()
             .into_iter()
-            .map(|(name, share)| {
+            .map(|(stage, share)| {
                 vec![
-                    name.to_string(),
-                    attrib
-                        .get(Stage::from_name(name).unwrap_or(Stage::Setup))
-                        .to_string(),
+                    stage.name().to_string(),
+                    attrib.get(stage).to_string(),
                     format!("{:.1}%", share as f64 / 100.0),
                     bar(share),
                 ]
@@ -241,7 +240,7 @@ fn dashboard(stream: &str) -> Vec<Section> {
             header: vec!["stage".into(), "cycles".into(), "share".into(), "".into()],
             rows,
             notes: vec![format!(
-                "Render-path stages conserve: {} cycles total (ssim_baseline is analysis-track).",
+                "Stages conserve: {} cycles total.",
                 attrib.frame_total()
             )],
         });
@@ -293,11 +292,11 @@ fn record_baseline(knobs: &Knobs) -> Result<(), Box<dyn std::error::Error>> {
             rows.push_str(",\n");
         }
         let mut stages = String::new();
-        for (j, (name, share)) in attrib.shares_x10000().into_iter().enumerate() {
+        for (j, (stage, share)) in attrib.shares_x10000().into_iter().enumerate() {
             if j > 0 {
                 stages.push_str(", ");
             }
-            stages.push_str(&format!("\"{name}\": {share}"));
+            stages.push_str(&format!("\"{}\": {share}", stage.name()));
         }
         rows.push_str(&format!(
             "    {{\"scene\": \"{scene}\", \"total\": {total}, \"shares_x10000\": {{{stages}}}}}"
@@ -325,6 +324,28 @@ fn recorded_share(baseline: &Json, scene: &str, stage: &str) -> Option<u64> {
     field_u64(row.get("shares_x10000")?, stage)
 }
 
+/// Rejects a baseline that names a stage [`Stage::from_name`] does not
+/// know, so a removed stage's column cannot linger in the recorded file.
+fn check_baseline_stages(baseline: &Json) -> Result<(), String> {
+    let rows = baseline
+        .get("scenes")
+        .and_then(Json::as_arr)
+        .ok_or("BENCH_attribution.json: missing \"scenes\"")?;
+    for row in rows {
+        let Some(Json::Obj(shares)) = row.get("shares_x10000") else {
+            continue;
+        };
+        if let Some(name) = shares.keys().find(|name| Stage::from_name(name).is_none()) {
+            let scene = field_str(row, "scene").unwrap_or("?");
+            return Err(format!(
+                "BENCH_attribution.json: {scene} names unknown stage `{name}`; re-record it \
+                 with `cargo run --release -p patu-bench --bin patu_report -- --record`"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Diffs each scene's top-k attribution shares against the recorded
 /// baseline; any drift beyond tolerance is a hard failure with a
 /// regeneration hint.
@@ -335,11 +356,13 @@ fn check_against_baseline(knobs: &Knobs) -> Result<(), Box<dyn std::error::Error
          `cargo run --release -p patu-bench --bin patu_report -- --record`"
     })?;
     let baseline = json::parse(&text).map_err(|e| format!("BENCH_attribution.json: {e}"))?;
+    check_baseline_stages(&baseline)?;
     for scene in game_names() {
         let (attrib, _) = scene_attribution(knobs, scene)?;
         let mut shares = attrib.shares_x10000();
-        shares.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        shares.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.name().cmp(b.0.name())));
         for (stage, measured) in shares.into_iter().take(TOP_K) {
+            let stage = stage.name();
             let recorded = recorded_share(&baseline, scene, stage).ok_or_else(|| {
                 format!("BENCH_attribution.json lacks {scene}/{stage}; re-record it")
             })?;
@@ -456,6 +479,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn baseline_naming_an_unknown_stage_is_rejected() {
+        let good = json::parse(
+            "{\"scenes\": [{\"scene\": \"doom3\", \"shares_x10000\": {\"setup\": 10, \"dram\": 9990}}]}",
+        )
+        .expect("valid JSON");
+        assert_eq!(check_baseline_stages(&good), Ok(()));
+        let stale = json::parse(
+            "{\"scenes\": [{\"scene\": \"doom3\", \"shares_x10000\": {\"setup\": 10, \"retired\": 0}}]}",
+        )
+        .expect("valid JSON");
+        let err = check_baseline_stages(&stale).expect_err("a stale stage column fails");
+        assert!(err.contains("doom3") && err.contains("`retired`"), "{err}");
     }
 
     #[test]

@@ -8,8 +8,7 @@ use patu_obs::json::num_fixed;
 use patu_obs::Log2Histogram;
 use patu_scenes::{catalog, Workload};
 use patu_sim::experiment::{best_point, run_policies, AggregateResult, ExperimentConfig};
-use patu_sim::render::render_frame;
-use patu_sim::replay::ReplayModel;
+use patu_sim::render::{render_frame, render_policies};
 use patu_sim::satisfaction::SatisfactionModel;
 use std::fmt::Write;
 
@@ -615,6 +614,11 @@ pub(super) fn fig21(ctx: &Ctx, out: &mut String) -> Report {
     )
 }
 
+/// The display refresh rate of Fig. 22's replay videos: the paper draws
+/// each frame at the start of a 60 Hz screen refresh (Sec. VI), so no
+/// threshold's frame rate can exceed it.
+const REFRESH_HZ: f64 = 60.0;
+
 /// Fig. 22: user satisfaction over thresholds, from fps capped at the
 /// display's refresh rate and the synthetic satisfaction model (the
 /// documented stand-in for the paper's 30-participant study — see
@@ -626,6 +630,18 @@ pub(super) fn fig22(ctx: &Ctx, out: &mut String) -> Report {
         "(synthetic satisfaction model — Fig. 22 substitution, DESIGN.md §2)\n"
     )?;
     let thresholds = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
+    // θ = 0 is AF-off and θ = 1 the 16xAF baseline, which every other
+    // threshold's MSSIM is scored against.
+    let policies = thresholds.map(|t| {
+        if t >= 1.0 {
+            FilterPolicy::Baseline
+        } else if t <= 0.0 {
+            FilterPolicy::NoAf
+        } else {
+            FilterPolicy::Patu { threshold: t }
+        }
+    });
+    let base = policies.len() - 1;
     // The synthetic raters' visibility knee is placed where *this*
     // simulator's MSSIM actually varies (our quality scale is compressed
     // relative to the paper's commercial-content scale; see EXPERIMENTS.md).
@@ -635,7 +651,6 @@ pub(super) fn fig22(ctx: &Ctx, out: &mut String) -> Report {
         ..SatisfactionModel::default()
     };
     let ssim = ctx.knobs.ssim();
-    let refresh_hz = ReplayModel::default().refresh_hz;
     let frame_count = ctx.opts.frames.max(3);
     let (hi, lo) = if ctx.opts.full {
         ((1280, 1024), (640, 480))
@@ -645,18 +660,34 @@ pub(super) fn fig22(ctx: &Ctx, out: &mut String) -> Report {
     for (game, res) in [("doom3", hi), ("doom3", lo), ("hl2", hi), ("hl2", lo)] {
         let workload = Workload::build(game, res)?;
         let frames: Vec<u32> = (0..frame_count).map(|i| i * 80).collect();
-        let baselines: Vec<_> = frames
-            .iter()
-            .map(|&f| render_frame(&workload, f, &ctx.knobs.render(FilterPolicy::Baseline)))
-            .collect::<Result<_, _>>()?;
+        // Per threshold, accumulated in frame order: summed cycles, summed
+        // MSSIM against the frame's baseline, merged latency histogram.
+        let mut rows = thresholds.map(|_| (0u64, 0.0f64, Log2Histogram::new()));
+        for &f in &frames {
+            let results = render_policies(
+                &workload,
+                f,
+                &ctx.knobs.render(FilterPolicy::Baseline),
+                &policies,
+            )?;
+            let base_luma = results[base].luma();
+            for (k, (row, r)) in rows.iter_mut().zip(&results).enumerate() {
+                row.0 += r.stats.cycles;
+                row.1 += if k == base {
+                    1.0
+                } else {
+                    f64::from(ssim.mssim(&base_luma, &r.luma()))
+                };
+                row.2.accumulate(&r.stats.filter_latency_hist);
+            }
+        }
+        let n = frames.len() as u64;
 
         // Display normalization: scale the clock so the 16xAF baseline
         // lands in the paper's 33-58 fps band (the simulator's absolute
         // cycle counts are not ATTILA's; the *relative* frame times across
         // thresholds are what the study ranks).
-        let mean_base_cycles =
-            baselines.iter().map(|r| r.stats.cycles).sum::<u64>() / baselines.len() as u64;
-        let clock = mean_base_cycles as f64 * 33.0;
+        let clock = (rows[base].0 / n) as f64 * 33.0;
 
         writeln!(out, "{game} @ {}x{}:", res.0, res.1)?;
         writeln!(
@@ -664,34 +695,11 @@ pub(super) fn fig22(ctx: &Ctx, out: &mut String) -> Report {
             "threshold      fps    MSSIM satisfaction  lat mean     p50     p95     p99"
         )?;
         let mut best = (0.0, f64::MIN);
-        for &t in &thresholds {
-            let policy = if t >= 1.0 {
-                FilterPolicy::Baseline
-            } else if t <= 0.0 {
-                FilterPolicy::NoAf
-            } else {
-                FilterPolicy::Patu { threshold: t }
-            };
-            let mut cycles = Vec::new();
-            let mut mssim_sum = 0.0;
-            let mut latency = Log2Histogram::new();
-            for (i, &f) in frames.iter().enumerate() {
-                let r = if policy == FilterPolicy::Baseline {
-                    mssim_sum += 1.0;
-                    baselines[i].clone()
-                } else {
-                    let r = render_frame(&workload, f, &ctx.knobs.render(policy))?;
-                    mssim_sum += f64::from(ssim.mssim(&baselines[i].luma(), &r.luma()));
-                    r
-                };
-                latency.accumulate(&r.stats.filter_latency_hist);
-                cycles.push(r.stats.cycles);
-            }
-            let mssim = mssim_sum / frames.len() as f64;
+        for (&t, (cycles, mssim_sum, latency)) in thresholds.iter().zip(&rows) {
+            let mssim = mssim_sum / n as f64;
             // Smooth fps capped at the refresh rate: a vsync replay of so
             // few frames quantizes too coarsely to rank thresholds.
-            let mean_cycles = cycles.iter().sum::<u64>() as f64 / cycles.len() as f64;
-            let fps = (clock / mean_cycles).min(refresh_hz);
+            let fps = (clock / (*cycles as f64 / n as f64)).min(REFRESH_HZ);
             let score = rater.score(mssim, fps, u64::from(res.0) * u64::from(res.1));
             writeln!(
                 out,

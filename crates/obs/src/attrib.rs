@@ -21,11 +21,9 @@
 //! frame_total() == frame cycles, always.
 //! ```
 //!
-//! [`Stage::SsimBaseline`] is reserved for analysis-track work off the
-//! frame's critical path: it is reported and excluded from the conservation
-//! sum, but no producer adds to it. A render attributes nothing there, and
-//! the serve layer keeps its reference-render cycles in
-//! `SimFrameService::baseline_cycles`, outside any attribution.
+//! Every stage counts toward that sum. The serve layer keeps its
+//! reference-render cycles in `SimFrameService::baseline_cycles`, outside
+//! any attribution.
 
 use crate::report::Table;
 
@@ -53,14 +51,11 @@ pub enum Stage {
     /// critical path (a reused tile still occupies its cluster), but orders
     /// of magnitude cheaper than the fragment→texel work it replaces.
     Reuse,
-    /// Off-critical-path analysis work, excluded from conservation. No
-    /// producer adds to it; it reads 0 in every recorded attribution.
-    SsimBaseline,
 }
 
 impl Stage {
     /// All stages, in canonical report order.
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 9] = [
         Stage::Setup,
         Stage::Shade,
         Stage::Predictor,
@@ -70,7 +65,6 @@ impl Stage {
         Stage::CacheStall,
         Stage::Dram,
         Stage::Reuse,
-        Stage::SsimBaseline,
     ];
 
     /// The stage's stable JSONL / report label.
@@ -85,7 +79,6 @@ impl Stage {
             Stage::CacheStall => "cache_stall",
             Stage::Dram => "dram",
             Stage::Reuse => "reuse",
-            Stage::SsimBaseline => "ssim_baseline",
         }
     }
 
@@ -94,17 +87,9 @@ impl Stage {
         Stage::ALL.into_iter().find(|s| s.name() == name)
     }
 
-    /// Whether the stage is on the frame's critical render path and thus
-    /// participates in the conservation invariant.
-    pub fn on_render_path(self) -> bool {
-        !matches!(self, Stage::SsimBaseline)
-    }
-
+    /// The stage's position in [`Stage::ALL`]: the declaration order.
     fn index(self) -> usize {
-        Stage::ALL
-            .iter()
-            .position(|&s| s == self)
-            .unwrap_or_default()
+        self as usize
     }
 }
 
@@ -135,14 +120,10 @@ impl Attribution {
         self.cycles.iter().all(|&c| c == 0)
     }
 
-    /// Sum over render-path stages — by the conservation invariant, equal to
-    /// the frame's total simulated cycles.
+    /// Sum over all stages — by the conservation invariant, equal to the
+    /// frame's total simulated cycles.
     pub fn frame_total(&self) -> u64 {
-        Stage::ALL
-            .iter()
-            .filter(|s| s.on_render_path())
-            .map(|&s| self.get(s))
-            .sum()
+        self.cycles.iter().sum()
     }
 
     /// Element-wise accumulation (for session-level aggregates).
@@ -195,20 +176,19 @@ impl Attribution {
         }
     }
 
-    /// Per-stage share of the render-path total, fixed-point ×10000
-    /// (basis points). `SsimBaseline` is reported relative to the same
-    /// render total so it can exceed 10000.
-    pub fn shares_x10000(&self) -> Vec<(&'static str, u64)> {
+    /// Per-stage share of the frame total, fixed-point ×10000 (basis
+    /// points), in canonical order.
+    pub fn shares_x10000(&self) -> Vec<(Stage, u64)> {
         let total = self.frame_total().max(1);
         Stage::ALL
             .iter()
-            .map(|&s| (s.name(), self.get(s) * 10_000 / total))
+            .map(|&s| (s, self.get(s) * 10_000 / total))
             .collect()
     }
 
-    /// The `"attrib"` JSONL line for this frame: total render-path cycles
-    /// plus every non-zero stage. All values are integers, so no float
-    /// formatting is involved.
+    /// The `"attrib"` JSONL line for this frame: total cycles plus every
+    /// non-zero stage. All values are integers, so no float formatting is
+    /// involved.
     pub fn jsonl_line(&self, frame: u32) -> String {
         let mut line = format!(
             "{{\"type\":\"attrib\",\"frame\":{frame},\"total\":{},\"stages\":{{",
@@ -259,6 +239,7 @@ mod tests {
     fn stage_names_round_trip() {
         for stage in Stage::ALL {
             assert_eq!(Stage::from_name(stage.name()), Some(stage));
+            assert_eq!(Stage::ALL[stage.index()], stage);
         }
         assert_eq!(Stage::from_name("bogus"), None);
     }
@@ -297,18 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn ssim_baseline_is_off_the_conservation_sum() {
-        let mut a = Attribution::new();
-        a.add(Stage::Setup, 100);
-        a.add(Stage::Shade, 900);
-        a.add(Stage::SsimBaseline, 5_000);
-        assert_eq!(a.frame_total(), 1_000);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
     fn reuse_is_on_the_render_path() {
-        assert!(Stage::Reuse.on_render_path());
         let mut a = Attribution::new();
         a.add(Stage::Setup, 100);
         a.add(Stage::Reuse, 40);

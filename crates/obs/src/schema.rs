@@ -204,23 +204,22 @@ pub fn check_line(line: &str) -> Result<(), String> {
             let Some(Json::Obj(stages)) = obj.get("stages") else {
                 return Err("missing or non-object \"stages\"".to_string());
             };
-            let mut render_sum = 0.0f64;
+            let mut stage_sum = 0.0f64;
             for (name, value) in stages {
-                let stage = crate::attrib::Stage::from_name(name)
-                    .ok_or_else(|| format!("unknown attribution stage \"{name}\""))?;
+                if crate::attrib::Stage::from_name(name).is_none() {
+                    return Err(format!("unknown attribution stage \"{name}\""));
+                }
                 let cycles = value
                     .as_num()
                     .ok_or_else(|| format!("non-numeric stage \"{name}\""))?;
                 if cycles < 0.0 {
                     return Err(format!("negative stage \"{name}\""));
                 }
-                if stage.on_render_path() {
-                    render_sum += cycles;
-                }
+                stage_sum += cycles;
             }
-            if render_sum != total {
+            if stage_sum != total {
                 return Err(format!(
-                    "attribution not conserved: stage sum {render_sum} != total {total}"
+                    "attribution not conserved: stage sum {stage_sum} != total {total}"
                 ));
             }
             Ok(())
@@ -439,15 +438,17 @@ mod tests {
         a.add(Stage::Setup, 100);
         a.add(Stage::Shade, 400);
         a.add(Stage::Dram, 500);
-        a.add(Stage::SsimBaseline, 9_999);
         assert!(check_line(&a.jsonl_line(2)).is_ok());
         let broken = "{\"type\":\"attrib\",\"frame\":0,\"total\":100,\"stages\":{\"setup\":60,\"shade\":60}}";
         assert!(check_line(broken).unwrap_err().contains("not conserved"));
         let unknown = "{\"type\":\"attrib\",\"frame\":0,\"total\":5,\"stages\":{\"mystery\":5}}";
         assert!(check_line(unknown).unwrap_err().contains("mystery"));
-        // ssim_baseline rides outside the conservation sum.
+        // Every stage counts toward conservation; a name outside
+        // `Stage::ALL` is rejected, not set aside.
         let side = "{\"type\":\"attrib\",\"frame\":0,\"total\":10,\"stages\":{\"setup\":10,\"ssim_baseline\":77}}";
-        assert!(check_line(side).is_ok());
+        assert!(check_line(side)
+            .unwrap_err()
+            .contains("unknown attribution stage \"ssim_baseline\""));
     }
 
     #[test]

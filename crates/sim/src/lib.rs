@@ -12,8 +12,6 @@
 //! * [`experiment`] — the paper's comparisons: AF on/off, the four design
 //!   points, threshold sweeps, cache scaling, multi-frame averaging with
 //!   MSSIM against the 16×AF baseline.
-//! * [`replay`] — the analysis-layer game replay of Sec. VI: 60 Hz vsync,
-//!   frame stalls, motion-lag accounting.
 //! * [`satisfaction`] — a documented synthetic stand-in for the paper's
 //!   30-participant user study (Fig. 22); see DESIGN.md §2 for the
 //!   substitution rationale.
@@ -42,9 +40,7 @@ pub mod experiment;
 pub mod foveation;
 pub mod parallel;
 pub mod render;
-pub mod replay;
 pub mod satisfaction;
-pub mod stereo;
 
 pub use controller::ThresholdController;
 pub use error::SimError;
@@ -54,6 +50,4 @@ pub use render::{
     render_frame, render_policies, render_policies_faulted, render_sequence, BatchMode,
     FrameResult, RenderConfig,
 };
-pub use replay::{ReplayModel, ReplayResult};
 pub use satisfaction::SatisfactionModel;
-pub use stereo::{render_stereo, StereoFrameResult};

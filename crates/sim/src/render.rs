@@ -315,9 +315,9 @@ pub fn render_policies_faulted(
             ..*cfg
         })
         .collect();
-    let mut results = render_scene_inner(workload, &scene, cfg, cfgs, None)?;
-    // `render_scene` has no frame identity (the stereo path renders derived
-    // scenes); stamp it here so telemetry artifacts name the frame.
+    let mut results = render_scene(workload, &scene, cfg, cfgs, None)?;
+    // `render_scene` takes a scene, not a frame index; stamp the frame here
+    // so telemetry artifacts name it.
     for result in &mut results {
         stamp_frame(result, index);
     }
@@ -376,7 +376,7 @@ pub fn render_sequence(
                 prev: store.prev_image(),
                 store,
             };
-            render_scene_inner(workload, &scene, cfg, vec![*cfg], Some(&ctx))?.swap_remove(0)
+            render_scene(workload, &scene, cfg, vec![*cfg], Some(&ctx))?.swap_remove(0)
         };
         stamp_frame(&mut result, frame);
         // Refresh the store: rendered tiles contribute fresh decision
@@ -405,29 +405,12 @@ struct SeqCtx<'a> {
     store: &'a TileStore,
 }
 
-/// Renders an explicit scene (meshes + camera) using `workload`'s texture
-/// and shader tables. [`render_frame`] is the common entry point; this one
-/// exists for callers that modify the camera first — e.g. the stereo/VR
-/// path in [`crate::stereo`], which renders two eye views of one frame.
-///
-/// # Errors
-///
-/// See [`render_frame`].
-pub fn render_scene(
-    workload: &Workload,
-    scene: &patu_scenes::FrameScene,
-    cfg: &RenderConfig,
-) -> Result<FrameResult, SimError> {
-    let mut results = render_scene_inner(workload, scene, cfg, vec![*cfg], None)?;
-    Ok(results.swap_remove(0))
-}
-
-/// The shared frame renderer: one traversal for every per-policy
-/// configuration in `cfgs` (each `cfg` with its own policy and faults),
-/// one result per entry. `temporal` is `Some` only on the
-/// [`render_sequence`] path; with `None` the behavior (including fault
-/// stream positions) is byte-identical to what [`render_scene`] always did.
-fn render_scene_inner(
+/// The shared frame renderer: renders `scene` with `workload`'s texture and
+/// shader tables in one traversal for every per-policy configuration in
+/// `cfgs` (each `cfg` with its own policy and faults), one result per
+/// entry. `temporal` is `Some` only on the [`render_sequence`] path; with
+/// `None` every tile renders.
+fn render_scene(
     workload: &Workload,
     scene: &patu_scenes::FrameScene,
     cfg: &RenderConfig,
@@ -1632,11 +1615,6 @@ mod tests {
             "predictor evaluations attributed"
         );
         assert!(t.attrib.get(Stage::TexelFetch) > 0, "texel work attributed");
-        assert_eq!(
-            t.attrib.get(Stage::SsimBaseline),
-            0,
-            "no analysis track inside a render"
-        );
     }
 
     #[test]

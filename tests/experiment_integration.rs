@@ -7,9 +7,6 @@ use patu_scenes::Workload;
 use patu_sim::experiment::{
     best_point, design_points, run_policies, threshold_sweep, ExperimentConfig,
 };
-use patu_sim::render::{render_frame, RenderConfig};
-use patu_sim::replay::ReplayModel;
-use patu_sim::satisfaction::SatisfactionModel;
 
 const RES: (u32, u32) = (192, 160);
 
@@ -108,44 +105,6 @@ fn sweep_and_best_point_are_consistent() {
         .unwrap();
     for (_, r) in &sweep {
         assert!(bp_metric >= r.tuning_metric(&baseline) - 1e-12);
-    }
-}
-
-#[test]
-fn replay_plus_satisfaction_full_loop() {
-    // The Fig. 22 pipeline end-to-end on a tiny run: render a few frames,
-    // vsync-replay, score.
-    let w = Workload::build("doom3", RES).unwrap();
-    let frames = [0u32, 100, 200];
-    let replay = ReplayModel::default();
-    let rater = SatisfactionModel::default();
-
-    let mut scores = Vec::new();
-    for policy in [
-        FilterPolicy::NoAf,
-        FilterPolicy::Patu { threshold: 0.4 },
-        FilterPolicy::Baseline,
-    ] {
-        let cycles: Vec<u64> = frames
-            .iter()
-            .map(|&f| {
-                render_frame(&w, f, &RenderConfig::new(policy))
-                    .unwrap()
-                    .stats
-                    .cycles
-            })
-            .collect();
-        let fps = replay.average_fps(&cycles);
-        // Use known quality approximations per policy for the loop test.
-        let mssim = match policy {
-            FilterPolicy::Baseline => 1.0,
-            FilterPolicy::NoAf => 0.75,
-            _ => 0.94,
-        };
-        scores.push(rater.score(mssim, fps, u64::from(RES.0) * u64::from(RES.1)));
-    }
-    for s in &scores {
-        assert!((1.0..=5.0).contains(s));
     }
 }
 

@@ -1,11 +1,9 @@
-//! Integration tests for the foveated-threshold and stereo VR extensions.
+//! Integration tests for the foveated-threshold extension.
 
 use patu_core::FilterPolicy;
-use patu_gmath::Vec2;
 use patu_scenes::Workload;
 use patu_sim::foveation::Foveation;
 use patu_sim::render::{render_frame, RenderConfig};
-use patu_sim::stereo::render_stereo;
 
 const RES: (u32, u32) = (224, 160);
 
@@ -64,18 +62,4 @@ fn tight_fovea_approximates_more_than_wide() {
         r_tight.stats.events.texel_fetches <= r_wide.stats.events.texel_fetches,
         "smaller fovea -> more periphery -> fewer texels"
     );
-}
-
-#[test]
-fn foveated_stereo_composes() {
-    // The VR path with per-eye foveation around each eye's screen center.
-    let w = Workload::build("doom3", RES).unwrap();
-    let cfg = RenderConfig::new(FilterPolicy::Patu { threshold: 0.6 }).with_foveation(Foveation {
-        center: Vec2::new(0.5, 0.5),
-        ..Foveation::default()
-    });
-    let s = render_stereo(&w, 0, &cfg, 0.3).unwrap();
-    assert!(s.left.approx.pixels > 0);
-    assert!(s.right.approx.pixels > 0);
-    assert!(s.combined_stats().cycles > 0);
 }
