@@ -8,7 +8,7 @@ use patu_obs::json::num_fixed;
 use patu_obs::Log2Histogram;
 use patu_scenes::{catalog, Workload};
 use patu_sim::experiment::{best_point, run_policies, AggregateResult, ExperimentConfig};
-use patu_sim::render::{render_frame, render_policies};
+use patu_sim::render::render_policies;
 use patu_sim::satisfaction::SatisfactionModel;
 use std::fmt::Write;
 
@@ -152,12 +152,13 @@ pub(super) fn fig04(ctx: &Ctx, out: &mut String) -> Report {
         let (mut sum_on, mut sum_off) = (0.0f64, 0.0f64);
         for i in 0..ctx.opts.frames {
             let frame = i * 150;
-            let fps = |policy| -> Result<f64, Box<dyn std::error::Error>> {
-                Ok(render_frame(&workload, frame, &ctx.knobs.render(policy))?
-                    .stats
-                    .fps(freq))
-            };
-            let (fps_on, fps_off) = (fps(FilterPolicy::Baseline)?, fps(FilterPolicy::NoAf)?);
+            let rendered = render_policies(
+                &workload,
+                frame,
+                &ctx.knobs.render(FilterPolicy::Baseline),
+                &[FilterPolicy::Baseline, FilterPolicy::NoAf],
+            )?;
+            let (fps_on, fps_off) = (rendered[0].stats.fps(freq), rendered[1].stats.fps(freq));
             sum_on += fps_on;
             sum_off += fps_off;
             let gain = pct_delta(fps_off / fps_on);
@@ -321,8 +322,13 @@ pub(super) fn fig08(ctx: &Ctx, out: &mut String) -> Report {
     };
     ctx.title(out, "FIG. 8: hl2 AF-on/AF-off SSIM index map")?;
     let workload = Workload::build("hl2", res)?;
-    let on = render_frame(&workload, 0, &ctx.knobs.render(FilterPolicy::Baseline))?;
-    let off = render_frame(&workload, 0, &ctx.knobs.render(FilterPolicy::NoAf))?;
+    let rendered = render_policies(
+        &workload,
+        0,
+        &ctx.knobs.render(FilterPolicy::Baseline),
+        &[FilterPolicy::Baseline, FilterPolicy::NoAf],
+    )?;
+    let (on, off) = (&rendered[0], &rendered[1]);
     let map = ctx.knobs.ssim().ssim_map(&on.luma(), &off.luma());
     write_file("out/fig08_af_on.ppm", |b| on.image.write_ppm(b))?;
     write_file("out/fig08_af_off.ppm", |b| off.image.write_ppm(b))?;

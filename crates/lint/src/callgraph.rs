@@ -93,9 +93,8 @@ fn call_site_rules(nodes: &[Node<'_>], resolve: &dyn Fn(&str) -> Vec<usize>) -> 
             if call.rng_args.is_empty() && call.thread_args.is_empty() {
                 continue;
             }
-            let is_partition = call.target.ends_with("::run_tasks")
-                || call.target.ends_with("::run_indexed")
-                || call.target.ends_with("::map_rows");
+            let is_partition =
+                call.target.ends_with("::run_tasks") || call.target.ends_with("::map_rows");
             for j in resolve(&call.target) {
                 let callee = &nodes[j];
                 for arg in &call.rng_args {
@@ -262,7 +261,7 @@ mod tests {
             "crates/fault/src/lib.rs",
             "use patu_sim::parallel;\nuse patu_gmath::DetRng;\n\
              pub fn inject_all(rng: &mut DetRng) -> u64 {\n\
-                 parallel::run_indexed(4, 8, |i| rng.next_u64() ^ i as u64).iter().count() as u64\n\
+                 parallel::run_tasks(4, (0..8).map(|i| Box::new(move || rng.next_u64() ^ i) as parallel::Task<'_, u64>).collect()).iter().count() as u64\n\
              }\n",
         );
         files.insert(p1, f1);

@@ -6,7 +6,7 @@
 //! * **RNG streams** — every local is classified by origin
 //!   (`DetRng::new`, `.fork(..)` child, `.clone()`/copy of another stream,
 //!   or a `DetRng` parameter). Inside a *partition region* (the closure
-//!   arguments of `patu_sim::parallel::run_tasks`/`run_indexed` and
+//!   arguments of `patu_sim::parallel::run_tasks` and
 //!   `quality::par::map_rows`, plus statements building `parallel::Task`
 //!   vectors) only region-local streams and fresh `fork` children may be
 //!   drawn; drawing, cloning, or passing a stream captured from outside the
@@ -297,15 +297,11 @@ fn call_paren(toks: &[Tok], i: usize) -> Option<usize> {
 /// Whether an absolute call path is one of the ordered-merge partition
 /// APIs whose closure arguments form a partition region.
 fn is_partition_api(path: &str) -> bool {
-    path.ends_with("parallel::run_tasks")
-        || path.ends_with("parallel::run_indexed")
-        || path.ends_with("::run_tasks")
-        || path.ends_with("::run_indexed")
-        || path.ends_with("::map_rows")
+    path.ends_with("::run_tasks") || path.ends_with("::map_rows")
 }
 
 /// Walks a path call backwards from the final segment at `i`, returning the
-/// segment list (`["parallel", "run_indexed"]`).
+/// segment list (`["parallel", "run_tasks"]`).
 fn path_segments(toks: &[Tok], i: usize) -> (Vec<String>, usize) {
     let mut segs = vec![toks[i].text.clone()];
     let mut first = i;
@@ -419,9 +415,7 @@ fn partition_regions(toks: &[Tok], idx: &FileIndex, body: (usize, usize)) -> Vec
                 if let Some(open) = call_paren(toks, i) {
                     let (segs, _) = path_segments(toks, i);
                     let resolved = idx.resolve_path(&segs);
-                    if is_partition_api(&resolved)
-                        && (name == "run_tasks" || name == "run_indexed" || name == "map_rows")
-                    {
+                    if is_partition_api(&resolved) && (name == "run_tasks" || name == "map_rows") {
                         let close = matching_close(toks, open);
                         regions.extend(closure_regions(toks, open, close));
                     }
@@ -1017,7 +1011,7 @@ fn scan_fold_sink(
                         format!(
                             "float accumulator `{name}` is indexed by a thread-derived \
                              value — per-worker partial sums reduce in thread order; merge \
-                             through `parallel::run_tasks`/`run_indexed` results instead"
+                             through `parallel::run_tasks` results instead"
                         ),
                         diags,
                     ),
@@ -1045,7 +1039,7 @@ fn scan_fold_sink(
                             "float reduction over `{name}`, a collection sized by the \
                              thread count — the fold visits per-worker partials in thread \
                              order; use the ordered-merge results of \
-                             `parallel::run_tasks`/`run_indexed`"
+                             `parallel::run_tasks`"
                         ),
                         diags,
                     ),
@@ -1290,7 +1284,7 @@ mod tests {
         let src = "use patu_sim::parallel;\nuse patu_gmath::DetRng;\n\
                    fn bad(seed: u64) -> Vec<u64> {\n\
                        let mut rng = DetRng::new(seed);\n\
-                       parallel::run_indexed(4, 8, |i| rng.next_u64() + i as u64)\n\
+                       parallel::run_tasks(4, (0..8).map(|i| Box::new(move || rng.next_u64() + i) as parallel::Task<'_, u64>).collect())\n\
                    }\n";
         let (_, diags) = analyze(src);
         assert_eq!(rules(&diags), vec!["det-rng-discipline"]);
@@ -1301,10 +1295,10 @@ mod tests {
         let src = "use patu_sim::parallel;\nuse patu_gmath::DetRng;\n\
                    fn good(seed: u64) -> Vec<u64> {\n\
                        let rng = DetRng::new(seed);\n\
-                       parallel::run_indexed(4, 8, |i| {\n\
-                           let mut child = rng.fork(i as u64);\n\
+                       parallel::run_tasks(4, (0..8).map(|i| Box::new(move || {\n\
+                           let mut child = rng.fork(i);\n\
                            child.next_u64()\n\
-                       })\n\
+                       }) as parallel::Task<'_, u64>).collect())\n\
                    }\n";
         let (_, diags) = analyze(src);
         assert!(diags.is_empty(), "{diags:?}");
@@ -1345,7 +1339,7 @@ mod tests {
         let src = "use patu_sim::parallel;\n\
                    fn good(explicit: Option<usize>) -> f64 {\n\
                        let t = parallel::thread_count(explicit);\n\
-                       let outputs = parallel::run_indexed(t, 8, |i| i as f64);\n\
+                       let outputs = parallel::run_tasks(t, tasks(8));\n\
                        outputs.iter().sum::<f64>()\n\
                    }\n";
         let (_, diags) = analyze(src);
@@ -1367,7 +1361,7 @@ mod tests {
     fn rng_param_in_partition_becomes_a_summary_not_a_diag() {
         let src = "use patu_sim::parallel;\nuse patu_gmath::DetRng;\n\
                    fn helper(rng: &mut DetRng) -> Vec<u64> {\n\
-                       parallel::run_indexed(4, 8, |i| rng.next_u64() + i as u64)\n\
+                       parallel::run_tasks(4, (0..8).map(|i| Box::new(move || rng.next_u64() + i) as parallel::Task<'_, u64>).collect())\n\
                    }\n";
         let (facts, diags) = analyze(src);
         assert!(diags.is_empty(), "{diags:?}");

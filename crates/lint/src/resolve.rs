@@ -465,7 +465,7 @@ fn absolutize(path: &str, module: &str, crate_name: &str, mods: &[String]) -> St
 }
 
 impl FileIndex {
-    /// Resolves a call path (`["parallel", "run_indexed"]`) to an absolute
+    /// Resolves a call path (`["parallel", "run_tasks"]`) to an absolute
     /// candidate using the file's use map and module.
     pub fn resolve_path(&self, segs: &[String]) -> String {
         let Some(first) = segs.first() else {
@@ -577,8 +577,8 @@ mod tests {
     #[test]
     fn resolve_path_follows_uses() {
         let idx = index("use patu_sim::parallel;\n");
-        let segs = vec!["parallel".to_string(), "run_indexed".to_string()];
-        assert_eq!(idx.resolve_path(&segs), "patu_sim::parallel::run_indexed");
+        let segs = vec!["parallel".to_string(), "run_tasks".to_string()];
+        assert_eq!(idx.resolve_path(&segs), "patu_sim::parallel::run_tasks");
         let local = vec!["helper".to_string()];
         assert_eq!(idx.resolve_path(&local), "fake::engine::helper");
     }

@@ -7,15 +7,15 @@ use patu_sim::parallel;
 
 pub fn captured_draw(seed: u64) -> Vec<u64> {
     let mut rng = DetRng::new(seed);
-    parallel::run_indexed(4, 8, |i| rng.next_u64() + i as u64) //~ det-rng-discipline
+    parallel::run_tasks(4, (0..8).map(|i| Box::new(move || rng.next_u64() + i) as parallel::Task<'_, u64>).collect()) //~ det-rng-discipline
 }
 
 pub fn forked_children(seed: u64) -> Vec<u64> {
     let rng = DetRng::new(seed);
-    parallel::run_indexed(4, 8, |i| {
-        let mut child = rng.fork(i as u64);
+    parallel::run_tasks(4, (0..8).map(|i| Box::new(move || {
+        let mut child = rng.fork(i);
         child.next_u64()
-    })
+    }) as parallel::Task<'_, u64>).collect())
 }
 
 pub fn reseeded(seed: u64) -> u64 {
@@ -33,7 +33,7 @@ pub fn task_vector(seed: u64) -> Vec<u64> {
 }
 
 fn draws_in_partition(rng: &mut DetRng) -> Vec<u64> {
-    parallel::run_indexed(4, 8, |i| rng.next_u64() + i as u64)
+    parallel::run_tasks(4, (0..8).map(|i| Box::new(move || rng.next_u64() + i) as parallel::Task<'_, u64>).collect())
 }
 
 pub fn calls_helper(seed: u64) -> Vec<u64> {
@@ -44,5 +44,5 @@ pub fn calls_helper(seed: u64) -> Vec<u64> {
 pub fn suppressed(seed: u64) -> Vec<u64> {
     let mut rng = DetRng::new(seed);
     // patu-lint: allow(det-rng-discipline) — fixture: proves pragma coverage
-    parallel::run_indexed(4, 8, |i| rng.next_u64() + i as u64)
+    parallel::run_tasks(4, (0..8).map(|i| Box::new(move || rng.next_u64() + i) as parallel::Task<'_, u64>).collect())
 }

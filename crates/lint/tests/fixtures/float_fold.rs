@@ -1,6 +1,6 @@
 //! parallel-float-fold fixture: float reductions whose grouping or order
 //! is shaped by the thread count. The sanctioned path is the ordered merge
-//! performed by `parallel::run_tasks`/`run_indexed` themselves.
+//! performed by `parallel::run_tasks` itself.
 
 use patu_sim::parallel;
 
@@ -15,7 +15,8 @@ pub fn grouped(explicit: Option<usize>, vals: &[f64]) -> f64 {
 
 pub fn ordered_merge(explicit: Option<usize>) -> f64 {
     let t = parallel::thread_count(explicit);
-    let outputs = parallel::run_indexed(t, 8, |i| i as f64);
+    let tasks: Vec<parallel::Task<'_, f64>> = (0..8).map(|i| Box::new(move || f64::from(i)) as parallel::Task<'_, f64>).collect();
+    let outputs = parallel::run_tasks(t, tasks);
     outputs.iter().sum::<f64>()
 }
 

@@ -46,7 +46,7 @@ fn cross_crate_rng_taint_flags_the_call_site() {
                  use patu_gmath::DetRng;\n\
                  \n\
                  pub fn draws(rng: &mut DetRng) -> Vec<u64> {\n\
-                 \x20   parallel::run_indexed(4, 8, |i| rng.next_u64() + i as u64)\n\
+                 \x20   parallel::run_tasks(4, (0..8).map(|i| Box::new(move || rng.next_u64() + i) as parallel::Task<'_, u64>).collect())\n\
                  }\n",
             ),
             (

@@ -11,10 +11,11 @@
 //! dispatch at the buckets between its floor and its base threshold. So
 //! [`SimFrameService`] renders all of a `(scene, frame)`'s reachable
 //! buckets, with the 16×AF SSIM baseline, in one shared
-//! `patu_sim::render::render_policies_faulted` traversal on the first miss
-//! of that frame, each bucket under its own per-key fault stream. Every
-//! frame is bit-identical to rendering its key alone; the traversal shares
-//! the geometry, footprints, stage-2 keys and texel samples.
+//! `patu_sim::render::render_policies` traversal on the first miss of that
+//! frame. Every frame is bit-identical to rendering its key alone; the
+//! traversal shares the geometry, footprints, stage-2 keys and texel
+//! samples. Groups render one after another; each traversal renders its
+//! clusters on the session's worker threads.
 //!
 //! Live services share their scenes: [`SimFrameService::new`] takes each
 //! `(name, resolution)` from a process-wide store of [`Weak`] handles, so
@@ -25,10 +26,9 @@ use crate::error::ServeError;
 use crate::governor::reachable_buckets;
 use crate::workload::ServeConfig;
 use patu_core::FilterPolicy;
-use patu_gpu::FaultConfig;
 use patu_quality::{GrayImage, SampledSsimConfig};
 use patu_scenes::Workload;
-use patu_sim::render::{render_policies_faulted, RenderConfig};
+use patu_sim::render::{render_policies, RenderConfig};
 use patu_sim::{parallel, FrameResult, SimError};
 use patu_temporal::TemporalConfig;
 use std::collections::BTreeMap;
@@ -36,8 +36,8 @@ use std::ops::RangeInclusive;
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// FNV-1a over a byte stream: the cheap content hash used as the
-/// bit-identity witness on delivered frames, and to fork per-key fault
-/// seeds.
+/// bit-identity witness on delivered frames, and to seed each key's
+/// sampled-SSIM plan.
 pub fn fnv1a(seed: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
     for b in bytes {
@@ -132,7 +132,7 @@ pub trait FrameService {
 /// The real backend: every key renders through the full PATU simulator.
 ///
 /// A miss on key `(scene, frame, bucket)` renders, in one shared
-/// traversal ([`render_policies_faulted`]), the frame's 16×AF baseline
+/// traversal ([`render_policies`]), the frame's 16×AF baseline
 /// (unless its luma is cached) and every *reachable* bucket of that
 /// `(scene, frame)` not rendered yet — the buckets the session's governor
 /// can dispatch at ([`reachable_buckets`]). Each result is bit-identical to
@@ -146,16 +146,15 @@ pub trait FrameService {
 /// first request, so [`SimFrameService::distinct_renders`] counts requested
 /// keys). A baseline's luma is kept while a reachable bucket of its
 /// `(scene, frame)` is still unrendered. Misses of different
-/// `(scene, frame)`s fan out through `parallel::run_indexed`, and every
-/// render is bit-identical across thread counts, so results are
-/// independent of the thread count.
+/// `(scene, frame)`s render one after another, each traversal's clusters
+/// on the session's worker threads, and every render is bit-identical
+/// across thread counts, so results are independent of the thread count.
 pub struct SimFrameService {
     /// The session's scenes, shared with every live service that built the
     /// same `(name, resolution)` ([`shared_scene`]).
     workloads: Vec<Arc<Workload>>,
     base_policy: FilterPolicy,
     steps: u32,
-    faults: FaultConfig,
     threads: usize,
     /// The sampled-SSIM mode, [`ServeConfig::ssim_sample`] (`None` = full
     /// MSSIM).
@@ -180,10 +179,6 @@ struct Group {
     buckets: Vec<u32>,
     baseline: bool,
 }
-
-/// What one group's traversal produced: the baseline's luma and cycles if
-/// it rendered, and a served frame per bucket.
-type GroupOutput = (Option<(GrayImage, u64)>, Vec<(RenderKey, ServedFrame)>);
 
 /// A scene's identity: the two arguments of [`Workload::build`].
 type SceneKey = (String, (u32, u32));
@@ -235,7 +230,6 @@ impl SimFrameService {
             workloads,
             base_policy,
             steps: cfg.governor_steps.max(1),
-            faults: cfg.faults,
             threads: parallel::thread_count(cfg.threads),
             ssim_mode: cfg.ssim_sample,
             reachable: reachable_buckets(cfg),
@@ -375,78 +369,53 @@ impl SimFrameService {
             .collect()
     }
 
-    /// Renders every group in one [`render_policies_faulted`] traversal
-    /// each, groups fanned out across workers. The baseline is the
-    /// *reference*: rendered clean (no fault injection), so SSIM always
-    /// compares against the same ground truth. Each key renders under its
-    /// own fault stream, forked per render key rather than per job, so
-    /// cache hits and misses see identical pixels.
+    /// Renders every group, one after another, in one [`render_policies`]
+    /// traversal each; a traversal renders its clusters on the service's
+    /// workers. The baseline is the *reference* that SSIM compares
+    /// against.
     fn render_groups(&mut self, groups: Vec<Group>) -> Result<(), ServeError> {
-        if groups.is_empty() {
-            return Ok(());
-        }
-        let outer = self.threads.min(groups.len());
-        let inner = (self.threads / outer).max(1);
-        let (workloads, baselines) = (&self.workloads, &self.baselines);
-        let (base_policy, steps, faults, ssim_mode) =
-            (self.base_policy, self.steps, self.faults, self.ssim_mode);
-        let results: Vec<Result<GroupOutput, SimError>> =
-            parallel::run_indexed(outer, groups.len(), |i| {
-                let g = &groups[i];
-                let keys: Vec<RenderKey> = g
-                    .buckets
-                    .iter()
-                    .map(|&bucket| RenderKey {
-                        scene: g.scene,
-                        frame: g.frame,
-                        bucket,
-                    })
-                    .collect();
-                let mut variants = Vec::with_capacity(keys.len() + 1);
-                if g.baseline {
-                    variants.push((FilterPolicy::Baseline, FaultConfig::disabled()));
-                }
-                variants.extend(keys.iter().map(|key| {
-                    let faults = FaultConfig {
-                        seed: faults.seed ^ key.mix(),
-                        ..faults
-                    };
-                    (base_policy.with_threshold(key.theta(steps)), faults)
-                }));
-                let cfg = RenderConfig::new(FilterPolicy::Baseline).with_threads(inner);
-                let mut results =
-                    render_policies_faulted(&workloads[g.scene], g.frame, &cfg, &variants)?
-                        .into_iter();
-                let baseline = if g.baseline {
-                    results.next().map(|r| (r.luma(), r.stats.cycles))
-                } else {
-                    None
-                };
-                let luma = match &baseline {
-                    Some((luma, _)) => Some(luma),
-                    None => baselines.get(&(g.scene, g.frame)).and_then(Option::as_ref),
-                };
-                let frames = keys
-                    .into_iter()
-                    .zip(results)
-                    .map(|(key, r)| (key, served_frame(key, &r, luma, ssim_mode)))
-                    .collect();
-                Ok((baseline, frames))
-            });
-        for (g, result) in groups.iter().zip(results) {
-            let (baseline, frames) = result?;
-            if let Some((luma, cycles)) = baseline {
-                // A baseline rendered again after its luma was released
-                // repeats cycles already counted.
-                if self
-                    .baselines
-                    .insert((g.scene, g.frame), Some(luma))
-                    .is_none()
-                {
-                    self.baseline_cycles += cycles;
+        let cfg = RenderConfig::new(FilterPolicy::Baseline).with_threads(self.threads);
+        for g in groups {
+            let keys: Vec<RenderKey> = g
+                .buckets
+                .iter()
+                .map(|&bucket| RenderKey {
+                    scene: g.scene,
+                    frame: g.frame,
+                    bucket,
+                })
+                .collect();
+            let mut policies = Vec::with_capacity(keys.len() + 1);
+            if g.baseline {
+                policies.push(FilterPolicy::Baseline);
+            }
+            policies.extend(
+                keys.iter()
+                    .map(|key| self.base_policy.with_threshold(key.theta(self.steps))),
+            );
+            let mut results =
+                render_policies(&self.workloads[g.scene], g.frame, &cfg, &policies)?.into_iter();
+            if g.baseline {
+                if let Some(r) = results.next() {
+                    // A baseline rendered again after its luma was released
+                    // repeats cycles already counted.
+                    if self
+                        .baselines
+                        .insert((g.scene, g.frame), Some(r.luma()))
+                        .is_none()
+                    {
+                        self.baseline_cycles += r.stats.cycles;
+                    }
                 }
             }
-            self.ahead.extend(frames);
+            let luma = self
+                .baselines
+                .get(&(g.scene, g.frame))
+                .and_then(Option::as_ref);
+            for (key, r) in keys.into_iter().zip(results) {
+                let frame = served_frame(key, &r, luma, self.ssim_mode);
+                self.ahead.insert(key, frame);
+            }
         }
         Ok(())
     }
@@ -623,21 +592,15 @@ mod tests {
         }
     }
 
-    /// `key` rendered alone under its per-key fault stream, scored against
-    /// `baseline`, a clean render of the same frame.
+    /// `key` rendered alone, scored against `baseline`, a render of the
+    /// same frame.
     fn lone(cfg: &ServeConfig, key: RenderKey, baseline: &FrameResult) -> ServedFrame {
         use patu_sim::render::render_frame;
         let w = Workload::build(&cfg.scenes[key.scene], cfg.resolution).expect("builds");
         let policy = FilterPolicy::Patu {
             threshold: key.theta(cfg.governor_steps),
         };
-        let faults = FaultConfig {
-            seed: cfg.faults.seed ^ key.mix(),
-            ..cfg.faults
-        };
-        let rc = RenderConfig::new(policy)
-            .with_threads(1)
-            .with_faults(faults);
+        let rc = RenderConfig::new(policy).with_threads(1);
         let result = render_frame(&w, key.frame, &rc).expect("renders");
         let ssim = SampledSsimConfig {
             fraction: cfg.ssim_sample,
@@ -651,7 +614,7 @@ mod tests {
         }
     }
 
-    fn clean_baseline(cfg: &ServeConfig, scene: usize, frame: u32) -> FrameResult {
+    fn baseline_render(cfg: &ServeConfig, scene: usize, frame: u32) -> FrameResult {
         let w = Workload::build(&cfg.scenes[scene], cfg.resolution).expect("builds");
         let rc = RenderConfig::new(FilterPolicy::Baseline).with_threads(1);
         patu_sim::render::render_frame(&w, frame, &rc).expect("renders")
@@ -659,46 +622,39 @@ mod tests {
 
     #[test]
     fn shared_traversal_serves_what_lone_renders_serve() {
-        let reference = clean_baseline(&doom3(), 0, 1);
-        for faults in [FaultConfig::disabled(), FaultConfig::uniform(77, 0.02)] {
-            for threads in [1, 4] {
-                let cfg = ServeConfig {
-                    faults,
-                    threads: Some(threads),
-                    ..doom3()
-                };
-                let mut s = SimFrameService::new(&cfg).expect("builds");
-                assert_eq!(s.reachable, 2..=8, "governor floor 0.25 to base 1.0");
-                s.serve(&[key(0, 1, 3)]).expect("renders");
-                assert_eq!(
-                    s.ahead.len(),
-                    6,
-                    "the other reachable buckets rendered ahead"
-                );
-                assert_eq!(s.baseline_cycles(), reference.stats.cycles);
-                assert!(
-                    matches!(s.baselines.get(&(0, 1)), Some(None)),
-                    "luma released once every reachable bucket rendered"
-                );
-                for bucket in s.reachable.clone() {
-                    let k = key(0, 1, bucket);
-                    let served = s.serve(&[k]).expect("recalls")[0];
-                    assert_eq!(
-                        served,
-                        lone(&cfg, k, &reference),
-                        "{faults:?} threads {threads} {k:?}"
-                    );
-                }
-                assert_eq!(s.distinct_renders(), 7);
-                assert!(s.ahead.is_empty());
-                // Outside the reachable set a key renders on its own miss,
-                // its baseline again, without counting its cycles twice.
-                let outside = key(0, 1, 0);
-                let served = s.serve(&[outside]).expect("renders")[0];
-                assert_eq!(served, lone(&cfg, outside, &reference));
-                assert_eq!(s.baseline_cycles(), reference.stats.cycles);
-                assert!(s.ahead.is_empty(), "nothing rendered ahead of it");
+        let reference = baseline_render(&doom3(), 0, 1);
+        for threads in [1, 4] {
+            let cfg = ServeConfig {
+                threads: Some(threads),
+                ..doom3()
+            };
+            let mut s = SimFrameService::new(&cfg).expect("builds");
+            assert_eq!(s.reachable, 2..=8, "governor floor 0.25 to base 1.0");
+            s.serve(&[key(0, 1, 3)]).expect("renders");
+            assert_eq!(
+                s.ahead.len(),
+                6,
+                "the other reachable buckets rendered ahead"
+            );
+            assert_eq!(s.baseline_cycles(), reference.stats.cycles);
+            assert!(
+                matches!(s.baselines.get(&(0, 1)), Some(None)),
+                "luma released once every reachable bucket rendered"
+            );
+            for bucket in s.reachable.clone() {
+                let k = key(0, 1, bucket);
+                let served = s.serve(&[k]).expect("recalls")[0];
+                assert_eq!(served, lone(&cfg, k, &reference), "threads {threads} {k:?}");
             }
+            assert_eq!(s.distinct_renders(), 7);
+            assert!(s.ahead.is_empty());
+            // Outside the reachable set a key renders on its own miss, its
+            // baseline again, without counting its cycles twice.
+            let outside = key(0, 1, 0);
+            let served = s.serve(&[outside]).expect("renders")[0];
+            assert_eq!(served, lone(&cfg, outside, &reference));
+            assert_eq!(s.baseline_cycles(), reference.stats.cycles);
+            assert!(s.ahead.is_empty(), "nothing rendered ahead of it");
         }
     }
 
@@ -710,7 +666,7 @@ mod tests {
         assert_eq!(s.distinct_renders(), 1);
         assert!(s.ahead.is_empty(), "no bucket rendered ahead");
         assert!(s.has_luma((0, 0)), "luma kept for the unrendered buckets");
-        let reference = clean_baseline(&cfg, 0, 0);
+        let reference = baseline_render(&cfg, 0, 0);
         assert_eq!(cycles, lone(&cfg, key(0, 0, 8), &reference).cycles);
         assert_eq!(s.baseline_cycles(), reference.stats.cycles);
         // The first job's miss renders the rest of the reachable set.
@@ -873,7 +829,14 @@ mod tests {
     #[test]
     fn services_built_in_parallel_hold_one_copy() {
         let cfg = store_cfg((72, 56));
-        let built = parallel::run_indexed(2, 2, |_| SimFrameService::new(&cfg));
+        let tasks: Vec<parallel::Task<'_, Result<SimFrameService, ServeError>>> = (0..2)
+            .map(|_| {
+                let cfg = &cfg;
+                Box::new(move || SimFrameService::new(cfg))
+                    as parallel::Task<'_, Result<SimFrameService, ServeError>>
+            })
+            .collect();
+        let built = parallel::run_tasks(2, tasks);
         let [Ok(a), Ok(b)] = &built[..] else {
             panic!("both build");
         };

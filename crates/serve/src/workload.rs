@@ -12,7 +12,6 @@ use crate::chaos::Scenario;
 use crate::error::ServeError;
 use crate::job::{Job, Tier};
 use patu_gmath::DetRng;
-use patu_gpu::FaultConfig;
 use patu_obs::TraceLevel;
 use patu_quality::sampled::DEFAULT_FRACTION;
 
@@ -58,8 +57,6 @@ pub struct ServeConfig {
     /// How hard queue pressure leans on the threshold: bias =
     /// `-pressure_gain × depth/capacity`.
     pub pressure_gain: f64,
-    /// Fault injection forwarded into every render (disabled by default).
-    pub faults: FaultConfig,
     /// The chaos scenario the session runs under — which GPU outage,
     /// straggler, and transient-failure script is in force (calm by
     /// default).
@@ -70,8 +67,9 @@ pub struct ServeConfig {
     /// control arm, where failures fail, stragglers straggle, and capacity
     /// loss goes unmanaged.
     pub resilience: bool,
-    /// Worker threads for batch rendering. `None` uses available
-    /// parallelism; outputs are bit-identical across all values.
+    /// Worker threads for each render traversal's GPU clusters. `None`
+    /// uses available parallelism; outputs are bit-identical across all
+    /// values.
     pub threads: Option<usize>,
     /// Sampled fraction of the stratified MSSIM estimate each served frame
     /// reports (see `patu_quality::SampledSsimConfig`); `None` runs the
@@ -100,7 +98,6 @@ impl Default for ServeConfig {
             governor: true,
             governor_steps: 8,
             pressure_gain: 1.0,
-            faults: FaultConfig::disabled(),
             scenario: Scenario::Calm,
             resilience: true,
             threads: None,

@@ -2,13 +2,11 @@
 //! paper's evaluation.
 
 use crate::error::SimError;
-use crate::parallel;
-use crate::render::{render_frame, render_policies, render_sequence, FrameResult, RenderConfig};
+use crate::render::{render_policies, FrameResult, RenderConfig};
 use patu_core::FilterPolicy;
 use patu_energy::EnergyModel;
-use patu_gpu::{FaultConfig, FrameStats, GpuConfig, TemporalCounts};
-use patu_obs::{FlightDump, TelemetryConfig};
-use patu_quality::SsimConfig;
+use patu_gpu::{FaultConfig, FrameStats, GpuConfig};
+use patu_quality::{GrayImage, SsimConfig};
 use patu_scenes::Workload;
 
 /// How many frames to simulate and how they are spread over the workload's
@@ -25,15 +23,10 @@ pub struct ExperimentConfig {
     /// (disabled by default).
     pub faults: FaultConfig,
     /// Worker threads. [`run_policies`] renders each frame's clusters on
-    /// them (one traversal serves every policy);
-    /// [`temporal_stability`] renders its frames on them. `None` uses
+    /// them (one traversal serves every policy). `None` uses
     /// [`std::thread::available_parallelism`]. Results are bit-identical
     /// across every value; 1 is the serial path.
     pub threads: Option<usize>,
-    /// Telemetry level forwarded into every rendered frame (off by
-    /// default). Flight-recorder dumps captured by any frame surface on
-    /// [`AggregateResult::dumps`].
-    pub telemetry: TelemetryConfig,
 }
 
 impl Default for ExperimentConfig {
@@ -44,7 +37,6 @@ impl Default for ExperimentConfig {
             gpu: GpuConfig::default(),
             faults: FaultConfig::disabled(),
             threads: None,
-            telemetry: TelemetryConfig::disabled(),
         }
     }
 }
@@ -68,23 +60,15 @@ impl ExperimentConfig {
     }
 
     /// The configuration every frame of this experiment renders under:
-    /// `policy` on the experiment's GPU, with its faults, telemetry and
-    /// worker threads.
+    /// `policy` on the experiment's GPU, with its faults and worker
+    /// threads.
     pub fn render_config(&self, policy: FilterPolicy) -> RenderConfig {
         RenderConfig {
             gpu: self.gpu,
             faults: self.faults,
             threads: self.threads,
-            telemetry: self.telemetry,
             ..RenderConfig::new(policy)
         }
-    }
-
-    /// Enables telemetry for every rendered frame (builder style).
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> ExperimentConfig {
-        self.telemetry = telemetry;
-        self
     }
 }
 
@@ -111,9 +95,6 @@ pub struct AggregateResult {
     pub sharing: patu_core::SharingStats,
     /// Accumulated quad divergence (Sec. V-C(1)).
     pub divergence: patu_core::DivergenceStats,
-    /// Flight-recorder dumps captured across all frames (watchdog trips,
-    /// fault fallbacks), in frame order. Empty when telemetry is off.
-    pub dumps: Vec<FlightDump>,
 }
 
 impl AggregateResult {
@@ -144,9 +125,6 @@ fn accumulate(result: &FrameResult, agg: &mut AggregateResult, energy: &EnergyMo
     agg.sharing.accumulate(&result.sharing);
     agg.divergence.accumulate(&result.divergence);
     agg.energy_joules += energy.frame_energy(&result.stats).total_joules();
-    if let Some(telemetry) = &result.telemetry {
-        agg.dumps.extend(telemetry.dumps.iter().cloned());
-    }
 }
 
 /// Runs `policies` over the sampled frames of `workload`, computing each
@@ -163,7 +141,8 @@ fn accumulate(result: &FrameResult, agg: &mut AggregateResult, energy: &EnergyMo
 ///
 /// Returns [`SimError::NotEnoughFrames`] when `cfg` samples no frames (a
 /// mean over none is undefined), or [`SimError`] when any policy or the
-/// fault configuration is adversarial (see [`render_frame`]).
+/// fault configuration is adversarial (see
+/// [`crate::render::render_frame`]).
 pub fn run_policies(
     workload: &Workload,
     policies: &[(&str, FilterPolicy)],
@@ -187,7 +166,6 @@ pub fn run_policies(
             approx: patu_core::ApproxStats::new(),
             sharing: patu_core::SharingStats::new(),
             divergence: patu_core::DivergenceStats::new(),
-            dumps: Vec::new(),
         })
         .collect();
 
@@ -272,104 +250,31 @@ pub fn threshold_sweep(
     Ok((baseline, sweep))
 }
 
-/// Temporal stability of a policy: the mean SSIM between *consecutive
-/// rendered frames* of the same run. Approximation schemes can flicker —
+/// Temporal stability: the mean SSIM between consecutive rendered frames
+/// of one run, `lumas` in frame order. Approximation schemes can flicker —
 /// a pixel demoted in one frame and not the next — which per-frame MSSIM
 /// against the baseline cannot see but video viewers (the paper's Fig. 22
 /// raters) do. Values near the baseline's own inter-frame SSIM mean the
-/// approximation does not add temporal noise.
+/// approximation does not add temporal noise. The frames may come from
+/// one [`render_policies`] call per frame (every policy scored on the same
+/// frames) or from [`crate::render::render_sequence`] (reuse-aware).
+///
 /// # Errors
 ///
-/// Returns [`SimError::NotEnoughFrames`] for fewer than two frames, or any
-/// rendering error.
-pub fn temporal_stability(
-    workload: &Workload,
-    policy: FilterPolicy,
-    frames: &[u32],
-    cfg: &ExperimentConfig,
-) -> Result<f64, SimError> {
-    if frames.len() < 2 {
+/// Returns [`SimError::NotEnoughFrames`] for fewer than two frames.
+pub fn temporal_stability(lumas: &[GrayImage]) -> Result<f64, SimError> {
+    if lumas.len() < 2 {
         return Err(SimError::NotEnoughFrames {
-            got: frames.len(),
+            got: lumas.len(),
             need: 2,
         });
     }
     let ssim = SsimConfig::default();
-    // Frames render in parallel, each serially inside; the
-    // consecutive-pair SSIM scan stays serial and in frame order, so the
-    // mean is bit-identical across thread counts.
-    let rc = cfg.render_config(policy).with_threads(1);
-    let tasks: Vec<parallel::Task<'_, Result<patu_quality::GrayImage, SimError>>> = frames
-        .iter()
-        .map(|&f| {
-            let rc = &rc;
-            Box::new(move || Ok(render_frame(workload, f, rc)?.luma()))
-                as parallel::Task<'_, Result<patu_quality::GrayImage, SimError>>
-        })
-        .collect();
-    let mut rendered = Vec::with_capacity(frames.len());
-    for result in parallel::run_tasks(parallel::thread_count(cfg.threads), tasks) {
-        rendered.push(result?);
-    }
-    let mut sum = 0.0;
-    for pair in rendered.windows(2) {
-        sum += f64::from(ssim.mssim(&pair[0], &pair[1]));
-    }
-    Ok(sum / (rendered.len() - 1) as f64)
-}
-
-/// Reuse-aware temporal stability: [`temporal_stability`] computed over a
-/// sequence rendered through an active [`TileStore`], reported together
-/// with the fraction of tiles the store kept (reused or repredicted).
-/// Reused tiles are pixel-for-pixel stable by construction, so the two
-/// numbers together separate "stable because unchanged" from "stable
-/// despite rerendering" — the distinction plain inter-frame SSIM hides.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TemporalStabilityReport {
-    /// Mean SSIM between consecutive rendered frames.
-    pub stability: f64,
-    /// Fraction of tiles carried forward (reused + repredicted) across the
-    /// sequence; 0 when the store's mode is `off`.
-    pub reused_fraction: f64,
-}
-
-/// Computes the reuse-aware stability report for a policy over `frames`,
-/// rendered in order through `store` (see [`render_sequence`]). The frames
-/// render sequentially — cross-frame reuse is inherently ordered — with
-/// intra-frame cluster parallelism from `cfg.threads`.
-///
-/// # Errors
-///
-/// Returns [`SimError::NotEnoughFrames`] for fewer than two frames, or any
-/// rendering error.
-pub fn temporal_stability_with_store(
-    workload: &Workload,
-    policy: FilterPolicy,
-    frames: &[u32],
-    cfg: &ExperimentConfig,
-    store: &mut patu_temporal::TileStore,
-) -> Result<TemporalStabilityReport, SimError> {
-    if frames.len() < 2 {
-        return Err(SimError::NotEnoughFrames {
-            got: frames.len(),
-            need: 2,
-        });
-    }
-    let results = render_sequence(workload, frames, &cfg.render_config(policy), store)?;
-    let ssim = SsimConfig::default();
-    let lumas: Vec<patu_quality::GrayImage> = results.iter().map(|r| r.luma()).collect();
     let mut sum = 0.0;
     for pair in lumas.windows(2) {
         sum += f64::from(ssim.mssim(&pair[0], &pair[1]));
     }
-    let mut tiles = TemporalCounts::default();
-    for r in &results {
-        tiles.accumulate(&r.stats.temporal);
-    }
-    Ok(TemporalStabilityReport {
-        stability: sum / (lumas.len() - 1) as f64,
-        reused_fraction: tiles.reuse_fraction(),
-    })
+    Ok(sum / (lumas.len() - 1) as f64)
 }
 
 /// The Best Point (BP) of a sweep: the threshold maximizing
@@ -486,18 +391,33 @@ mod tests {
         assert!(s0 >= s1, "speedup falls with threshold: {s0} -> {s1}");
     }
 
+    /// Each policy's lumas over `frames`, from one traversal per frame.
+    fn lumas_per_policy(
+        w: &Workload,
+        frames: &[u32],
+        policies: &[FilterPolicy],
+    ) -> Vec<Vec<GrayImage>> {
+        let mut lumas = vec![Vec::new(); policies.len()];
+        let rc = small_cfg().render_config(FilterPolicy::Baseline);
+        for &f in frames {
+            let rendered = render_policies(w, f, &rc, policies).unwrap();
+            for (series, r) in lumas.iter_mut().zip(&rendered) {
+                series.push(r.luma());
+            }
+        }
+        lumas
+    }
+
     #[test]
     fn temporal_stability_in_unit_range_and_tracks_baseline() {
         let w = workload();
-        let frames = [0u32, 1, 2];
-        let base = temporal_stability(&w, FilterPolicy::Baseline, &frames, &small_cfg()).unwrap();
-        let patu = temporal_stability(
-            &w,
+        let policies = [
+            FilterPolicy::Baseline,
             FilterPolicy::Patu { threshold: 0.4 },
-            &frames,
-            &small_cfg(),
-        )
-        .unwrap();
+        ];
+        let lumas = lumas_per_policy(&w, &[0, 1, 2], &policies);
+        let base = temporal_stability(&lumas[0]).unwrap();
+        let patu = temporal_stability(&lumas[1]).unwrap();
         assert!((0.0..=1.0).contains(&base));
         assert!((0.0..=1.0).contains(&patu));
         // Approximation must not add an order of magnitude of flicker.
@@ -505,32 +425,13 @@ mod tests {
     }
 
     #[test]
-    fn temporal_stability_renders_under_the_experiment_faults() {
+    fn temporal_stability_of_a_still_frame_is_exactly_one() {
         let w = workload();
-        let frames = [0u32, 1, 2];
-        let policy = FilterPolicy::Patu { threshold: 0.4 };
-        let faults = FaultConfig::uniform(5, 0.05);
-        let cfg = ExperimentConfig {
-            faults,
-            ..small_cfg()
-        };
-        let rc = RenderConfig::new(policy).with_faults(faults);
-        let lumas: Vec<_> = frames
-            .iter()
-            .map(|&f| render_frame(&w, f, &rc).unwrap().luma())
-            .collect();
-        let ssim = SsimConfig::default();
-        let by_hand = (f64::from(ssim.mssim(&lumas[0], &lumas[1]))
-            + f64::from(ssim.mssim(&lumas[1], &lumas[2])))
-            / 2.0;
-        let measured = temporal_stability(&w, policy, &frames, &cfg).unwrap();
-        assert_eq!(measured.to_bits(), by_hand.to_bits());
-        let clean = temporal_stability(&w, policy, &frames, &small_cfg()).unwrap();
-        assert_ne!(
-            measured.to_bits(),
-            clean.to_bits(),
-            "the faults reach the frames"
-        );
+        let luma = lumas_per_policy(&w, &[0], &[FilterPolicy::Baseline])
+            .remove(0)
+            .remove(0);
+        let still = temporal_stability(&[luma.clone(), luma.clone(), luma]).unwrap();
+        assert_eq!(still.to_bits(), 1.0f64.to_bits());
     }
 
     #[test]
@@ -560,46 +461,44 @@ mod tests {
     #[test]
     fn temporal_stability_needs_two_frames() {
         let w = workload();
-        let err = temporal_stability(&w, FilterPolicy::Baseline, &[0], &small_cfg()).unwrap_err();
-        assert!(matches!(
-            err,
-            crate::error::SimError::NotEnoughFrames { got: 1, need: 2 }
-        ));
-        let mut store = patu_temporal::TileStore::new(patu_temporal::TemporalConfig::off());
-        let err = temporal_stability_with_store(
-            &w,
-            FilterPolicy::Baseline,
-            &[0],
-            &small_cfg(),
-            &mut store,
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            crate::error::SimError::NotEnoughFrames { got: 1, need: 2 }
-        ));
+        let lumas = lumas_per_policy(&w, &[0], &[FilterPolicy::Baseline]).remove(0);
+        for frames in [&lumas[..0], &lumas[..]] {
+            assert_eq!(
+                temporal_stability(frames).unwrap_err(),
+                crate::error::SimError::NotEnoughFrames {
+                    got: frames.len(),
+                    need: 2
+                }
+            );
+        }
     }
 
     #[test]
     fn reuse_aware_stability_reports_the_kept_fraction() {
+        use crate::render::render_sequence;
+        use patu_gpu::TemporalCounts;
         use patu_temporal::{TemporalConfig, TemporalMode, TileStore};
         let w = Workload::build("orbit", (192, 144)).unwrap();
         let frames = [0u32, 1, 2, 3];
-        let policy = FilterPolicy::Patu { threshold: 0.4 };
-        let mut off = TileStore::new(TemporalConfig::off());
-        let r_off =
-            temporal_stability_with_store(&w, policy, &frames, &small_cfg(), &mut off).unwrap();
-        assert_eq!(r_off.reused_fraction, 0.0, "off keeps nothing");
-        assert!((0.0..=1.0).contains(&r_off.stability));
-        let mut on = TileStore::new(TemporalConfig::for_mode(TemporalMode::On));
-        let r_on =
-            temporal_stability_with_store(&w, policy, &frames, &small_cfg(), &mut on).unwrap();
-        assert!(r_on.reused_fraction > 0.0, "slow orbit reuses tiles");
+        let rc = small_cfg().render_config(FilterPolicy::Patu { threshold: 0.4 });
+        let run = |temporal| {
+            let mut store = TileStore::new(temporal);
+            let results = render_sequence(&w, &frames, &rc, &mut store).unwrap();
+            let lumas: Vec<GrayImage> = results.iter().map(FrameResult::luma).collect();
+            let mut tiles = TemporalCounts::default();
+            for r in &results {
+                tiles.accumulate(&r.stats.temporal);
+            }
+            (temporal_stability(&lumas).unwrap(), tiles.reuse_fraction())
+        };
+        let (stable_off, kept_off) = run(TemporalConfig::off());
+        assert_eq!(kept_off, 0.0, "off keeps nothing");
+        assert!((0.0..=1.0).contains(&stable_off));
+        let (stable_on, kept_on) = run(TemporalConfig::for_mode(TemporalMode::On));
+        assert!(kept_on > 0.0, "slow orbit reuses tiles");
         assert!(
-            r_on.stability >= r_off.stability - 1e-6,
-            "blitted tiles cannot flicker: {} vs {}",
-            r_on.stability,
-            r_off.stability
+            stable_on >= stable_off - 1e-6,
+            "blitted tiles cannot flicker: {stable_on} vs {stable_off}"
         );
     }
 

@@ -47,7 +47,6 @@ pub use error::SimError;
 pub use experiment::{AggregateResult, ExperimentConfig};
 pub use foveation::Foveation;
 pub use render::{
-    render_frame, render_policies, render_policies_faulted, render_sequence, BatchMode,
-    FrameResult, RenderConfig,
+    render_frame, render_policies, render_sequence, BatchMode, FrameResult, RenderConfig,
 };
 pub use satisfaction::SatisfactionModel;

@@ -1,11 +1,11 @@
 //! The deterministic parallel runtime: scoped worker threads over
 //! statically partitioned work, with results stitched back in index order.
 //!
-//! Everything in the simulator that fans out goes through [`run_tasks`]:
-//! per-cluster tile shards in [`crate::render`] — each carrying every
-//! policy a [`crate::render::render_policies`] traversal renders, so an
-//! experiment's grid is (frame, cluster) — and independent frames in
-//! [`crate::experiment::temporal_stability`]. The contract that makes
+//! The simulator fans out at one level: a frame's per-cluster tile shards
+//! in [`crate::render`], each carrying every policy a
+//! [`crate::render::render_policies`] traversal renders, go through
+//! [`run_tasks`]. Frames render one after another, so an experiment's grid
+//! is (frame, cluster) with the frame loop serial. The contract that makes
 //! multi-threaded runs bit-identical to serial ones:
 //!
 //! 1. **Static partition.** Work→worker assignment is a pure function of
@@ -96,32 +96,6 @@ pub fn run_tasks<T: Send>(threads: usize, tasks: Vec<Task<'_, T>>) -> Vec<T> {
         .collect()
 }
 
-/// Maps `f` over `0..n` on up to `threads` workers, returning the results
-/// in index order — the borrowing counterpart of [`run_tasks`] for callers
-/// whose work is a pure function of an index over shared state (the serve
-/// layer's batch renders, sweep points, …).
-///
-/// Same contract as [`run_tasks`]: static partition, ordered merge, inline
-/// on the caller when `threads <= 1`; outputs are bit-identical across
-/// every thread count.
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn run_indexed<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let tasks: Vec<Task<'_, T>> = (0..n)
-        .map(|i| {
-            let f = &f;
-            Box::new(move || f(i)) as Task<'_, T>
-        })
-        .collect();
-    run_tasks(threads, tasks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,20 +135,6 @@ mod tests {
     fn empty_and_single_task_inputs() {
         assert!(run_tasks::<usize>(8, Vec::new()).is_empty());
         assert_eq!(run_tasks(8, squares(1)), vec![0]);
-    }
-
-    #[test]
-    fn run_indexed_matches_serial_for_any_thread_count() {
-        let data: Vec<u64> = (0..57).map(|i| i * 3).collect();
-        let serial = run_indexed(1, data.len(), |i| data[i] + 1);
-        for threads in [2, 3, 4, 8, 64] {
-            assert_eq!(
-                run_indexed(threads, data.len(), |i| data[i] + 1),
-                serial,
-                "threads={threads}"
-            );
-        }
-        assert!(run_indexed::<u64, _>(4, 0, |i| i as u64).is_empty());
     }
 
     #[test]

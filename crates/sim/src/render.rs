@@ -282,38 +282,10 @@ pub fn render_policies(
     cfg: &RenderConfig,
     policies: &[FilterPolicy],
 ) -> Result<Vec<FrameResult>, SimError> {
-    let variants: Vec<(FilterPolicy, FaultConfig)> = policies
-        .iter()
-        .map(|&policy| (policy, cfg.faults))
-        .collect();
-    render_policies_faulted(workload, index, cfg, &variants)
-}
-
-/// [`render_policies`] where each policy carries its own fault
-/// configuration in place of `cfg.faults`: one traversal renders every
-/// `(policy, faults)` pair, and each result is bit-identical to
-/// [`render_frame`] with that policy and those faults. No shared stage
-/// depends on faults — decisions, memory timing and fallbacks are each
-/// policy's own state — so a clean reference can render beside faulted
-/// variants.
-///
-/// # Errors
-///
-/// As [`render_policies`].
-pub fn render_policies_faulted(
-    workload: &Workload,
-    index: u32,
-    cfg: &RenderConfig,
-    variants: &[(FilterPolicy, FaultConfig)],
-) -> Result<Vec<FrameResult>, SimError> {
     let scene = workload.frame(index);
-    let cfgs: Vec<RenderConfig> = variants
+    let cfgs: Vec<RenderConfig> = policies
         .iter()
-        .map(|&(policy, faults)| RenderConfig {
-            policy,
-            faults,
-            ..*cfg
-        })
+        .map(|&policy| RenderConfig { policy, ..*cfg })
         .collect();
     let mut results = render_scene(workload, &scene, cfg, cfgs, None)?;
     // `render_scene` takes a scene, not a frame index; stamp the frame here

@@ -9,8 +9,7 @@
 //! several policies at once: each of its results equals that policy
 //! rendered alone, by the scalar oracle and by the batched path, telemetry
 //! included — also with the policy list reversed or holding a duplicate,
-//! which would expose state leaking between policies, and with each policy
-//! on its own fault stream ([`render_policies_faulted`]).
+//! which would expose state leaking between policies.
 //!
 //! Also pins the sampled-MSSIM estimator's error bound against the full
 //! computation on every seed scene (DESIGN.md §13).
@@ -19,9 +18,7 @@ use patu_core::FilterPolicy;
 use patu_gpu::FaultConfig;
 use patu_quality::{SampledSsimConfig, SsimConfig};
 use patu_scenes::{game_names, Workload};
-use patu_sim::render::{
-    render_frame, render_policies, render_policies_faulted, BatchMode, FrameResult, RenderConfig,
-};
+use patu_sim::render::{render_frame, render_policies, BatchMode, FrameResult, RenderConfig};
 
 fn assert_bit_identical(soa: &FrameResult, scalar: &FrameResult, context: &str) {
     assert_eq!(
@@ -263,55 +260,6 @@ fn shared_traversal_is_independent_of_policy_order_and_duplicates() {
     ];
     assert_shared_matches_alone(&workload, 2, cfg, &duplicated, "duplicated");
     assert!(render_policies(&workload, 2, &cfg, &[]).unwrap().is_empty());
-}
-
-#[test]
-fn per_policy_faults_match_each_variant_alone() {
-    // The serve layer's shape: a clean reference beside governed buckets,
-    // each bucket on its own fault stream.
-    let workload = Workload::build("doom3", (192, 160)).unwrap();
-    let variants = [
-        (FilterPolicy::Baseline, FaultConfig::disabled()),
-        (
-            FilterPolicy::Patu { threshold: 0.25 },
-            FaultConfig::uniform(7, 0.05),
-        ),
-        (
-            FilterPolicy::Patu { threshold: 0.5 },
-            FaultConfig::uniform(8, 0.05),
-        ),
-        (
-            FilterPolicy::Patu { threshold: 0.5 },
-            FaultConfig::disabled(),
-        ),
-    ];
-    for threads in [1usize, 4] {
-        // The shared config's own faults must not leak into any variant.
-        let cfg = RenderConfig::new(FilterPolicy::NoAf)
-            .with_faults(FaultConfig::uniform(99, 0.5))
-            .with_threads(threads);
-        let shared = render_policies_faulted(&workload, 1, &cfg, &variants).unwrap();
-        assert_eq!(shared.len(), variants.len());
-        for (result, &(policy, faults)) in shared.iter().zip(&variants) {
-            let alone = RenderConfig {
-                policy,
-                faults,
-                ..cfg
-            };
-            let context = format!("threads {threads}, {policy:?}, {faults:?}");
-            assert_bit_identical(
-                result,
-                &render_frame(&workload, 1, &alone).unwrap(),
-                &context,
-            );
-        }
-        assert!(shared[1].stats.faults.faults_injected() > 0, "faults fire");
-        assert_eq!(
-            shared[3].stats.faults,
-            Default::default(),
-            "clean stays clean"
-        );
-    }
 }
 
 #[test]

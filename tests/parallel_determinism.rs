@@ -10,8 +10,7 @@ use patu_core::FilterPolicy;
 use patu_gpu::FaultConfig;
 use patu_scenes::Workload;
 use patu_sim::experiment::{
-    design_points, run_policies, temporal_stability, threshold_sweep, AggregateResult,
-    ExperimentConfig,
+    design_points, run_policies, threshold_sweep, AggregateResult, ExperimentConfig,
 };
 use patu_sim::render::{render_frame, FrameResult, RenderConfig};
 
@@ -148,29 +147,5 @@ fn aggregate_sweeps_bit_identical_across_thread_counts() {
                 assert_aggregates_identical(r, o, &context);
             }
         }
-    }
-}
-
-#[test]
-fn temporal_stability_bit_identical_across_thread_counts() {
-    let workload = Workload::build("grid", (160, 128)).unwrap();
-    let frames = [0u32, 1, 2];
-    let cfg = |threads: usize| ExperimentConfig::default().with_threads(threads);
-    let reference = temporal_stability(
-        &workload,
-        FilterPolicy::Patu { threshold: 0.4 },
-        &frames,
-        &cfg(1),
-    )
-    .unwrap();
-    for threads in [2usize, 4] {
-        let run = temporal_stability(
-            &workload,
-            FilterPolicy::Patu { threshold: 0.4 },
-            &frames,
-            &cfg(threads),
-        )
-        .unwrap();
-        assert_eq!(reference.to_bits(), run.to_bits(), "threads {threads}");
     }
 }

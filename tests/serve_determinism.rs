@@ -1,12 +1,12 @@
 //! Tier-1 determinism grid for the serving subsystem.
 //!
 //! Runs real `patu_sim` renders through `patu_serve` over a grid of thread
-//! counts × fault rates × load levels and asserts the entire observable
+//! counts × load levels (and, below, chaos scenarios) and asserts the
+//! entire observable
 //! session — serve log, queue stats, every job's terminal record, telemetry —
 //! is bit-identical. Thread counts are pinned via the explicit
 //! `ServeConfig::threads` knob.
 
-use patu_gpu::FaultConfig;
 use patu_serve::{run_session, CompletedJob, Scenario, ServeConfig, ServeReport, SimFrameService};
 
 fn base_cfg() -> ServeConfig {
@@ -46,50 +46,32 @@ fn fingerprint(report: &ServeReport) -> (String, Vec<CompletedJob>, String, Stri
 #[test]
 fn serve_sessions_are_bit_identical_across_the_grid() {
     for &threads in &[1usize, 4] {
-        for &fault_rate in &[0.0f64, 0.02] {
-            for &load in &[1.0f64, 2.5] {
-                let cfg = ServeConfig {
-                    threads: Some(threads),
-                    faults: if fault_rate > 0.0 {
-                        FaultConfig::uniform(77, fault_rate)
-                    } else {
-                        FaultConfig::disabled()
-                    },
-                    load,
-                    ..base_cfg()
-                };
-                let a = fingerprint(&run(&cfg));
-                let b = fingerprint(&run(&cfg));
-                assert_eq!(
-                    a, b,
-                    "same config must replay identically (threads={threads}, \
-                     faults={fault_rate}, load={load})"
-                );
-            }
+        for &load in &[1.0f64, 2.5] {
+            let cfg = ServeConfig {
+                threads: Some(threads),
+                load,
+                ..base_cfg()
+            };
+            let a = fingerprint(&run(&cfg));
+            let b = fingerprint(&run(&cfg));
+            assert_eq!(
+                a, b,
+                "same config must replay identically (threads={threads}, load={load})"
+            );
         }
     }
 }
 
 #[test]
 fn thread_count_never_leaks_into_results() {
-    for &fault_rate in &[0.0f64, 0.02] {
-        let cfg = |threads: usize| ServeConfig {
-            threads: Some(threads),
-            faults: if fault_rate > 0.0 {
-                FaultConfig::uniform(77, fault_rate)
-            } else {
-                FaultConfig::disabled()
-            },
-            load: 2.0,
-            ..base_cfg()
-        };
-        let one = fingerprint(&run(&cfg(1)));
-        let four = fingerprint(&run(&cfg(4)));
-        assert_eq!(
-            one, four,
-            "threads 1 vs 4 must be bit-identical (faults={fault_rate})"
-        );
-    }
+    let cfg = |threads: usize| ServeConfig {
+        threads: Some(threads),
+        load: 2.0,
+        ..base_cfg()
+    };
+    let one = fingerprint(&run(&cfg(1)));
+    let four = fingerprint(&run(&cfg(4)));
+    assert_eq!(one, four, "threads 1 vs 4 must be bit-identical");
 }
 
 #[test]

@@ -301,22 +301,27 @@ mod serve_observability {
     }
 }
 
+/// An experiment carries no telemetry of its own: its frames render under
+/// `ExperimentConfig::render_config`, and telemetry added there surfaces
+/// the postmortems with the experiment's fault seed.
 #[test]
 fn experiment_surfaces_dumps() {
-    use patu_sim::experiment::{run_policies, ExperimentConfig};
+    use patu_sim::experiment::ExperimentConfig;
     let w = Workload::build("grid", (192, 160)).unwrap();
     let cfg = ExperimentConfig {
         frames: 1,
         frame_stride: 1,
         faults: FaultConfig::uniform(5, 0.05),
         ..ExperimentConfig::default()
-    }
-    .with_telemetry(TelemetryConfig::with_level(TraceLevel::Counters));
-    let results =
-        run_policies(&w, &[("PATU", FilterPolicy::Patu { threshold: 0.4 })], &cfg).unwrap();
+    };
+    let rc = cfg
+        .render_config(FilterPolicy::Patu { threshold: 0.4 })
+        .with_telemetry(TelemetryConfig::with_level(TraceLevel::Counters));
+    let frame = cfg.frame_indices()[0];
+    let t = render_frame(&w, frame, &rc).unwrap().telemetry.unwrap();
     assert!(
-        !results[0].dumps.is_empty(),
-        "fault fallbacks under 5% rates surface on the aggregate"
+        !t.dumps.is_empty(),
+        "fault fallbacks under 5% rates leave postmortems"
     );
-    assert_eq!(results[0].dumps[0].fault_seed, 5);
+    assert_eq!(t.dumps[0].fault_seed, 5);
 }
