@@ -27,7 +27,8 @@ fn main() {
     });
 
     // The stratified sampled estimator at the default 1/4 fraction —
-    // compare with `mssim_512x512` for the sampling speedup.
+    // compare with `mssim_512x512` for the sampling speedup, the ratio
+    // `bench_smoke` gates.
     let a = gradient(512, 512, 0);
     let b = gradient(512, 512, 11);
     let sampled =

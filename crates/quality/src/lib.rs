@@ -13,8 +13,9 @@
 //! Two scans compute it, and both score each window with the same function
 //! of the window's five sums:
 //!
-//! - [`SsimConfig::mssim`] / [`SsimConfig::ssim_map`] build full-resolution
-//!   integral images, so a sliding-window map costs O(width × height);
+//! - [`SsimConfig::mssim`] / [`SsimConfig::ssim_map`] stream integral-image
+//!   rows down the frame, so a full scan costs O(width × height) time and
+//!   O(width) working memory;
 //! - [`SampledSsimConfig::mssim_sampled`] estimates MSSIM from a seeded,
 //!   stratified sample of window tiles (the serve layer's quality check).
 //!

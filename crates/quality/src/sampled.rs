@@ -1,9 +1,9 @@
 //! Deterministic sampled MSSIM: a stratified-tile estimator of Eq. (2).
 //!
-//! Full MSSIM ([`SsimConfig::mssim`]) builds five full-resolution integral
-//! images before scanning every window position — the global table build
-//! dominates the cost at production resolutions. The sampled estimator
-//! avoids it entirely:
+//! Full MSSIM ([`SsimConfig::mssim`]) streams integral rows down the whole
+//! image and scores every window position, so its cost grows with the frame
+//! area. The sampled estimator touches only the pixels its sampled windows
+//! cover:
 //!
 //! 1. window positions are partitioned into square tiles of 8 × 8
 //!    positions, row-major;
@@ -12,9 +12,9 @@
 //!    tile per stratum (one draw per stratum — the plan is a pure function
 //!    of the seed and the image dimensions, so the estimate is bit-identical
 //!    across runs, machines and thread counts);
-//! 3. each sampled tile is evaluated over *local* integral images covering
-//!    only its `(8 + 8 − 1)²` pixel support, scored by the same per-window
-//!    function as the full map;
+//! 3. each sampled tile is evaluated over a *local* integral image covering
+//!    only its `(8 + 8 − 1)²` pixel support, built row by row and scored by
+//!    the same row functions as the full map;
 //! 4. per-window `f32` SSIM values accumulate in `f64` and the mean over
 //!    sampled windows is the estimate.
 //!
@@ -41,7 +41,7 @@
 //! runs the full computation — a fraction of 1 *is* the full scan.
 
 use crate::image::GrayImage;
-use crate::ssim::{check_sizes, window_ssim, SsimConfig, WINDOW};
+use crate::ssim::{check_sizes, integral_row, window_row, SsimConfig, Sums, WINDOW};
 use patu_gmath::DetRng;
 
 /// The sampled fraction [`SampledSsimConfig::new`] starts from: 1/4 of the
@@ -123,15 +123,8 @@ impl SampledSsimConfig {
             let th = TILE.min(out_h - wy0);
             scratch.build(x, y, wx0 as u32, wy0 as u32, tw + win - 1, th + win - 1);
             for wy in 0..th {
-                for wx in 0..tw {
-                    let (x0, y0, x1, y1) = (wx, wy, wx + win, wy + win);
-                    sum += f64::from(window_ssim(
-                        scratch.win(&scratch.sx, x0, y0, x1, y1),
-                        scratch.win(&scratch.sy, x0, y0, x1, y1),
-                        scratch.win(&scratch.sxx, x0, y0, x1, y1),
-                        scratch.win(&scratch.syy, x0, y0, x1, y1),
-                        scratch.win(&scratch.sxy, x0, y0, x1, y1),
-                    ));
+                for ssim in window_row(scratch.row(wy), scratch.row(wy + win)) {
+                    sum += f64::from(ssim);
                 }
             }
             count += (tw * th) as u64;
@@ -146,64 +139,39 @@ fn sanitize(f: f64) -> Option<f64> {
     (f.is_finite() && f > 0.0 && f < 1.0).then_some(f)
 }
 
-/// Five local summed-area tables over one sampled tile's pixel support,
-/// rebuilt (into recycled buffers) per tile. Indexed in tile-local
-/// coordinates; one extra zero row/column simplifies window queries, exactly
-/// like the full-resolution tables in [`crate::ssim`].
+/// The local summed-area table of the five sums over one sampled tile's
+/// pixel support, rebuilt (into a recycled buffer) per tile. Indexed in
+/// tile-local coordinates; one extra zero row/column simplifies window
+/// queries, exactly like the full scan's integral rows in [`crate::ssim`].
 #[derive(Default)]
 struct TileIntegrals {
     stride: usize,
-    sx: Vec<f64>,
-    sy: Vec<f64>,
-    sxx: Vec<f64>,
-    syy: Vec<f64>,
-    sxy: Vec<f64>,
+    sums: Vec<Sums>,
 }
 
 impl TileIntegrals {
     fn build(&mut self, a: &GrayImage, b: &GrayImage, px0: u32, py0: u32, w: usize, h: usize) {
         let stride = w + 1;
         self.stride = stride;
-        for sums in [
-            &mut self.sx,
-            &mut self.sy,
-            &mut self.sxx,
-            &mut self.syy,
-            &mut self.sxy,
-        ] {
-            sums.clear();
-            sums.resize(stride * (h + 1), 0.0);
-        }
+        // Row 0 is zero; `integral_row` writes every other entry.
+        self.sums.resize(stride * (h + 1), [0.0; 5]);
+        self.sums[..stride].fill([0.0; 5]);
+        let image_w = a.width() as usize;
         for y in 0..h {
-            let mut acc_x = 0.0f64;
-            let mut acc_y = 0.0f64;
-            let mut acc_xx = 0.0f64;
-            let mut acc_yy = 0.0f64;
-            let mut acc_xy = 0.0f64;
-            for x in 0..w {
-                let av = f64::from(a.get(px0 + x as u32, py0 + y as u32));
-                let bv = f64::from(b.get(px0 + x as u32, py0 + y as u32));
-                acc_x += av;
-                acc_y += bv;
-                acc_xx += av * av;
-                acc_yy += bv * bv;
-                acc_xy += av * bv;
-                let i = (y + 1) * stride + (x + 1);
-                let up = y * stride + (x + 1);
-                self.sx[i] = self.sx[up] + acc_x;
-                self.sy[i] = self.sy[up] + acc_y;
-                self.sxx[i] = self.sxx[up] + acc_xx;
-                self.syy[i] = self.syy[up] + acc_yy;
-                self.sxy[i] = self.sxy[up] + acc_xy;
-            }
+            let start = (py0 as usize + y) * image_w + px0 as usize;
+            let (above, below) = self.sums.split_at_mut((y + 1) * stride);
+            integral_row(
+                &above[y * stride..],
+                &mut below[..stride],
+                &a.samples()[start..][..w],
+                &b.samples()[start..][..w],
+            );
         }
     }
 
-    /// Sum over the half-open window `[x0, x1) × [y0, y1)` (tile-local).
-    #[inline]
-    fn win(&self, sums: &[f64], x0: usize, y0: usize, x1: usize, y1: usize) -> f64 {
-        sums[y1 * self.stride + x1] - sums[y0 * self.stride + x1] - sums[y1 * self.stride + x0]
-            + sums[y0 * self.stride + x0]
+    /// Integral row `r` (tile-local).
+    fn row(&self, r: usize) -> &[Sums] {
+        &self.sums[r * self.stride..][..self.stride]
     }
 }
 

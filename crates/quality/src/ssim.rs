@@ -9,10 +9,16 @@
 //! ```
 //!
 //! with `C1 = (K1 L)²`, `C2 = (K2 L)²`, `K1 = 0.01`, `K2 = 0.03`, `L = 255`.
-//! Local sums are computed with integral images, so a full map costs
-//! O(W × H).
+//! Local sums come from integral images (summed-area tables), so a full
+//! scan costs O(W × H). The tables are streamed, never stored whole: a ring
+//! of `WINDOW + 1` integral rows carries the five running sums down the
+//! image, and each window row is scored as soon as its bottom row exists.
+//! At 640 wide the ring is ~230 KB, whatever the height. [`SsimConfig::mssim`]
+//! folds the windows as they stream; only [`SsimConfig::ssim_map`] stores
+//! them.
 
 use crate::image::GrayImage;
+use std::ops::Range;
 
 /// Window edge length in pixels: the paper's 8×8 uniform windows.
 pub(crate) const WINDOW: u32 = 8;
@@ -57,16 +63,17 @@ pub(crate) fn check_sizes(x: &GrayImage, y: &GrayImage) {
 /// is set.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SsimConfig {
-    /// Worker threads for the banded map computation. `None` uses
-    /// [`std::thread::available_parallelism`]. The result is bit-identical
-    /// for every thread count: window values are pure functions of shared
-    /// integral images, bands concatenate in row order, and the mean is
-    /// reduced serially afterwards.
+    /// Worker threads for [`SsimConfig::ssim_map`], which splits the map
+    /// into bands of window rows. `None` uses
+    /// [`std::thread::available_parallelism`]. The map is bit-identical for
+    /// every thread count: each band re-runs the integral recurrence from
+    /// row 0, and bands concatenate in row order. [`SsimConfig::mssim`]
+    /// always runs serially on the caller and ignores this.
     pub threads: Option<usize>,
 }
 
 impl SsimConfig {
-    /// Pins the banded computation to `threads` workers (1 = serial).
+    /// Pins the banded map to `threads` workers (1 = serial).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> SsimConfig {
         self.threads = Some(threads);
@@ -134,40 +141,77 @@ impl SsimMap {
     }
 }
 
-/// Double-precision integral image (summed-area table) over `f(x) ⋅ g(x)`.
-struct Integral {
-    width: usize,
-    sums: Vec<f64>,
+/// The five running sums of one integral-image entry: `Σx`, `Σy`, `Σx²`,
+/// `Σy²` and `Σxy` over the rectangle above and left of it.
+pub(crate) type Sums = [f64; 5];
+
+/// Fills integral row `row` from the row above it, `up`, and one row of
+/// samples of each image: entry 0 is the zero column, and entry `c + 1` is
+/// `up[c + 1]` plus the sums of the row's first `c + 1` samples. The full
+/// map and the sampled estimator both build their rows here.
+#[inline]
+pub(crate) fn integral_row(up: &[Sums], row: &mut [Sums], x: &[f32], y: &[f32]) {
+    let mut acc: Sums = [0.0; 5];
+    row[0] = acc;
+    let cells = row[1..].iter_mut().zip(&up[1..]);
+    for ((cell, above), (&a, &b)) in cells.zip(x.iter().zip(y)) {
+        let (a, b) = (f64::from(a), f64::from(b));
+        acc[0] += a;
+        acc[1] += b;
+        acc[2] += a * a;
+        acc[3] += b * b;
+        acc[4] += a * b;
+        *cell = std::array::from_fn(|k| above[k] + acc[k]);
+    }
 }
 
-impl Integral {
-    /// Builds the summed-area table of the product of two sample planes.
-    fn of_product(a: &GrayImage, b: &GrayImage) -> Integral {
-        let (w, h) = (a.width() as usize, a.height() as usize);
-        // One extra row/column of zeros simplifies window queries.
-        let stride = w + 1;
-        let mut sums = vec![0.0f64; stride * (h + 1)];
-        for y in 0..h {
-            let mut row_acc = 0.0f64;
-            for x in 0..w {
-                row_acc +=
-                    f64::from(a.get(x as u32, y as u32)) * f64::from(b.get(x as u32, y as u32));
-                sums[(y + 1) * stride + (x + 1)] = sums[y * stride + (x + 1)] + row_acc;
-            }
-        }
-        Integral {
-            width: stride,
-            sums,
-        }
-    }
+/// The SSIM of each window, left to right, whose top and bottom integral
+/// rows are `top` and `bottom` ([`WINDOW`] rows apart).
+#[inline]
+pub(crate) fn window_row<'a>(
+    top: &'a [Sums],
+    bottom: &'a [Sums],
+) -> impl Iterator<Item = f32> + 'a {
+    let win = WINDOW as usize;
+    let corners = top
+        .iter()
+        .zip(&top[win..])
+        .zip(bottom.iter().zip(&bottom[win..]));
+    corners.map(|((t0, t1), (b0, b1))| {
+        let s = |k: usize| b1[k] - t1[k] - b0[k] + t0[k];
+        window_ssim(s(0), s(1), s(2), s(3), s(4))
+    })
+}
 
-    /// Sum over the half-open window `[x0, x1) × [y0, y1)`.
-    #[inline]
-    fn window_sum(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> f64 {
-        self.sums[y1 * self.width + x1]
-            - self.sums[y0 * self.width + x1]
-            - self.sums[y1 * self.width + x0]
-            + self.sums[y0 * self.width + x0]
+/// Streams the SSIM of window rows `rows` between `x` and `y`, in row
+/// order, one row of `W − 7` values per `emit` call.
+///
+/// The summed-area tables of the five sums are never stored whole: a ring
+/// of [`WINDOW`] + 1 integral rows holds just what the next window row
+/// needs, and a window row is scored as soon as its bottom integral row
+/// exists. Integral row `r` depends on every pixel row above it, so the
+/// recurrence always starts at row 0, whatever `rows` begins with: every
+/// value is the same `f64` operation sequence for any `rows`, and a band
+/// of window rows is bit-identical to the same rows of the whole map.
+fn scan_rows(x: &GrayImage, y: &GrayImage, rows: Range<usize>, mut emit: impl FnMut(&[f32])) {
+    let win = WINDOW as usize;
+    let w = x.width() as usize;
+    // ring[0] is integral row r − WINDOW, ring[WINDOW] is row r.
+    let mut ring = vec![vec![[0.0f64; 5]; w + 1]; win + 1];
+    let mut out = vec![0.0f32; w - win + 1];
+    let pixel_rows = x.samples().chunks_exact(w).zip(y.samples().chunks_exact(w));
+    for (r, (xr, yr)) in pixel_rows.enumerate().take(rows.end + win - 1) {
+        ring.rotate_left(1);
+        let (older, newest) = ring.split_at_mut(win);
+        integral_row(&older[win - 1], &mut newest[0], xr, yr);
+        // Integral row r + 1 now exists: score window row r + 1 − WINDOW.
+        if r + 1 < rows.start + win {
+            continue;
+        }
+        for (v, ssim) in out.iter_mut().zip(window_row(&ring[0], &ring[win])) {
+            *v = ssim;
+        }
+        emit(&out);
     }
 }
 
@@ -183,33 +227,16 @@ impl SsimConfig {
     /// Panics if the images differ in size or are smaller than the window.
     pub fn ssim_map(&self, x: &GrayImage, y: &GrayImage) -> SsimMap {
         check_sizes(x, y);
-        let ones = GrayImage::filled(x.width(), x.height(), 1.0);
-        let sx = Integral::of_product(x, &ones);
-        let sy = Integral::of_product(y, &ones);
-        let sxx = Integral::of_product(x, x);
-        let syy = Integral::of_product(y, y);
-        let sxy = Integral::of_product(x, y);
-
-        let win = WINDOW as usize;
         let out_w = x.width() - WINDOW + 1;
         let out_h = x.height() - WINDOW + 1;
-        // Banded over window rows: every value is a pure function of the
-        // shared integrals, and bands concatenate in row order, so the map
-        // is bit-identical for any worker count (see [`SsimConfig::threads`]).
+        // Banded over window rows; each band streams its own rows (see
+        // [`scan_rows`]) and bands concatenate in row order, so the map is
+        // bit-identical for any worker count (see [`SsimConfig::threads`]).
         let threads = crate::par::thread_count(self.threads);
-        let values = crate::par::map_rows(threads, out_h as usize, |wy| {
-            (0..out_w as usize)
-                .map(|wx| {
-                    let (x0, y0, x1, y1) = (wx, wy, wx + win, wy + win);
-                    window_ssim(
-                        sx.window_sum(x0, y0, x1, y1),
-                        sy.window_sum(x0, y0, x1, y1),
-                        sxx.window_sum(x0, y0, x1, y1),
-                        syy.window_sum(x0, y0, x1, y1),
-                        sxy.window_sum(x0, y0, x1, y1),
-                    )
-                })
-                .collect()
+        let values = crate::par::map_bands(threads, out_h as usize, |band| {
+            let mut values = Vec::with_capacity(band.len() * out_w as usize);
+            scan_rows(x, y, band, |row| values.extend_from_slice(row));
+            values
         });
         SsimMap {
             width: out_w,
@@ -218,13 +245,26 @@ impl SsimConfig {
         }
     }
 
-    /// The mean SSIM between two images (the paper's Eq. 2).
+    /// The mean SSIM between two images (the paper's Eq. 2), bit-identical
+    /// to [`SsimMap::mean`] of [`SsimConfig::ssim_map`]. It streams the
+    /// windows on the calling thread and folds them in row-major order
+    /// without building the map.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`SsimConfig::ssim_map`].
     pub fn mssim(&self, x: &GrayImage, y: &GrayImage) -> f32 {
-        self.ssim_map(x, y).mean()
+        check_sizes(x, y);
+        let out_h = (x.height() - WINDOW + 1) as usize;
+        let windows = (x.width() - WINDOW + 1) as usize * out_h;
+        // `-0.0` is the identity `Iterator::sum` folds `f32`s from.
+        let mut sum = -0.0f32;
+        scan_rows(x, y, 0..out_h, |row| {
+            for &v in row {
+                sum += v;
+            }
+        });
+        sum / windows as f32
     }
 
     /// Like [`SsimConfig::mssim`], but records a `quality::ssim` span and
@@ -244,15 +284,15 @@ impl SsimConfig {
         x: &GrayImage,
         y: &GrayImage,
     ) -> f32 {
-        let map = self.ssim_map(x, y);
-        let windows = u64::from(map.width()) * u64::from(map.height());
+        let mssim = self.mssim(x, y);
+        let windows = u64::from(x.width() - WINDOW + 1) * u64::from(x.height() - WINDOW + 1);
         telemetry.span_arg("quality::ssim", 0, windows, "windows", windows);
         telemetry.add("ssim::windows", windows);
         telemetry.add(
             "ssim::pixels_in",
             u64::from(x.width()) * u64::from(x.height()),
         );
-        map.mean()
+        mssim
     }
 }
 
@@ -369,6 +409,34 @@ mod tests {
             let ms = SsimConfig::default().with_threads(1).mssim(&a, &b);
             let mb = SsimConfig::default().with_threads(threads).mssim(&a, &b);
             assert_eq!(ms.to_bits(), mb.to_bits(), "MSSIM bits, threads={threads}");
+        }
+    }
+
+    #[test]
+    fn streamed_mssim_matches_the_map_mean_bit_for_bit() {
+        for (w, h) in [(8, 8), (9, 30), (48, 37), (200, 9)] {
+            let a = gradient(w, h);
+            let b = GrayImage::new(
+                w,
+                h,
+                a.samples()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| v * 0.9 + (i % 11) as f32 * 1.7)
+                    .collect(),
+            );
+            let mssim = SsimConfig::default().mssim(&a, &b);
+            for threads in [1, 2, 3, 16] {
+                let mean = SsimConfig::default()
+                    .with_threads(threads)
+                    .ssim_map(&a, &b)
+                    .mean();
+                assert_eq!(
+                    mssim.to_bits(),
+                    mean.to_bits(),
+                    "{w}x{h}, threads={threads}"
+                );
+            }
         }
     }
 
