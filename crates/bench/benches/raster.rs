@@ -1,5 +1,7 @@
-//! Rasterization pipeline throughput, plus the reusable flat-grid quad
-//! divergence accounting the render loop uses. (The retired
+//! Rasterization pipeline throughput — the whole geometry pass
+//! (`raster/<game>`) and the binning half of it that a render runs
+//! serially before its clusters start (`raster/bin_<game>`) — plus the
+//! reusable flat-grid quad divergence accounting the render loop uses. (The retired
 //! `HashMap<QuadId, Vec<bool>>` baseline it replaced measured ~9.5× slower
 //! — see BENCH_raster.json history — and was dropped along with the dead
 //! per-tile HashMap code path.)
@@ -20,6 +22,9 @@ fn main() {
         let pipeline = Pipeline::new(res.0, res.1);
         group.bench(&format!("{game}_{}x{}", res.0, res.1), || {
             pipeline.run(black_box(&frame.meshes), &frame.camera)
+        });
+        group.bench(&format!("bin_{game}_{}x{}", res.0, res.1), || {
+            pipeline.bin(black_box(&frame.meshes), &frame.camera)
         });
     }
 

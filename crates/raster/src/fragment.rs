@@ -39,8 +39,6 @@ pub struct Fragment {
     pub x: u32,
     /// Pixel row.
     pub y: u32,
-    /// Normalized device depth in `[-1, 1]` (smaller = closer).
-    pub depth: f32,
     /// Perspective-correct texture coordinates.
     pub uv: Vec2,
     /// UV change per one-pixel step along screen X.
@@ -77,7 +75,6 @@ mod tests {
         let f = Fragment {
             x: 5,
             y: 9,
-            depth: 0.0,
             uv: Vec2::ZERO,
             duv_dx: Vec2::ZERO,
             duv_dy: Vec2::ZERO,

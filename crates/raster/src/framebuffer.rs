@@ -1,4 +1,4 @@
-//! Color and depth render targets.
+//! The color render target.
 
 use patu_texture::Rgba8;
 use std::io::{self, Write};
@@ -160,63 +160,6 @@ impl Framebuffer {
     }
 }
 
-/// A floating-point depth buffer with a standard less-than depth test.
-///
-/// Depth values are normalized-device-coordinate Z in `[-1, 1]`; the buffer
-/// clears to `1.0` (far plane).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DepthBuffer {
-    width: u32,
-    height: u32,
-    depths: Vec<f32>,
-}
-
-impl DepthBuffer {
-    /// Creates a buffer cleared to the far plane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(width: u32, height: u32) -> DepthBuffer {
-        assert!(width > 0 && height > 0, "depth buffer must be non-empty");
-        DepthBuffer {
-            width,
-            height,
-            depths: vec![1.0; (width as usize) * (height as usize)],
-        }
-    }
-
-    /// Depth at `(x, y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    #[inline]
-    pub fn get(&self, x: u32, y: u32) -> f32 {
-        assert!(x < self.width && y < self.height);
-        self.depths[(y as usize) * (self.width as usize) + x as usize]
-    }
-
-    /// The early depth test: if `depth` is closer than the stored value,
-    /// stores it and returns `true` (fragment survives); otherwise returns
-    /// `false` (fragment is discarded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    #[inline]
-    pub fn test_and_set(&mut self, x: u32, y: u32, depth: f32) -> bool {
-        assert!(x < self.width && y < self.height);
-        let idx = (y as usize) * (self.width as usize) + x as usize;
-        if depth < self.depths[idx] {
-            self.depths[idx] = depth;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,21 +240,5 @@ mod tests {
         fb.write_ppm(&mut buf).unwrap();
         assert!(buf.starts_with(b"P6\n4 2\n255\n"));
         assert_eq!(buf.len(), b"P6\n4 2\n255\n".len() + 4 * 2 * 3);
-    }
-
-    #[test]
-    fn depth_test_closer_wins() {
-        let mut db = DepthBuffer::new(2, 2);
-        assert!(db.test_and_set(0, 0, 0.5));
-        assert!(!db.test_and_set(0, 0, 0.7), "farther fragment rejected");
-        assert!(db.test_and_set(0, 0, 0.2), "closer fragment accepted");
-        assert_eq!(db.get(0, 0), 0.2);
-    }
-
-    #[test]
-    fn depth_equal_rejected() {
-        let mut db = DepthBuffer::new(1, 1);
-        assert!(db.test_and_set(0, 0, 0.5));
-        assert!(!db.test_and_set(0, 0, 0.5), "LESS test: equal depth fails");
     }
 }

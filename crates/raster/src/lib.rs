@@ -11,11 +11,11 @@
 //!
 //! * [`mesh`] — vertices, triangles, materials.
 //! * [`camera`] — view/projection state.
-//! * [`pipeline`] — the geometry front-end: transforms, clips, culls, bins
-//!   triangles into tiles, rasterizes with early-Z, and emits per-tile
-//!   [`fragment::Fragment`] streams carrying everything a texture unit needs
-//!   (UV, `dUV/dx`, `dUV/dy`).
-//! * [`framebuffer`] — color/depth targets and PPM output.
+//! * [`pipeline`] — the geometry front-end: transforms, clips, culls and
+//!   bins triangles into tiles once per frame, then rasterizes each tile
+//!   with a tile-local early-Z into a [`fragment::Fragment`] stream carrying
+//!   everything a texture unit needs (UV, `dUV/dx`, `dUV/dy`).
+//! * [`framebuffer`] — the color target and PPM output.
 //!
 //! Fragments carry their 2×2 quad coordinates: modern GPUs (and the paper's
 //! texture unit, Sec. V-B) process pixels in quads under SIMD, and PATU's
@@ -63,9 +63,9 @@ pub mod tiler;
 
 pub use camera::Camera;
 pub use fragment::{Fragment, QuadId};
-pub use framebuffer::{DepthBuffer, Framebuffer};
+pub use framebuffer::Framebuffer;
 pub use mesh::{Mesh, Vertex};
-pub use pipeline::{GeometryOutput, GeometryStats, Pipeline, Tile, TraversalOrder};
+pub use pipeline::{BinnedFrame, GeometryOutput, GeometryStats, Pipeline, Tile, TraversalOrder};
 
 /// Tile edge length in pixels, per the paper's baseline configuration
 /// (Table I: 16×16 tile size).

@@ -5,14 +5,21 @@
 //! emitted [`Fragment`]s carry perspective-correct UVs and analytic
 //! derivatives, from which the texture unit (modeled in `patu-gpu` +
 //! `patu-core`) builds sampling footprints.
+//!
+//! The pass splits at the bin boundary, as on a tile-based GPU:
+//! [`Pipeline::bin`] transforms, clips, culls and bins the frame once, and
+//! [`BinnedFrame::rasterize`] turns one bin into its tile's fragments when
+//! the tile is shaded, early-Z testing against a tile-local depth buffer
+//! (tiles own disjoint pixels, so no frame-wide buffer is needed).
+//! [`Pipeline::run`] is the two steps over every bin.
 
 use crate::camera::Camera;
 use crate::clip::{clip_triangle, fan_triangulate, ClipVertex};
 use crate::fragment::Fragment;
-use crate::framebuffer::DepthBuffer;
 use crate::mesh::Mesh;
 use crate::tiler::{bin_triangles, ScreenTriangle, TileBin};
 use patu_gmath::{EdgeEval, Vec2};
+use std::ops::ControlFlow;
 
 /// The order in which a tile's surviving fragments are emitted to fragment
 /// shading (and thus to the texture unit).
@@ -112,6 +119,119 @@ impl GeometryOutput {
     }
 }
 
+/// A frame's geometry cut at the bin boundary: its screen triangles and the
+/// bins that emit at least one fragment, each ready to rasterize on its
+/// own.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BinnedFrame {
+    pipeline: Pipeline,
+    /// Screen triangles in submission order; bins index into this list.
+    triangles: Vec<ScreenTriangle>,
+    bins: Vec<TileBin>,
+    stats: GeometryStats,
+}
+
+impl BinnedFrame {
+    /// Bins with at least one fragment, in row-major order.
+    pub fn bins(&self) -> &[TileBin] {
+        &self.bins
+    }
+
+    /// The frame's statistics before rasterization: `fragments_generated`
+    /// holds only the covered pixels of dropped bins and `fragments_shaded`
+    /// is 0. Rasterizing every bin adds the rest.
+    pub fn stats(&self) -> GeometryStats {
+        self.stats
+    }
+
+    /// Viewport width.
+    pub fn width(&self) -> u32 {
+        self.pipeline.width
+    }
+
+    /// Viewport height.
+    pub fn height(&self) -> u32 {
+        self.pipeline.height
+    }
+
+    /// Rasterizes `self.bins[bin]` into `fragments` (cleared first) in
+    /// shading order, early-Z testing against a depth buffer for that tile
+    /// alone, and adds its generated and shaded fragments to `stats`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bin` is out of range.
+    pub fn rasterize(&self, bin: usize, fragments: &mut Vec<Fragment>, stats: &mut GeometryStats) {
+        let p = &self.pipeline;
+        let bin = &self.bins[bin];
+        let (x0, y0) = (bin.x0(p.tile_size), bin.y0(p.tile_size));
+        let w = p.tile_size.min(p.width - x0);
+        let h = p.tile_size.min(p.height - y0);
+        // Cleared to the far plane. Tiles own disjoint pixels, so a tile's
+        // early-Z needs no other tile's depths.
+        let mut depth = vec![1.0f32; (w as usize) * (h as usize)];
+        fragments.clear();
+
+        for &ti in &bin.triangles {
+            let tri = &self.triangles[ti];
+            // Per-triangle constant gradients of the linear quantities
+            // 1/w and uv/w, used for perspective-correct derivatives.
+            let grad_inv_w = linear_gradient(&tri.pos, &tri.inv_w);
+            let grad_s = linear_gradient(
+                &tri.pos,
+                &[tri.uv_over_w[0].x, tri.uv_over_w[1].x, tri.uv_over_w[2].x],
+            );
+            let grad_t = linear_gradient(
+                &tri.pos,
+                &[tri.uv_over_w[0].y, tri.uv_over_w[1].y, tri.uv_over_w[2].y],
+            );
+            let _ = p.for_each_covered(bin, tri, |px, py, [w0, w1, w2]| {
+                stats.fragments_generated += 1;
+                let z = tri.z[0] * w0 + tri.z[1] * w1 + tri.z[2] * w2;
+                let stored = &mut depth[((py - y0) * w + (px - x0)) as usize];
+                if z < *stored {
+                    *stored = z;
+                } else {
+                    return ControlFlow::Continue(());
+                }
+                stats.fragments_shaded += 1;
+
+                // Perspective-correct UV and analytic derivatives.
+                let q = tri.inv_w[0] * w0 + tri.inv_w[1] * w1 + tri.inv_w[2] * w2;
+                let s = tri.uv_over_w[0].x * w0 + tri.uv_over_w[1].x * w1 + tri.uv_over_w[2].x * w2;
+                let t = tri.uv_over_w[0].y * w0 + tri.uv_over_w[1].y * w1 + tri.uv_over_w[2].y * w2;
+                let inv_q = 1.0 / q;
+                let uv = Vec2::new(s * inv_q, t * inv_q);
+                // d(s/q)/dx = (ds/dx * q - s * dq/dx) / q^2
+                let duv_dx = Vec2::new(
+                    (grad_s.x * q - s * grad_inv_w.x) * inv_q * inv_q,
+                    (grad_t.x * q - t * grad_inv_w.x) * inv_q * inv_q,
+                );
+                let duv_dy = Vec2::new(
+                    (grad_s.y * q - s * grad_inv_w.y) * inv_q * inv_q,
+                    (grad_t.y * q - t * grad_inv_w.y) * inv_q * inv_q,
+                );
+                fragments.push(Fragment {
+                    x: px,
+                    y: py,
+                    uv,
+                    duv_dx,
+                    duv_dy,
+                    material: tri.material,
+                    primitive: tri.primitive,
+                });
+                ControlFlow::Continue(())
+            });
+        }
+
+        if p.traversal == TraversalOrder::Morton {
+            // Stable by Morton key: fragments at the same pixel keep their
+            // submission order, so last-write-wins depth resolution holds.
+            fragments.sort_by_key(|f| morton_key(f.x, f.y));
+        }
+    }
+}
+
 /// The rasterization pipeline for a fixed viewport.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
@@ -171,28 +291,113 @@ impl Pipeline {
         self.tile_size
     }
 
-    /// Runs the geometry pass over `meshes` as seen from `camera`.
+    /// Runs the geometry pass over `meshes` as seen from `camera`:
+    /// [`Pipeline::bin`], then [`BinnedFrame::rasterize`] on every bin.
     pub fn run(&self, meshes: &[Mesh], camera: &Camera) -> GeometryOutput {
-        let mut stats = GeometryStats::default();
-        let screen_tris = self.process_geometry(meshes, camera, &mut stats);
-        let bins = bin_triangles(&screen_tris, self.width, self.height, self.tile_size);
-        stats.tiles_covered = bins.len() as u64;
-
-        let mut depth = DepthBuffer::new(self.width, self.height);
-        let mut tiles = Vec::with_capacity(bins.len());
-        for bin in bins {
-            let tile = self.rasterize_tile(&bin, &screen_tris, &mut depth, &mut stats);
-            if !tile.fragments.is_empty() {
-                tiles.push(tile);
-            }
-        }
-
+        let binned = self.bin(meshes, camera);
+        let mut stats = binned.stats;
+        let tiles = (0..binned.bins.len())
+            .map(|i| {
+                let mut fragments = Vec::new();
+                binned.rasterize(i, &mut fragments, &mut stats);
+                let bin = &binned.bins[i];
+                Tile {
+                    tx: bin.tx,
+                    ty: bin.ty,
+                    fragments,
+                }
+            })
+            .collect();
         GeometryOutput {
             width: self.width,
             height: self.height,
             tiles,
             stats,
         }
+    }
+
+    /// The per-frame half of the geometry pass: vertex processing,
+    /// clipping, culling and binning, keeping only the bins that emit a
+    /// fragment. [`BinnedFrame::rasterize`] is the per-tile half.
+    pub fn bin(&self, meshes: &[Mesh], camera: &Camera) -> BinnedFrame {
+        let mut stats = GeometryStats::default();
+        let triangles = self.process_geometry(meshes, camera, &mut stats);
+        self.bin_screen(triangles, stats)
+    }
+
+    /// Bins screen triangles and drops every bin no fragment of which
+    /// would pass early-Z.
+    fn bin_screen(&self, triangles: Vec<ScreenTriangle>, mut stats: GeometryStats) -> BinnedFrame {
+        let mut bins = bin_triangles(&triangles, self.width, self.height, self.tile_size);
+        stats.tiles_covered = bins.len() as u64;
+        bins.retain(|bin| self.is_live(bin, &triangles, &mut stats));
+        BinnedFrame {
+            pipeline: *self,
+            triangles,
+            bins,
+            stats,
+        }
+    }
+
+    /// Whether some pixel centre `bin` covers has interpolated `z < 1.0`:
+    /// the early-Z test against a depth buffer cleared to the far plane, so
+    /// exactly the bins that emit a fragment. Stops at the first such
+    /// pixel. A dead bin's covered pixels count as generated here; a live
+    /// bin's count when it rasterizes.
+    fn is_live(&self, bin: &TileBin, tris: &[ScreenTriangle], stats: &mut GeometryStats) -> bool {
+        let mut generated = 0;
+        for &ti in &bin.triangles {
+            let tri = &tris[ti];
+            let live = self.for_each_covered(bin, tri, |_, _, [w0, w1, w2]| {
+                generated += 1;
+                if tri.z[0] * w0 + tri.z[1] * w1 + tri.z[2] * w2 < 1.0 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            if live.is_break() {
+                return true;
+            }
+        }
+        stats.fragments_generated += generated;
+        false
+    }
+
+    /// Visits the pixels of `bin`'s tile whose centres `tri` covers, in
+    /// scanline order, with their barycentric weights, until `visit`
+    /// breaks.
+    fn for_each_covered(
+        &self,
+        bin: &TileBin,
+        tri: &ScreenTriangle,
+        mut visit: impl FnMut(u32, u32, [f32; 3]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let Some(edges) = EdgeEval::new(tri.pos[0], tri.pos[1], tri.pos[2]) else {
+            return ControlFlow::Continue(()); // degenerate after snapping
+        };
+        // Clip the triangle's bounds to this tile.
+        let x0 = bin.x0(self.tile_size);
+        let y0 = bin.y0(self.tile_size);
+        let x1 = (x0 + self.tile_size).min(self.width);
+        let y1 = (y0 + self.tile_size).min(self.height);
+        let bb = tri.bounds();
+        let px0 = (bb.min.x.floor().max(x0 as f32) as u32).min(x1.saturating_sub(1));
+        let py0 = (bb.min.y.floor().max(y0 as f32) as u32).min(y1.saturating_sub(1));
+        let px1 = (bb.max.x.ceil() as u32 + 1).min(x1);
+        let py1 = (bb.max.y.ceil() as u32 + 1).min(y1);
+
+        for py in py0..py1 {
+            for px in px0..px1 {
+                let p = Vec2::new(px as f32 + 0.5, py as f32 + 0.5);
+                let (w0, w1, w2) = edges.weights(p);
+                if w0 < 0.0 || w1 < 0.0 || w2 < 0.0 {
+                    continue;
+                }
+                visit(px, py, [w0, w1, w2])?;
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// Vertex processing + clipping + culling + viewport transform.
@@ -283,105 +488,6 @@ impl Pipeline {
             material,
             primitive,
         })
-    }
-
-    /// Rasterizes all triangles binned to `bin`, early-depth-testing against
-    /// the shared frame depth buffer.
-    fn rasterize_tile(
-        &self,
-        bin: &TileBin,
-        tris: &[ScreenTriangle],
-        depth: &mut DepthBuffer,
-        stats: &mut GeometryStats,
-    ) -> Tile {
-        let x0 = bin.x0(self.tile_size);
-        let y0 = bin.y0(self.tile_size);
-        let x1 = (x0 + self.tile_size).min(self.width);
-        let y1 = (y0 + self.tile_size).min(self.height);
-        let mut fragments = Vec::new();
-
-        for &ti in &bin.triangles {
-            let tri = &tris[ti];
-            let Some(edges) = EdgeEval::new(tri.pos[0], tri.pos[1], tri.pos[2]) else {
-                continue; // degenerate after snapping
-            };
-
-            // Per-triangle constant gradients of the linear quantities
-            // 1/w and uv/w, used for perspective-correct derivatives.
-            let grad_inv_w = linear_gradient(&tri.pos, &[tri.inv_w[0], tri.inv_w[1], tri.inv_w[2]]);
-            let grad_s = linear_gradient(
-                &tri.pos,
-                &[tri.uv_over_w[0].x, tri.uv_over_w[1].x, tri.uv_over_w[2].x],
-            );
-            let grad_t = linear_gradient(
-                &tri.pos,
-                &[tri.uv_over_w[0].y, tri.uv_over_w[1].y, tri.uv_over_w[2].y],
-            );
-
-            // Clip the triangle's bounds to this tile.
-            let bb = tri.bounds();
-            let px0 = (bb.min.x.floor().max(x0 as f32) as u32).min(x1.saturating_sub(1));
-            let py0 = (bb.min.y.floor().max(y0 as f32) as u32).min(y1.saturating_sub(1));
-            let px1 = (bb.max.x.ceil() as u32 + 1).min(x1);
-            let py1 = (bb.max.y.ceil() as u32 + 1).min(y1);
-
-            for py in py0..py1 {
-                for px in px0..px1 {
-                    let p = Vec2::new(px as f32 + 0.5, py as f32 + 0.5);
-                    let (w0, w1, w2) = edges.weights(p);
-                    if w0 < 0.0 || w1 < 0.0 || w2 < 0.0 {
-                        continue;
-                    }
-                    stats.fragments_generated += 1;
-
-                    let z = tri.z[0] * w0 + tri.z[1] * w1 + tri.z[2] * w2;
-                    if !depth.test_and_set(px, py, z) {
-                        continue;
-                    }
-                    stats.fragments_shaded += 1;
-
-                    // Perspective-correct UV and analytic derivatives.
-                    let q = tri.inv_w[0] * w0 + tri.inv_w[1] * w1 + tri.inv_w[2] * w2;
-                    let s =
-                        tri.uv_over_w[0].x * w0 + tri.uv_over_w[1].x * w1 + tri.uv_over_w[2].x * w2;
-                    let t =
-                        tri.uv_over_w[0].y * w0 + tri.uv_over_w[1].y * w1 + tri.uv_over_w[2].y * w2;
-                    let inv_q = 1.0 / q;
-                    let uv = Vec2::new(s * inv_q, t * inv_q);
-                    // d(s/q)/dx = (ds/dx * q - s * dq/dx) / q^2
-                    let duv_dx = Vec2::new(
-                        (grad_s.x * q - s * grad_inv_w.x) * inv_q * inv_q,
-                        (grad_t.x * q - t * grad_inv_w.x) * inv_q * inv_q,
-                    );
-                    let duv_dy = Vec2::new(
-                        (grad_s.y * q - s * grad_inv_w.y) * inv_q * inv_q,
-                        (grad_t.y * q - t * grad_inv_w.y) * inv_q * inv_q,
-                    );
-
-                    fragments.push(Fragment {
-                        x: px,
-                        y: py,
-                        depth: z,
-                        uv,
-                        duv_dx,
-                        duv_dy,
-                        material: tri.material,
-                        primitive: tri.primitive,
-                    });
-                }
-            }
-        }
-
-        if self.traversal == TraversalOrder::Morton {
-            // Stable by Morton key: fragments at the same pixel keep their
-            // submission order, so last-write-wins depth resolution holds.
-            fragments.sort_by_key(|f| morton_key(f.x, f.y));
-        }
-        Tile {
-            tx: bin.tx,
-            ty: bin.ty,
-            fragments,
-        }
     }
 }
 
@@ -745,6 +851,73 @@ mod tests {
         assert_eq!(frame.counters["geom::triangles_in"], 2);
         assert_eq!(frame.counters["geom::vertices"], 4);
         assert!(frame.counters["geom::tiles_covered"] > 0);
+    }
+
+    /// A right triangle with its legs along the axes, front-facing on
+    /// screen, at constant depth `z`. With integer corners and an 8-pixel
+    /// leg every barycentric weight at a pixel centre is exact, so the
+    /// interpolated depth is exactly `z`.
+    fn screen_tri(x: f32, y: f32, leg: f32, z: f32) -> ScreenTriangle {
+        ScreenTriangle {
+            pos: [
+                Vec2::new(x, y),
+                Vec2::new(x, y + leg),
+                Vec2::new(x + leg, y),
+            ],
+            z: [z; 3],
+            inv_w: [1.0; 3],
+            uv_over_w: [Vec2::ZERO; 3],
+            material: 0,
+            primitive: 0,
+        }
+    }
+
+    #[test]
+    fn bins_that_emit_no_fragment_are_dropped_but_counted() {
+        let p = Pipeline::new(64, 16);
+        let bin = |tris: Vec<ScreenTriangle>| p.bin_screen(tris, GeometryStats::default());
+        let live = bin(vec![screen_tri(0.0, 0.0, 8.0, 0.5)]);
+        assert_eq!(live.bins.len(), 1);
+        let (mut fragments, mut stats) = (Vec::new(), live.stats);
+        live.rasterize(0, &mut fragments, &mut stats);
+        let covered = stats.fragments_generated;
+        assert!(covered > 0);
+        assert_eq!(stats.fragments_shaded, covered);
+        assert_eq!(fragments.len() as u64, covered);
+
+        // At or behind the far plane, or at NaN depth, no covered pixel
+        // passes early-Z: the bin is dropped, its pixels still generated.
+        for z in [1.0, 1.5, f32::INFINITY, f32::NAN] {
+            let dead = bin(vec![screen_tri(0.0, 0.0, 8.0, z)]);
+            assert!(dead.bins.is_empty(), "z = {z}");
+            assert_eq!(dead.stats.tiles_covered, 1);
+            assert_eq!(dead.stats.fragments_generated, covered);
+            assert_eq!(dead.stats.fragments_shaded, 0);
+        }
+        // A sliver between pixel centres covers none.
+        let sliver = bin(vec![screen_tri(1.1, 1.1, 0.3, 0.5)]);
+        assert!(sliver.bins.is_empty());
+        assert_eq!(sliver.stats.tiles_covered, 1);
+        assert_eq!(sliver.stats.fragments_generated, 0);
+
+        // Dead tiles beside a live one: only the live tile stays, and a
+        // far triangle before a near one leaves its tile live.
+        let frame = bin(vec![
+            screen_tri(0.0, 0.0, 8.0, 1.0),
+            screen_tri(16.0, 0.0, 8.0, f32::NAN),
+            screen_tri(33.1, 1.1, 0.3, 0.5),
+            screen_tri(48.0, 0.0, 8.0, 1.0),
+            screen_tri(48.0, 0.0, 8.0, 0.5),
+        ]);
+        let tiles: Vec<(u32, u32)> = frame.bins.iter().map(|b| (b.tx, b.ty)).collect();
+        assert_eq!(tiles, [(3, 0)]);
+        assert_eq!(frame.stats.tiles_covered, 4);
+        assert_eq!(frame.stats.fragments_generated, 2 * covered);
+        let mut stats = frame.stats;
+        frame.rasterize(0, &mut fragments, &mut stats);
+        assert_eq!(stats.fragments_generated, 4 * covered);
+        assert_eq!(stats.fragments_shaded, covered);
+        assert_eq!(fragments.len() as u64, covered, "buffer cleared per bin");
     }
 
     #[test]

@@ -15,7 +15,8 @@ use patu_obs::{
     TelemetryConfig, Track,
 };
 use patu_quality::GrayImage;
-use patu_raster::{Fragment, Framebuffer, GeometryOutput, Pipeline, Tile};
+use patu_raster::tiler::TileBin;
+use patu_raster::{BinnedFrame, Fragment, Framebuffer, GeometryStats, Pipeline};
 use patu_scenes::Workload;
 use patu_temporal::{TileClass, TileDecision, TileStore};
 use patu_texture::{AddressMode, Footprint, Rgba8};
@@ -396,9 +397,10 @@ fn render_scene(
     // degenerate geometry that shard clamping would otherwise mask.
     MemorySystem::try_new(&cfg.gpu)?;
     let (width, height) = workload.resolution();
-    let pipeline =
-        Pipeline::with_tile_size(width, height, cfg.gpu.tile_size).with_traversal(cfg.traversal);
-    let geometry = pipeline.run(&scene.meshes, &scene.camera);
+    // Only binning runs here; each cluster rasterizes its own tiles.
+    let binned = Pipeline::with_tile_size(width, height, cfg.gpu.tile_size)
+        .with_traversal(cfg.traversal)
+        .bin(&scene.meshes, &scene.camera);
 
     let clusters = cfg.gpu.clusters.max(1) as usize;
     let shard_gpu = cfg.gpu.cluster_shard();
@@ -428,82 +430,80 @@ fn render_scene(
     }
 
     // Geometry front-end time, shared by every cluster's cycle stream.
-    let frontend = geometry.stats.vertices_processed * CYCLES_PER_VERTEX
-        + geometry.stats.triangles_rasterized * CYCLES_PER_TRIANGLE;
+    let frontend = binned.stats().vertices_processed * CYCLES_PER_VERTEX
+        + binned.stats().triangles_rasterized * CYCLES_PER_TRIANGLE;
 
-    // Static tile partition: a pure function of the tile index, identical
-    // for serial and parallel runs (see DESIGN.md "Parallel execution
-    // model").
+    // Static tile partition: a pure function of the index among the bins
+    // that emit fragments, identical for serial and parallel runs (see
+    // DESIGN.md "Parallel execution model").
     let mut cluster_tiles: Vec<Vec<usize>> = vec![Vec::new(); clusters];
-    for i in 0..geometry.tiles.len() {
+    for i in 0..binned.bins().len() {
         cluster_tiles[parallel::tile_cluster(i, clusters)].push(i);
     }
     let layouts: Vec<TileBlocks> = cluster_tiles
         .iter()
-        .map(|tiles| TileBlocks::new(tiles, &geometry, cfg.gpu.tile_size))
+        .map(|tiles| TileBlocks::new(tiles, &binned, cfg.gpu.tile_size))
         .collect();
 
     // Simulate each cluster independently: worker-private memory shards,
     // texture units, pixels and counters — no locks or atomics on the
     // per-fragment path. `threads <= 1` runs the same code inline.
     let threads = parallel::thread_count(cfg.threads);
-    let (geometry_ref, cfgs_ref) = (&geometry, &cfgs[..]);
-    let tasks: Vec<parallel::Task<'_, Vec<ClusterOutput>>> = shards
+    let (binned_ref, cfgs_ref) = (&binned, &cfgs[..]);
+    let tasks: Vec<parallel::Task<'_, (GeometryStats, Vec<ClusterOutput>)>> = shards
         .into_iter()
         .map(|shard| {
             let tiles: &[usize] = &cluster_tiles[shard.cluster];
             let layout = &layouts[shard.cluster];
             Box::new(move || {
                 run_cluster(
-                    shard,
-                    tiles,
-                    layout,
-                    geometry_ref,
-                    workload,
-                    cfg,
-                    cfgs_ref,
-                    frontend,
-                    temporal,
+                    shard, tiles, layout, binned_ref, workload, cfg, cfgs_ref, frontend, temporal,
                 )
-            }) as parallel::Task<'_, Vec<ClusterOutput>>
+            }) as parallel::Task<'_, (GeometryStats, Vec<ClusterOutput>)>
         })
         .collect();
     let mut per_policy: Vec<Vec<ClusterOutput>> =
         cfgs.iter().map(|_| Vec::with_capacity(clusters)).collect();
-    for outputs in parallel::run_tasks(threads, tasks) {
+    let mut geometry = binned.stats();
+    for (raster, outputs) in parallel::run_tasks(threads, tasks) {
+        geometry.fragments_generated += raster.fragments_generated;
+        geometry.fragments_shaded += raster.fragments_shaded;
         for (slot, out) in per_policy.iter_mut().zip(outputs) {
             slot.push(out);
         }
     }
+    let size = (binned.width(), binned.height());
     Ok(cfgs
         .iter()
         .zip(per_policy)
-        .map(|(pc, outputs)| merge_clusters(pc, &geometry, &layouts, frontend, outputs))
+        .map(|(pc, outputs)| merge_clusters(pc, size, &geometry, &layouts, frontend, outputs))
         .collect())
 }
 
 /// Merges one policy's cluster outputs in cluster order. Counters are
 /// commutative sums; the frame timer replays each cluster's finish time;
 /// each cluster's tiles are disjoint rects, stitched back into the frame.
+/// `geometry` holds the whole frame's counts, every cluster's rasterized
+/// fragments included.
 fn merge_clusters(
     cfg: &RenderConfig,
-    geometry: &GeometryOutput,
+    (width, height): (u32, u32),
+    geometry: &GeometryStats,
     layouts: &[TileBlocks],
     frontend: u64,
     outputs: Vec<ClusterOutput>,
 ) -> FrameResult {
-    let (width, height) = (geometry.width, geometry.height);
     let mut image = Framebuffer::new(width, height, Rgba8::BLACK);
     let mut timer = FrameTimer::new(&cfg.gpu);
     timer.add_frontend_cycles(frontend);
     let mut side = MemSideEffects::default();
     side.record_traffic(
         TrafficClass::Vertex,
-        geometry.stats.vertices_processed * BYTES_PER_VERTEX,
+        geometry.vertices_processed * BYTES_PER_VERTEX,
     );
     side.record_traffic(
         TrafficClass::Depth,
-        geometry.stats.fragments_generated * DEPTH_BYTES_PER_FRAGMENT,
+        geometry.fragments_generated * DEPTH_BYTES_PER_FRAGMENT,
     );
     let mut filter_latency = 0u64;
     let mut filter_requests = 0u64;
@@ -517,7 +517,7 @@ fn merge_clusters(
     let mut filter_hist = Log2Histogram::new();
     let mut cluster_obs = Vec::with_capacity(outputs.len());
     let mut cluster_attrib: Vec<ClusterAttribInput> = Vec::with_capacity(outputs.len());
-    let mut tile_stats: Vec<TileApproxStats> = Vec::with_capacity(geometry.tiles.len());
+    let mut tile_stats: Vec<TileApproxStats> = Vec::new();
     let mut temporal_counts = TemporalCounts::default();
     for (c, out) in outputs.into_iter().enumerate() {
         timer.merge_cluster(c, out.finish);
@@ -571,8 +571,8 @@ fn merge_clusters(
     // per wasted tap).
     stats.events.address_calc_ops += wasted_addr_taps * 8;
     stats.events.shader_alu_ops =
-        geometry.stats.fragments_shaded * u64::from(cfg.gpu.shader_ops_per_fragment);
-    stats.events.vertices = geometry.stats.vertices_processed;
+        geometry.fragments_shaded * u64::from(cfg.gpu.shader_ops_per_fragment);
+    stats.events.vertices = geometry.vertices_processed;
     stats.events.hash_table_accesses += hash_accesses;
     stats.events.predictor_evals = approx.stage1_approx
         + approx.stage2_approx * 2
@@ -593,9 +593,9 @@ fn merge_clusters(
             0,
             frontend,
             "triangles",
-            geometry.stats.triangles_rasterized,
+            geometry.triangles_rasterized,
         );
-        geometry.stats.export_counters(&mut front);
+        geometry.export_counters(&mut front);
         let mut merged = FrameTelemetry::new(
             cfg.telemetry.level,
             0,
@@ -732,14 +732,14 @@ struct TileBlocks {
 }
 
 impl TileBlocks {
-    fn new(tiles: &[usize], geometry: &GeometryOutput, tile_size: u32) -> TileBlocks {
+    fn new(tiles: &[usize], binned: &BinnedFrame, tile_size: u32) -> TileBlocks {
         let mut rects = Vec::with_capacity(tiles.len());
         let mut pixels = 0usize;
         for &ti in tiles {
-            let tile = &geometry.tiles[ti];
-            let (x0, y0) = (tile.tx * tile_size, tile.ty * tile_size);
-            let w = tile_size.min(geometry.width - x0);
-            let h = tile_size.min(geometry.height - y0);
+            let bin = &binned.bins()[ti];
+            let (x0, y0) = (bin.x0(tile_size), bin.y0(tile_size));
+            let w = tile_size.min(binned.width() - x0);
+            let h = tile_size.min(binned.height() - y0);
             rects.push((x0, y0, w, h, pixels));
             pixels += (w as usize) * (h as usize);
         }
@@ -902,7 +902,7 @@ impl<'a> PolicyRun<'a> {
         &mut self,
         cluster: usize,
         ti: usize,
-        tile: &Tile,
+        tile: &TileBin,
         slot: usize,
         layout: &TileBlocks,
         prev: &Framebuffer,
@@ -1013,18 +1013,19 @@ impl<'a> PolicyRun<'a> {
         unit: &PerceptionAwareTextureUnit,
         cluster: usize,
         ti: usize,
-        tile: &Tile,
+        tile: &TileBin,
+        fragments: u64,
     ) {
         self.quads.flush(&mut self.divergence);
         let start = self.start;
-        let shading = self.timer.shading_cycles(tile.fragments.len() as u64);
+        let shading = self.timer.shading_cycles(fragments);
         self.timer.end_tile(cluster, shading, self.texture_done);
         self.shade_cycles += shading;
         self.tiles.push(TileApproxStats {
             tile: ti as u32,
             tx: tile.tx,
             ty: tile.ty,
-            fragments: tile.fragments.len() as u64,
+            fragments,
             demoted: self.tile_demoted,
         });
         if !self.trace {
@@ -1122,28 +1123,30 @@ impl<'a> PolicyRun<'a> {
 /// Simulates one cluster's statically assigned tiles end to end, for every
 /// policy in `cfgs` at once. Pure function of its inputs — every mutable
 /// structure is worker-private — so it runs identically inline or on a
-/// worker thread. Each tile is traversed once: its material runs fill one
-/// [`SoaBatch`] whose footprints, stage-2 keys and texel samples serve
+/// worker thread. Each tile is rasterized just before it is shaded, into
+/// one reused fragment buffer, and traversed once: its material runs fill
+/// one [`SoaBatch`] whose footprints, stage-2 keys and texel samples serve
 /// every policy, while each policy keeps its own units, timer, watchdog,
-/// telemetry and pixels.
+/// telemetry and pixels. Returns the cluster's rasterized fragment counts
+/// beside one output per policy.
 #[allow(clippy::too_many_arguments)]
 fn run_cluster(
     shard: ClusterShard,
     tiles: &[usize],
     layout: &TileBlocks,
-    geometry: &GeometryOutput,
+    binned: &BinnedFrame,
     workload: &Workload,
     cfg: &RenderConfig,
     cfgs: &[RenderConfig],
     frontend: u64,
     temporal: Option<&SeqCtx<'_>>,
-) -> Vec<ClusterOutput> {
+) -> (GeometryStats, Vec<ClusterOutput>) {
     let ClusterShard {
         cluster,
         mut units,
         memory,
     } = shard;
-    let (width, height) = (geometry.width, geometry.height);
+    let (width, height) = (binned.width(), binned.height());
     let tile_size = cfg.gpu.tile_size;
     let mut runs: Vec<PolicyRun<'_>> = cfgs
         .iter()
@@ -1152,9 +1155,13 @@ fn run_cluster(
         .map(|((pc, mem), unit)| PolicyRun::new(pc, mem, unit, cluster, frontend, layout))
         .collect();
     let mut batch = SoaBatch::new();
+    let mut raster = GeometryStats::default();
+    let mut fragments: Vec<Fragment> = Vec::new();
 
     for (slot, &ti) in tiles.iter().enumerate() {
-        let tile = &geometry.tiles[ti];
+        let tile = &binned.bins()[ti];
+        // Blitted tiles rasterize too: their fragments count in the frame.
+        binned.rasterize(ti, &mut fragments, &mut raster);
         if let Some(seq) = temporal {
             // Sequence mode: re-key both fault streams so this tile's
             // faults are a pure function of (seed, frame, tile). A blitted
@@ -1186,7 +1193,7 @@ fn run_cluster(
         match cfg.batching {
             BatchMode::Scalar => {
                 for (run, unit) in runs.iter_mut().zip(&mut units) {
-                    for frag in &tile.fragments {
+                    for frag in &fragments {
                         let tex = &workload.textures()[frag.material];
                         let fp = Footprint::from_derivatives(
                             frag.duv_dx,
@@ -1227,7 +1234,7 @@ fn run_cluster(
                 // form one SoA batch, in traversal order — batching changes
                 // layout, never ordering, so outputs stay bit-identical to
                 // the scalar path.
-                for frags in tile.fragments.chunk_by(|a, b| a.material == b.material) {
+                for frags in fragments.chunk_by(|a, b| a.material == b.material) {
                     let tex = &workload.textures()[frags[0].material];
                     let shader = workload.shader(frags[0].material);
                     batch.clear();
@@ -1263,14 +1270,16 @@ fn run_cluster(
         }
 
         for (run, unit) in runs.iter_mut().zip(&units) {
-            run.end_tile(unit, cluster, ti, tile);
+            run.end_tile(unit, cluster, ti, tile, fragments.len() as u64);
         }
     }
 
-    runs.into_iter()
+    let outputs = runs
+        .into_iter()
         .zip(&units)
         .map(|(run, unit)| run.finish(unit, cluster))
-        .collect()
+        .collect();
+    (raster, outputs)
 }
 
 #[cfg(test)]
